@@ -139,9 +139,7 @@ def power_iterate(M, tol=DEFAULT_TOL, max_doublings=DEFAULT_MAX_DOUBLINGS):
     BLOW_UP_THRESHOLD, "no_cauchy" when the doubling budget runs out.
     """
     M = linalg.as_matrix(M, square=True)
-    tol = float(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = linalg.check_tolerance("tol", tol)
     history = []
     P = M.copy()
     exponent = 1

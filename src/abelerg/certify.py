@@ -136,6 +136,8 @@ def check_spectral_condition(T, tol=abel.DEFAULT_TOL, rank_tol=CERTIFY_RANK_TOL)
     having full rank.
     """
     T = linalg.as_matrix(T, square=True)
+    tol = linalg.check_tolerance("tol", tol)
+    rank_tol = linalg.check_tolerance("rank_tol", rank_tol)
     eig = linalg.eigendecompose(T)
     norm_T = linalg.operator_norm(T)
     max_re = float(np.max(eig.values.real)) if eig.values.size else 0.0

@@ -336,12 +336,10 @@ def main(argv=None):
         print(f"abelerg: numerical failure: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
-    text = matrixio.canonical_json(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        matrixio.write_report(args.out, report)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(matrixio.canonical_json(report))
     return EXIT_COMPUTED
 
 

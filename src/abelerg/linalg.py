@@ -39,6 +39,18 @@ def as_matrix(A, square=False):
     return M
 
 
+def check_tolerance(name, value):
+    """Validate a tolerance as a positive finite number and return it as float.
+
+    NaN passes no comparison and infinity passes every one, so either would
+    silently decide a convergence or rank test.
+    """
+    tol = float(value)
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return tol
+
+
 def default_rank_tol(A):
     """Relative rank threshold n * eps for an n x m matrix."""
     return max(A.shape) * EPS
@@ -135,10 +147,8 @@ def kernel_basis(A, rank_tol=None):
     (rank_tol defaults to n * eps).  An empty basis is a valid result.
     """
     A = as_matrix(A)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(A)
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
+    rank_tol = default_rank_tol(A) if rank_tol is None \
+        else check_tolerance("rank_tol", rank_tol)
     m, n = A.shape
     _, s, Vh = np.linalg.svd(A)
     smax = s[0] if s.size else 0.0
@@ -152,10 +162,8 @@ def kernel_basis(A, rank_tol=None):
 def image_basis(A, rank_tol=None):
     """Orthonormal basis of the numerical column space of A (dual of kernel_basis)."""
     A = as_matrix(A)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(A)
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
+    rank_tol = default_rank_tol(A) if rank_tol is None \
+        else check_tolerance("rank_tol", rank_tol)
     U, s, _ = np.linalg.svd(A)
     smax = s[0] if s.size else 0.0
     mask = np.zeros(U.shape[1], dtype=bool)

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import math
+from itertools import chain
 from numbers import Integral, Real
 
 import numpy as np
@@ -31,7 +32,11 @@ def _entry_to_complex(entry, index):
                    for p in entry)):
         raise ParseError(
             f"data[{index}] must be a [re, im] pair of numbers")
-    re, im = float(entry[0]), float(entry[1])
+    try:
+        re, im = float(entry[0]), float(entry[1])
+    except OverflowError:
+        raise ParseError(
+            f"data[{index}] has a component out of float range") from None
     if not (math.isfinite(re) and math.isfinite(im)):
         raise ParseError(f"data[{index}] has a non-finite component")
     return complex(re, im)
@@ -58,15 +63,47 @@ def matrix_from_payload(payload):
         raise DimensionMismatch(
             f"data has {len(data)} entries, expected rows * cols = "
             f"{rows * cols}")
-    flat = [_entry_to_complex(entry, i) for i, entry in enumerate(data)]
-    return np.array(flat, dtype=np.complex128).reshape(rows, cols)
+    values = _bulk_pairs(data)
+    if values is None:
+        # Not plain JSON numbers, or some entry is bad: the entry-wise
+        # check names the first offending entry.
+        values = np.array(
+            [_entry_to_complex(entry, i) for i, entry in enumerate(data)],
+            dtype=np.complex128)
+    return values.reshape(rows, cols)
+
+
+def _flat_pairs(items):
+    """The components of a list of two-element lists, in order, or None."""
+    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
+        return None
+    return tuple(chain.from_iterable(items))
+
+
+def _bulk_pairs(data):
+    """Complex vector of a list of finite [re, im] int/float pairs, or None.
+
+    Checks and converts the whole list at once; returns None for anything
+    else (including subclasses of list, int or float), leaving the
+    diagnosis to _entry_to_complex.
+    """
+    flat = _flat_pairs(data)
+    if flat is None or not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        parts = np.array(flat, dtype=np.float64)
+    except OverflowError:
+        return None
+    if not np.isfinite(parts).all():
+        return None
+    return parts.view(np.complex128)
 
 
 def parse_matrix(text):
     """Parse the strict matrix JSON format from a string."""
     try:
         payload = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an over-long integer
         raise ParseError(f"invalid JSON: {exc}") from exc
     return matrix_from_payload(payload)
 
@@ -78,13 +115,13 @@ def load_matrix(path):
 
 def serialize_matrix(M):
     """Encode a matrix as the payload dict of the strict format."""
-    M = np.asarray(M, dtype=np.complex128)
+    M = np.ascontiguousarray(M, dtype=np.complex128)
     if M.ndim != 2:
         raise ValueError("expected a 2d array")
     return {
         "rows": int(M.shape[0]),
         "cols": int(M.shape[1]),
-        "data": [[z.real, z.imag] for z in M.reshape(-1)],
+        "data": M.view(np.float64).reshape(-1, 2).tolist(),
     }
 
 
@@ -94,6 +131,19 @@ def _format_float(x):
     if math.isinf(x):
         return '"inf"' if x > 0 else '"-inf"'
     return format(x, ".17g")
+
+
+def _float_pairs(obj):
+    """Text of a list of finite [re, im] float pairs, or None.
+
+    One "%.17g" template and one % call format the whole list, giving the
+    bytes the generic _canonical recursion gives.
+    """
+    flat = _flat_pairs(obj)
+    if (flat is None or set(map(type, flat)) != {float}
+            or not all(map(math.isfinite, flat))):
+        return None
+    return ("[" + ", ".join(["[%.17g, %.17g]"] * len(obj)) + "]") % flat
 
 
 def _canonical(obj):
@@ -113,6 +163,10 @@ def _canonical(obj):
     if isinstance(obj, np.ndarray):
         return _canonical(obj.tolist())
     if isinstance(obj, (list, tuple)):
+        if type(obj) is list and obj and type(obj[0]) is list:
+            text = _float_pairs(obj)
+            if text is not None:
+                return text
         return "[" + ", ".join(_canonical(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = []
@@ -132,10 +186,6 @@ def canonical_json(obj):
 def payload_digest(obj):
     """Hex SHA-256 of the canonical serialization, used to tag reports."""
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
-
-
-def text_digest(text):
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def write_report(path, report):

@@ -126,6 +126,13 @@ def test_power_iterate_rotation_never_cauchy():
     assert rep.divergence_reason == "no_cauchy"
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_power_iterate_rejects_bad_tol(bad):
+    # an infinite tol would accept the first doubling as converged
+    with pytest.raises(ValueError, match="tol"):
+        abel.power_iterate(np.diag([1.0, 0.5]), tol=bad)
+
+
 def test_riesz_projection_diag_oracle():
     proj = abel.riesz_projection_at_one(convergent_diag())
     assert np.allclose(proj.matrix, np.diag([1.0, 0.0]), atol=1e-12)

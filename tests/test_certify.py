@@ -63,6 +63,15 @@ def test_condition_ii_jordan_rank_pair():
     assert (cert.rank_first, cert.rank_second) == (1, 0)
 
 
+@pytest.mark.parametrize("bad", [0.0, float("nan"), float("inf")])
+def test_condition_ii_rejects_bad_tolerances(bad):
+    T = np.diag([1.0, 0.5])
+    with pytest.raises(ValueError, match="tol"):
+        certify.check_spectral_condition(T, tol=bad)
+    with pytest.raises(ValueError, match="rank_tol"):
+        certify.check_spectral_condition(T, rank_tol=bad)
+
+
 def test_verify_equivalence_agrees_both_ways():
     good = certify.verify_equivalence(np.diag([1.0, 0.5]))
     assert good.agree

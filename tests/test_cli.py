@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import abelerg
 from abelerg import cli, matrixio
 
 
@@ -169,6 +171,26 @@ def test_malformed_matrix_exit_two(tmp_path):
     assert run_cli(["certify", str(path)]) == 2
 
 
+def test_huge_integer_entry_exit_two(tmp_path, capsys):
+    # float() of this entry raises OverflowError; main must report it as
+    # an input error, not a traceback
+    path = tmp_path / "huge.json"
+    path.write_text('{"rows":1,"cols":1,"data":[[1' + '0' * 400 + ',0]]}')
+    assert run_cli(["certify", str(path)]) == 2
+    assert "data[0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command,flag", [
+    ("certify", "--tol"), ("certify", "--rank-tol"), ("abel-power", "--tol")])
+def test_nonfinite_tolerance_exit_two(tmp_path, capsys, command, flag, value):
+    path = write_matrix(tmp_path, "m.json", np.diag([1.0, 0.5]))
+    out = tmp_path / "report.json"
+    assert run_cli([command, path, flag, value, "--out", str(out)]) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_resolvent_pole_exit_three(tmp_path):
     path = write_matrix(tmp_path, "m.json", [[2.0]])
     assert run_cli(["abel-power", path, "--alpha", "0.5"]) == 3
@@ -191,8 +213,13 @@ def test_stdout_report_when_no_out_flag(tmp_path, capsys, monkeypatch):
 
 
 def test_console_entry_point_help():
+    # the child finds the package where this process found it, installed
+    # or not
+    src = os.path.dirname(os.path.dirname(abelerg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "abelerg", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     for name in ("certify", "abel-power", "cesaro", "semigroup",
                  "oscillator", "generate"):

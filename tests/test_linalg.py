@@ -93,6 +93,14 @@ def test_kernel_and_image_of_projection():
     assert abs(abs(img.vectors[0, 0]) - 1.0) <= 1e-14
 
 
+@pytest.mark.parametrize("bad", [0.0, -1e-8, float("nan"), float("inf")])
+def test_kernel_and_image_reject_bad_rank_tol(bad):
+    with pytest.raises(ValueError, match="rank_tol"):
+        linalg.kernel_basis(np.eye(2), bad)
+    with pytest.raises(ValueError, match="rank_tol"):
+        linalg.image_basis(np.eye(2), bad)
+
+
 def test_kernel_image_dims_complement():
     rng = np.random.default_rng(19)
     for _ in range(25):
