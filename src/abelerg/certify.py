@@ -74,6 +74,13 @@ class EquivalenceReport:
     tolerances_used: dict
 
 
+def _check_alphas(alphas):
+    alphas = [abel.check_alpha(a) for a in alphas]
+    if not alphas:
+        raise ValueError("alphas must be nonempty")
+    return alphas
+
+
 def check_power_convergence(T, alphas, tol=abel.DEFAULT_TOL):
     """Condition (i): iterate the powers of A_alpha for every given alpha.
 
@@ -82,9 +89,7 @@ def check_power_convergence(T, alphas, tol=abel.DEFAULT_TOL):
     recorded as a witness and counts as divergence for that alpha.
     """
     T = linalg.as_matrix(T, square=True)
-    alphas = [abel.check_alpha(a) for a in alphas]
-    if not alphas:
-        raise ValueError("alphas must be nonempty")
+    alphas = _check_alphas(alphas)
     per_alpha = []
     witnesses = []
     limits = []
@@ -122,6 +127,20 @@ def check_power_convergence(T, alphas, tol=abel.DEFAULT_TOL):
         VERDICT_DIVERGED, per_alpha, witnesses, mismatch)
 
 
+def _rank_pair(T, zeta, rank_tol):
+    """rank(M) and rank(M^2) for M = zeta I - T; equal if zeta is semisimple.
+
+    The second threshold is rank_tol * sigma_max(M)^2, the natural scale of
+    a squared matrix, so a roundoff-sized M^2 does not read as full rank.
+    """
+    M = zeta * np.eye(T.shape[0], dtype=np.complex128) - T
+    smax = linalg.operator_norm(M)
+    if smax == 0.0:
+        return 0, 0
+    return (linalg.numerical_rank(M, rank_tol * smax),
+            linalg.numerical_rank(M @ M, rank_tol * smax * smax))
+
+
 def check_spectral_condition(T, tol=abel.DEFAULT_TOL, rank_tol=CERTIFY_RANK_TOL):
     """Condition (ii): spectrum in the half-plane, plus the direct sum.
 
@@ -129,11 +148,6 @@ def check_spectral_condition(T, tol=abel.DEFAULT_TOL, rank_tol=CERTIFY_RANK_TOL)
     Re <= 1 + tol * ||T||; (b) rank(I - T) = rank((I - T)^2), which in
     finite dimension says the eigenvalue 1 is semisimple; (c) the stacked
     kernel/image basis is invertible, so Ker(I - T) + Im(I - T) is direct.
-
-    The second rank is thresholded at rank_tol * sigma_max(I - T)^2, the
-    natural scale of a squared matrix; thresholding at the squared matrix's
-    own largest singular value would misread a roundoff-sized (I - T)^2 as
-    having full rank.
     """
     T = linalg.as_matrix(T, square=True)
     tol = linalg.check_tolerance("tol", tol)
@@ -147,14 +161,7 @@ def check_spectral_condition(T, tol=abel.DEFAULT_TOL, rank_tol=CERTIFY_RANK_TOL)
         witnesses.append({"kind": "offending_eigenvalue", "value": complex(worst)})
         return ConditionIICertificate(
             VERDICT_SPECTRUM_ESCAPES, witnesses, max_re, None, None)
-    n = T.shape[0]
-    M = np.eye(n, dtype=np.complex128) - T
-    smax = linalg.operator_norm(M)
-    if smax == 0.0:
-        rank_first = rank_second = 0
-    else:
-        rank_first = linalg.numerical_rank(M, rank_tol * smax)
-        rank_second = linalg.numerical_rank(M @ M, rank_tol * smax * smax)
+    rank_first, rank_second = _rank_pair(T, 1.0, rank_tol)
     if rank_first != rank_second:
         witnesses.append(
             {"kind": "rank_pair", "value": [rank_first, rank_second]})
@@ -174,7 +181,10 @@ def check_spectral_condition(T, tol=abel.DEFAULT_TOL, rank_tol=CERTIFY_RANK_TOL)
 
 def verify_equivalence(T, alphas=(0.1, 0.5, 0.9), tol=abel.DEFAULT_TOL,
                        rank_tol=CERTIFY_RANK_TOL):
-    """Run both certificates and flag whether their verdicts coincide."""
+    """Validate every argument, run both certificates, compare verdicts."""
+    linalg.check_tolerance("tol", tol)
+    linalg.check_tolerance("rank_tol", rank_tol)
+    alphas = _check_alphas(alphas)
     ci = check_power_convergence(T, alphas, tol=tol)
     cii = check_spectral_condition(T, tol=tol, rank_tol=rank_tol)
     agree = (ci.verdict == VERDICT_CONVERGED_ALL) == (cii.verdict == VERDICT_HOLDS)
@@ -198,17 +208,6 @@ class GrowthReport:
     heuristic_holds: bool
     exact_holds: bool
     witnesses: list = field(default_factory=list)
-
-
-def _semisimple(T, zeta, rank_tol=CERTIFY_RANK_TOL):
-    n = T.shape[0]
-    M = zeta * np.eye(n, dtype=np.complex128) - T
-    smax = linalg.operator_norm(M)
-    if smax == 0.0:
-        return True
-    r1 = linalg.numerical_rank(M, rank_tol * smax)
-    r2 = linalg.numerical_rank(M @ M, rank_tol * smax * smax)
-    return r1 == r2
 
 
 def check_power_growth(T, n_max):
@@ -254,7 +253,8 @@ def check_power_growth(T, n_max):
             if any(abs(z - w) <= 1e-6 for w in seen):
                 continue
             seen.append(complex(z))
-            if not _semisimple(T, complex(z)):
+            first, second = _rank_pair(T, complex(z), CERTIFY_RANK_TOL)
+            if first != second:
                 witnesses.append(
                     {"kind": "defective_unimodular", "value": complex(z)})
                 exact = False
@@ -311,11 +311,6 @@ def abel_partial_sup_estimate(T, alpha_grid, N_max):
             S = S + P
             sup = max(sup, (1.0 - a) * linalg.operator_norm(S))
     return float(sup)
-
-
-def numerical_range_real_bound(T):
-    """max Re W(T), the largest eigenvalue of the Hermitian part."""
-    return linalg.hermitian_part_max_eig(T)
 
 
 @dataclass
@@ -486,6 +481,11 @@ def _make_blocks(rng, kind, n):
     raise ValueError(f"unknown instance kind: {kind}")
 
 
+# Largest instance count per call; at the default dims a generate report
+# at this count is up to about 10 MB of JSON.
+MAX_INSTANCE_COUNT = 1000
+
+
 def generate_instances(seed, count=200, dims=(2, 16), kinds=DEFAULT_KIND_CYCLE):
     """Generate structured random matrices S J S^{-1} with known verdicts.
 
@@ -493,9 +493,9 @@ def generate_instances(seed, count=200, dims=(2, 16), kinds=DEFAULT_KIND_CYCLE):
     returned Instance records carry the expected spectral verdict so tests
     can assert both internal agreement and intent.
     """
+    if not 1 <= int(count) <= MAX_INSTANCE_COUNT:
+        raise ValueError(f"count must lie in [1, {MAX_INSTANCE_COUNT}]")
     rng = np.random.default_rng(seed)
-    if int(count) < 1:
-        raise ValueError("count must be >= 1")
     if not kinds:
         raise ValueError("kinds must be nonempty")
     lo, hi = int(dims[0]), int(dims[1])

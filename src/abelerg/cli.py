@@ -9,12 +9,11 @@ error; 3 = numerical failure.
 """
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
-from . import abel, certify, matrixio, oscillator, semigroup
+from . import abel, certify, linalg, matrixio, oscillator, semigroup
 from .errors import AbelergError, DimensionMismatch, ParseError
 
 EXIT_COMPUTED = 0
@@ -118,7 +117,7 @@ def cmd_cesaro(args):
     })
     report["n"] = args.n
     report["average"] = matrixio.serialize_matrix(C)
-    report["average_norm"] = float(np.linalg.norm(C, 2))
+    report["average_norm"] = linalg.operator_norm(C)
     report["sup_cesaro_to_1000"] = certify.cesaro_sup_estimate(T, sweep_cap)
     report["sup_abel_partial_to_1000"] = certify.abel_partial_sup_estimate(
         T, (0.1, 0.5, 0.9), sweep_cap)
@@ -129,33 +128,23 @@ def cmd_semigroup(args):
     B = matrixio.load_matrix(args.matrix)
     if args.n < 1:
         raise ValueError("--n must be >= 1")
-    if not args.lam > 0.0:
-        raise ValueError(f"lambda must be positive, got {args.lam}")
     gl_spec = semigroup.QuadratureSpec(
         node_count=args.nodes, t_max_factor=args.t_max_factor,
         scheme=semigroup.SCHEME_GAUSS_LAGUERRE)
-    # Simpson is a cross-check on a truncated horizon; its composite error
-    # scales like ((1 + ||B||/lambda) * h)^4, so the panel count must grow
-    # with that stiffness ratio to clear the quadrature self-check.  280
-    # panels per unit of (1 + ratio) keeps the measured disagreement near
-    # 1e-7 against the 1e-6 gate; the cap bounds runtime and leaves the
-    # self-check as the honest failure mode past it.
-    stiffness = float(np.linalg.norm(B, 2)) / args.lam
-    simpson_panels = max(args.nodes, 400,
-                         min(6400, math.ceil(280.0 * (1.0 + stiffness))))
     simpson_spec = semigroup.QuadratureSpec(
-        node_count=simpson_panels, t_max_factor=args.t_max_factor,
+        t_max_factor=args.t_max_factor,
         scheme=semigroup.SCHEME_TRUNCATED_SIMPSON)
 
+    tiny = float(np.finfo(np.float64).tiny)
     closed = semigroup.abel_average_closed(B, args.lam)
-    scale = max(float(np.linalg.norm(closed, 2)),
-                float(np.finfo(np.float64).tiny))
-    quad = semigroup.abel_average_quadrature(B, args.lam, gl_spec)
-    simpson = semigroup.abel_average_quadrature(B, args.lam, simpson_spec)
-    power_int = semigroup.abel_power_quadrature(B, args.lam, args.n, gl_spec)
+    scale = max(linalg.operator_norm(closed), tiny)
+    quad, _ = semigroup.abel_average_quadrature(B, args.lam, gl_spec)
+    simpson, simpson_panels = semigroup.abel_average_quadrature(
+        B, args.lam, simpson_spec)
+    power_int, _ = semigroup.abel_power_quadrature(B, args.lam, args.n,
+                                                   gl_spec)
     closed_power = np.linalg.matrix_power(closed, args.n)
-    power_scale = max(float(np.linalg.norm(closed_power, 2)),
-                      float(np.finfo(np.float64).tiny))
+    power_scale = max(linalg.operator_norm(closed_power), tiny)
     bridge = semigroup.discrete_bridge(B, args.lam)
 
     report = _report_skeleton("semigroup", {
@@ -167,12 +156,12 @@ def cmd_semigroup(args):
     report["n"] = args.n
     report["closed_form"] = matrixio.serialize_matrix(closed)
     report["gauss_laguerre_relative_defect"] = \
-        float(np.linalg.norm(quad - closed, 2)) / scale
+        linalg.operator_norm(quad - closed) / scale
     report["simpson_relative_defect"] = \
-        float(np.linalg.norm(simpson - closed, 2)) / scale
+        linalg.operator_norm(simpson - closed) / scale
     report["simpson_panels"] = simpson_panels
     report["power_integral_relative_defect"] = \
-        float(np.linalg.norm(power_int - closed_power, 2)) / power_scale
+        linalg.operator_norm(power_int - closed_power) / power_scale
     report["bridge"] = {
         "alpha": bridge.alpha, "defect": bridge.defect,
         "relative_defect": bridge.relative_defect,
@@ -295,7 +284,7 @@ def build_parser():
     p.add_argument("--n", type=int, default=1,
                    help="power checked against the weighted integral")
     p.add_argument("--nodes", type=int, default=64,
-                   help="Gauss-Laguerre node count")
+                   help="Gauss-Laguerre node count, 8 to 1024")
     p.add_argument("--t-max-factor", type=float, default=40.0,
                    help="Simpson truncation horizon in units of 1/lambda")
     _add_common_flags(p)

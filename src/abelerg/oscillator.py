@@ -14,9 +14,9 @@ arithmetic:
     (lambda - 1) R(lambda, T)  has diagonal entries  (lambda-1)/(lambda-1+2n),
 
 and the distance of its m-th power from P_0 is the largest such ratio to
-the m-th power.  The grid functions below verify, independently of the
-diagonal model, that the Hermite functions really are eigenfunctions of
-the differential operator.
+the m-th power.  The finite-difference residual below verifies,
+independently of the diagonal model, that the Hermite functions really
+are eigenfunctions of the differential operator.
 """
 
 from dataclasses import dataclass
@@ -26,6 +26,9 @@ import numpy as np
 from .errors import GridTooCoarse, NotInComplement, PoleHit
 
 DEFAULT_TRUNCATION = 10_000
+# Largest truncation: every model quantity allocates a few float arrays of
+# this length (8 MB each at the cap).
+MAX_TRUNCATION = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -35,21 +38,13 @@ class DiagonalOscillator:
     truncation: int = DEFAULT_TRUNCATION
 
     def __post_init__(self):
-        if int(self.truncation) != self.truncation or self.truncation < 2:
-            raise ValueError("truncation must be an integer >= 2")
+        if int(self.truncation) != self.truncation \
+                or not 2 <= self.truncation <= MAX_TRUNCATION:
+            raise ValueError(
+                f"truncation must be an integer in [2, {MAX_TRUNCATION}]")
 
     def eigenvalues(self):
         return 1.0 - 2.0 * np.arange(self.truncation, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Samples of a real function on a uniform grid [t_min, t_max]."""
-
-    t_min: float
-    t_max: float
-    step: float
-    samples: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -186,17 +181,6 @@ def hermite_function(n, t):
     return x if x.ndim else float(x)
 
 
-def hermite_grid(n, t_min, t_max, step):
-    """Sample x_n on a uniform grid, returned as a GridFunction."""
-    t_min, t_max, step = float(t_min), float(t_max), float(step)
-    if not (t_max > t_min and step > 0):
-        raise ValueError("need t_max > t_min and step > 0")
-    npts = int(round((t_max - t_min) / step)) + 1
-    t = np.linspace(t_min, t_max, npts)
-    return GridFunction(t_min=t_min, t_max=t_max, step=float(t[1] - t[0]),
-                        samples=hermite_function(n, t))
-
-
 def eigen_residual(n, step=1e-3, half_width=12.0):
     """Residual of (D^2 + 2 - t^2) x_n = (1 - 2n) x_n on a uniform grid.
 
@@ -213,10 +197,13 @@ def eigen_residual(n, step=1e-3, half_width=12.0):
         raise ValueError(
             "half_width must reach past the classical turning point: "
             f"need >= sqrt(2n+1) + 5 = {np.sqrt(2.0 * n + 1.0) + 5.0:.2f}")
-    grid = hermite_grid(n, -half_width, half_width, step)
-    t = np.linspace(grid.t_min, grid.t_max, grid.samples.size)
-    h = grid.step
-    x = grid.samples
+    step = float(step)
+    if not step > 0:
+        raise ValueError("step must be positive")
+    t = np.linspace(-half_width, half_width,
+                    int(round(2.0 * half_width / step)) + 1)
+    h = float(t[1] - t[0])
+    x = hermite_function(n, t)
     second = (x[:-2] - 2.0 * x[1:-1] + x[2:]) / (h * h)
     interior = slice(1, -1)
     residual = second + (2.0 - t[interior] ** 2) * x[interior] \

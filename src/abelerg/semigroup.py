@@ -11,9 +11,11 @@ and its n-th power has the closed integral form
 
 Both integrals are evaluated after the substitution u = lambda s, which
 turns the weight into the (generalized) Laguerre weight u^(n-1) exp(-u).
-Quadrature results are never trusted blindly: every evaluation runs at two
-node counts (m and 2m) and raises QuadratureUnstable when they disagree,
-and the closed resolvent form is available as an independent reference.
+Quadrature results are never trusted blindly: every rule compares m with
+2m nodes and raises QuadratureUnstable when they disagree; Gauss-Laguerre
+runs at exactly the requested m, truncated Simpson doubles m (reusing every
+node) until they agree or m would pass SIMPSON_MAX_PANELS.  The closed
+resolvent form is available as an independent reference.
 The substitution alpha = 1/(1 + lambda), T = I + B turns A~_lambda into
 the discrete Abel average of T exactly, which discrete_bridge checks as an
 algebraic identity.
@@ -25,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import eig_banded
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from . import abel, linalg
 from .errors import IntegralDiverges, Overflow, QuadratureUnstable, ResolventPole, SingularMatrix
@@ -37,13 +39,18 @@ SCHEME_TRUNCATED_SIMPSON = "truncated_simpson"
 # quadrature result is not returned.
 SELF_CHECK_TOL = 1e-6
 
+# Largest Simpson panel count m checked against 2m (32769 expm calls).
+SIMPSON_MAX_PANELS = 8192
+# Largest node_count: laguerre_rule(2m) holds a 2m x 2m eigenvector matrix.
+MAX_NODE_COUNT = 1024
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Quadrature resolution for the improper semigroup integrals.
 
-    node_count is the Gauss-Laguerre node count, or the panel count for
-    the truncated Simpson scheme.  t_max_factor is the Simpson truncation
+    node_count is the Gauss-Laguerre node count, or the Simpson panel
+    count the doubling starts from.  t_max_factor is the Simpson truncation
     horizon as a multiple of 1/lambda (unused by Gauss-Laguerre).
     """
 
@@ -52,8 +59,10 @@ class QuadratureSpec:
     scheme: str = SCHEME_GAUSS_LAGUERRE
 
     def __post_init__(self):
-        if int(self.node_count) != self.node_count or self.node_count < 8:
-            raise ValueError("node_count must be an integer >= 8")
+        if int(self.node_count) != self.node_count \
+                or not 8 <= self.node_count <= MAX_NODE_COUNT:
+            raise ValueError(
+                f"node_count must be an integer in [8, {MAX_NODE_COUNT}]")
         if self.t_max_factor < 10.0:
             raise ValueError("t_max_factor must be >= 10")
         if self.scheme not in (SCHEME_GAUSS_LAGUERRE, SCHEME_TRUNCATED_SIMPSON):
@@ -119,61 +128,80 @@ def _spectral_abscissa(B):
     return float(np.max(values.real)) if values.size else 0.0
 
 
-def _simpson_weights(panels, u_max):
-    npts = 2 * panels + 1
-    u = np.linspace(0.0, u_max, npts)
-    h = u[1] - u[0]
-    w = np.ones(npts)
-    w[1:-1:2] = 4.0
-    w[2:-2:2] = 2.0
-    return u, w * (h / 3.0)
+def _weighted_sum(B, lam, nodes, weights):
+    """sum_i w_i exp(u_i B / lambda): one expm per node, O(n^2) memory."""
+    total = np.zeros(B.shape, dtype=np.complex128)
+    for u_i, w_i in zip(nodes, weights):
+        total += w_i * linalg.matrix_exponential(B, u_i / lam)
+    return total
 
 
-def _quadrature_once(B, lam, power, scheme, resolution, t_max_factor):
-    if scheme == SCHEME_GAUSS_LAGUERRE:
-        u, w = laguerre_rule(resolution, power=power)
-    else:
-        u, w_simpson = _simpson_weights(resolution, t_max_factor)
-        # normalized weight u^p e^{-u} / Gamma(p+1) in the log domain; at
-        # the u = 0 endpoint the density is 1 for p = 0 and 0 for p > 0
-        density = np.zeros_like(u)
-        density[1:] = np.exp(
-            power * np.log(u[1:]) - u[1:] - gammaln(power + 1.0))
-        density[0] = 1.0 if power == 0.0 else 0.0
-        w = w_simpson * density
-    terms = np.stack([w_i * linalg.matrix_exponential(B, u_i / lam)
-                      for u_i, w_i in zip(u, w)])
-    return terms.sum(axis=0)
+def _simpson_estimates(B, lam, power, panels, u_max):
+    """Composite Simpson on [0, u_max] at panels, 2 panels, 4 panels, ...
 
-
-def _self_checked_quadrature(B, lam, power, spec):
-    coarse = _quadrature_once(B, lam, power, spec.scheme,
-                              spec.node_count, spec.t_max_factor)
-    fine = _quadrature_once(B, lam, power, spec.scheme,
-                            2 * spec.node_count, spec.t_max_factor)
-    scale = max(linalg.operator_norm(fine), np.finfo(np.float64).tiny)
-    disagreement = linalg.operator_norm(coarse - fine) / scale
-    if disagreement > SELF_CHECK_TOL:
-        raise QuadratureUnstable(
-            f"node counts {spec.node_count} and {2 * spec.node_count} "
-            f"disagree by {disagreement:.3e} relative (> {SELF_CHECK_TOL})")
-    return fine
-
-
-def abel_average_quadrature(B, lam, spec=QuadratureSpec()):
-    """Abel average by numerical integration of lambda e^(-lambda s) T_s.
-
-    Requires max Re sigma(B) < lambda, otherwise the improper integral
-    diverges and IntegralDiverges is raised up front.  The result is the
-    finer of the two self-check resolutions.
+    m panels have the nodes j * u_max / (2m); doubling m keeps them all and
+    adds the midpoints as the new odd nodes.  Carrying density-weighted
+    sums over the end, even and odd nodes evaluates each exp(uB/lambda)
+    once: 4m + 1 expm calls up to the estimate at 2m panels.
     """
+    def node_sum(indices):
+        u = np.asarray(indices, dtype=np.float64) * (u_max / intervals)
+        # normalized weight u^p e^{-u} / Gamma(p+1) in the log domain
+        density = np.exp(xlogy(power, u) - u - gammaln(power + 1.0))
+        return _weighted_sum(B, lam, u, density)
+
+    intervals = 2 * panels
+    ends = node_sum([0, intervals])
+    even = node_sum(range(2, intervals, 2))
+    while True:
+        odd = node_sum(range(1, intervals, 2))
+        yield (u_max / intervals / 3.0) * (ends + 4.0 * odd + 2.0 * even)
+        even += odd
+        intervals *= 2
+
+
+def _settle(estimates, m, max_m):
+    """(estimate at 2m, m) for the first m, of m, 2m, 4m, ... up to max_m,
+    whose estimates at m and 2m nodes agree to SELF_CHECK_TOL."""
+    coarse = next(estimates)
+    while True:
+        fine = next(estimates)
+        scale = max(linalg.operator_norm(fine), np.finfo(np.float64).tiny)
+        disagreement = linalg.operator_norm(coarse - fine) / scale
+        if disagreement <= SELF_CHECK_TOL:
+            return fine, m
+        if 2 * m > max_m:
+            raise QuadratureUnstable(
+                f"node counts {m} and {2 * m} disagree by "
+                f"{disagreement:.3e} relative (> {SELF_CHECK_TOL})")
+        m *= 2
+        coarse = fine
+
+
+def _quadrature(B, lam, power, spec):
     B = linalg.as_matrix(B, square=True)
     lam = _check_lambda(lam)
     abscissa = _spectral_abscissa(B)
     if abscissa >= lam:
         raise IntegralDiverges(
             f"max Re sigma(B) = {abscissa:.6g} >= lambda = {lam:.6g}")
-    return _self_checked_quadrature(B, lam, 0.0, spec)
+    m = spec.node_count
+    if spec.scheme == SCHEME_GAUSS_LAGUERRE:
+        rules = (_weighted_sum(B, lam, *laguerre_rule(k, power=power))
+                 for k in (m, 2 * m))
+        return _settle(rules, m, m)
+    return _settle(_simpson_estimates(B, lam, power, m, spec.t_max_factor),
+                   m, SIMPSON_MAX_PANELS)
+
+
+def abel_average_quadrature(B, lam, spec=QuadratureSpec()):
+    """Abel average by numerical integration of lambda e^(-lambda s) T_s.
+
+    Requires max Re sigma(B) < lambda, otherwise the improper integral
+    diverges and IntegralDiverges is raised up front.  Returns (value, m):
+    the result at 2m nodes and the m it passed the self-check against.
+    """
+    return _quadrature(B, lam, 0.0, spec)
 
 
 def abel_power_quadrature(B, lam, n, spec=QuadratureSpec()):
@@ -181,18 +209,13 @@ def abel_power_quadrature(B, lam, n, spec=QuadratureSpec()):
 
     Uses the generalized Laguerre weight u^(n-1) exp(-u) after the
     substitution u = lambda t; the factorial normalization is absorbed
-    into the weights (see laguerre_rule).
+    into the weights (see laguerre_rule).  Returns (value, m) as
+    abel_average_quadrature does.
     """
-    B = linalg.as_matrix(B, square=True)
-    lam = _check_lambda(lam)
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    abscissa = _spectral_abscissa(B)
-    if abscissa >= lam:
-        raise IntegralDiverges(
-            f"max Re sigma(B) = {abscissa:.6g} >= lambda = {lam:.6g}")
-    return _self_checked_quadrature(B, lam, float(n - 1), spec)
+    return _quadrature(B, lam, float(n - 1), spec)
 
 
 @dataclass(frozen=True)

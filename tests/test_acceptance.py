@@ -156,12 +156,12 @@ def test_semigroup_quadrature():
         B = stable_generator(rng, n, lam)
         closed = semigroup.abel_average_closed(B, lam)
         scale = linalg.operator_norm(closed)
-        quad = semigroup.abel_average_quadrature(B, lam)
+        quad, _ = semigroup.abel_average_quadrature(B, lam)
         worst_gl = max(worst_gl,
                        linalg.operator_norm(quad - closed) / scale)
         for p in (1, 2, 4, 8):
             ref = np.linalg.matrix_power(closed, p)
-            P = semigroup.abel_power_quadrature(B, lam, p)
+            P, _ = semigroup.abel_power_quadrature(B, lam, p)
             worst_power = max(
                 worst_power,
                 linalg.operator_norm(P - ref) / linalg.operator_norm(ref))

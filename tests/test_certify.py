@@ -129,7 +129,7 @@ def test_numerical_range_bound_controls_abel_norm():
         n = int(rng.integers(2, 8))
         T0 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         T0 /= np.linalg.norm(T0, 2)
-        shift = 1.0 - certify.numerical_range_real_bound(T0)
+        shift = 1.0 - linalg.hermitian_part_max_eig(T0)
         T = T0 + (shift - 1e-6) * np.eye(n)
         for a in (0.1, 0.5, 0.9):
             A = abel.abel_average(T, a)
@@ -180,4 +180,22 @@ def test_generate_instances_rejects_bad_arguments():
     with pytest.raises(ValueError):
         certify.generate_instances(1, count=0)
     with pytest.raises(ValueError):
+        certify.generate_instances(
+            1, count=certify.MAX_INSTANCE_COUNT + 1)
+    with pytest.raises(ValueError):
         certify.generate_instances(1, count=4, kinds=("no_such_kind",))
+
+
+def test_verify_equivalence_validates_before_condition_i(monkeypatch):
+    # a bad rank_tol used to surface only after every alpha's power
+    # iteration had run
+    def fail(*args, **kwargs):
+        raise AssertionError("condition (i) ran before validation")
+
+    monkeypatch.setattr(certify, "check_power_convergence", fail)
+    T = np.diag([1.0, 0.3])
+    for kwargs in ({"rank_tol": math.nan}, {"rank_tol": -1.0},
+                   {"tol": math.nan}, {"tol": math.inf}, {"alphas": ()},
+                   {"alphas": (0.5, 1.5)}):
+        with pytest.raises(ValueError):
+            certify.verify_equivalence(T, **kwargs)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import abelerg
-from abelerg import cli, matrixio
+from abelerg import certify, cli, matrixio, oscillator, semigroup
 
 
 def write_matrix(tmp_path, name, M):
@@ -120,6 +120,23 @@ def test_semigroup_stiff_generator_scales_simpson_panels(tmp_path):
     assert report["simpson_relative_defect"] <= 1e-6
     assert report["gauss_laguerre_relative_defect"] <= 1e-6
     assert report["power_integral_relative_defect"] <= 1e-6
+
+
+def test_semigroup_simpson_cap_is_numerical_failure(tmp_path, monkeypatch):
+    # the doubling stops at the cap and the self-check failure surfaces
+    monkeypatch.setattr(semigroup, "SIMPSON_MAX_PANELS", 64)
+    path = write_matrix(tmp_path, "b.json", [[-1.0, 0.5], [0.0, -2.0]])
+    assert run_cli(["semigroup", path, "--lambda", "1.0"]) == 3
+
+
+def test_size_flags_above_their_caps_are_input_errors(tmp_path):
+    path = write_matrix(tmp_path, "b.json", [[-1.0]])
+    assert run_cli(["semigroup", path, "--lambda", "1.0", "--nodes",
+                    str(semigroup.MAX_NODE_COUNT + 1)]) == 2
+    assert run_cli(["generate", "--seed", "1", "--count",
+                    str(certify.MAX_INSTANCE_COUNT + 1)]) == 2
+    assert run_cli(["oscillator", "--truncation",
+                    str(oscillator.MAX_TRUNCATION + 1)]) == 2
 
 
 def test_semigroup_zero_lambda_is_input_error(tmp_path):

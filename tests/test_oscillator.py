@@ -12,6 +12,9 @@ def small_model():
 def test_model_validation_and_eigenvalues():
     with pytest.raises(ValueError):
         oscillator.DiagonalOscillator(truncation=1)
+    with pytest.raises(ValueError):
+        oscillator.DiagonalOscillator(
+            truncation=oscillator.MAX_TRUNCATION + 1)
     model = oscillator.DiagonalOscillator(truncation=5)
     assert np.array_equal(model.eigenvalues(), [1.0, -1.0, -3.0, -5.0, -7.0])
 
@@ -160,6 +163,9 @@ def test_eigen_residual_scales_with_step():
 def test_eigen_residual_window_validation():
     with pytest.raises(ValueError):
         oscillator.eigen_residual(30, step=1e-3, half_width=12.0)
+    for step in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError):
+            oscillator.eigen_residual(0, step=step)
 
 
 def test_decomposition_basis_vector_oracles():

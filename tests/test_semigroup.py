@@ -1,11 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.special
 
-from abelerg import semigroup
-from abelerg.errors import IntegralDiverges, PoleHit, ResolventPole
+from abelerg import linalg, semigroup
+from abelerg.errors import (IntegralDiverges, PoleHit, QuadratureUnstable,
+                            ResolventPole)
+
+SIMPSON = semigroup.QuadratureSpec(scheme=semigroup.SCHEME_TRUNCATED_SIMPSON)
+# ||B|| / lambda is about 2 at lambda = 1: Simpson settles past 64 panels
+STIFF = np.array([[-1.0, 0.5], [0.0, -2.0]])
 
 
 def stable_generator(rng, n, lam=1.0):
@@ -29,6 +35,14 @@ def test_quadrature_spec_validation():
         semigroup.QuadratureSpec(t_max_factor=2.0)
     with pytest.raises(ValueError):
         semigroup.QuadratureSpec(scheme="monte_carlo")
+
+
+def test_quadrature_spec_caps_node_count():
+    # laguerre_rule(2m) would hold a 2m x 2m eigenvector matrix
+    cap = semigroup.MAX_NODE_COUNT
+    assert semigroup.QuadratureSpec(node_count=cap).node_count == cap
+    with pytest.raises(ValueError):
+        semigroup.QuadratureSpec(node_count=cap + 1)
 
 
 def test_laguerre_rule_weights_sum_to_one():
@@ -88,7 +102,7 @@ def test_quadrature_matches_closed_form():
             n = int(rng.integers(2, 6))
             B = stable_generator(rng, n, lam)
             closed = semigroup.abel_average_closed(B, lam)
-            quad = semigroup.abel_average_quadrature(B, lam)
+            quad, _ = semigroup.abel_average_quadrature(B, lam)
             rel = np.linalg.norm(quad - closed, 2) / np.linalg.norm(closed, 2)
             assert rel <= 1e-8
 
@@ -99,9 +113,73 @@ def test_quadrature_simpson_scheme_agrees():
     spec = semigroup.QuadratureSpec(node_count=400,
                                     scheme=semigroup.SCHEME_TRUNCATED_SIMPSON)
     closed = semigroup.abel_average_closed(B, 1.0)
-    quad = semigroup.abel_average_quadrature(B, 1.0, spec)
+    quad, _ = semigroup.abel_average_quadrature(B, 1.0, spec)
     rel = np.linalg.norm(quad - closed, 2) / np.linalg.norm(closed, 2)
     assert rel <= 1e-6
+
+
+def count_expm_calls(monkeypatch):
+    calls = []
+    original = linalg.matrix_exponential
+
+    def counted(B, t):
+        calls.append(t)
+        return original(B, t)
+
+    monkeypatch.setattr(linalg, "matrix_exponential", counted)
+    return calls
+
+
+def test_simpson_doubles_until_self_check_passes():
+    closed = semigroup.abel_average_closed(STIFF, 1.0)
+    quad, panels = semigroup.abel_average_quadrature(STIFF, 1.0, SIMPSON)
+    assert panels in [SIMPSON.node_count * 2 ** k for k in range(1, 8)]
+    rel = np.linalg.norm(quad - closed, 2) / np.linalg.norm(closed, 2)
+    assert rel <= 1e-6
+
+
+def test_simpson_evaluates_each_node_once(monkeypatch):
+    # settling at m panels means checking against 2m: 4m + 1 nodes in all
+    calls = count_expm_calls(monkeypatch)
+    for B, power in ((STIFF, 1), (np.array([[-1.0]]), 3)):
+        calls.clear()
+        _, panels = semigroup.abel_power_quadrature(B, 1.0, power, SIMPSON)
+        assert len(calls) == 4 * panels + 1
+        assert len(set(calls)) == len(calls)
+
+
+def test_gauss_laguerre_runs_once_at_m_and_2m(monkeypatch):
+    calls = count_expm_calls(monkeypatch)
+    spec = semigroup.QuadratureSpec(node_count=24)
+    _, nodes = semigroup.abel_average_quadrature(STIFF, 1.0, spec)
+    assert nodes == 24
+    assert len(calls) == 3 * 24
+
+
+def test_simpson_cap_raises_quadrature_unstable(monkeypatch):
+    # with the cap at the starting count, only 64 against 128 panels runs
+    calls = count_expm_calls(monkeypatch)
+    monkeypatch.setattr(semigroup, "SIMPSON_MAX_PANELS", SIMPSON.node_count)
+    with pytest.raises(QuadratureUnstable):
+        semigroup.abel_average_quadrature(STIFF, 1.0, SIMPSON)
+    assert len(calls) == 4 * SIMPSON.node_count + 1
+
+
+def test_simpson_memory_does_not_grow_with_panel_count():
+    # the running sums hold a few n x n matrices whatever the panel count;
+    # stacking every term would take 4m + 1 >= 257 of them
+    rng = np.random.default_rng(131)
+    n = 32
+    B = stable_generator(rng, n)
+    spec = semigroup.QuadratureSpec(
+        t_max_factor=10.0, scheme=semigroup.SCHEME_TRUNCATED_SIMPSON)
+    tracemalloc.start()
+    try:
+        semigroup.abel_average_quadrature(B, 1.0, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * n * n * 16
 
 
 def test_quadrature_unstable_generator_rejected():
@@ -112,7 +190,7 @@ def test_quadrature_unstable_generator_rejected():
 
 def test_power_quadrature_scalar_oracle():
     # B = [[-1]], lambda = 1, n = 3: (1/(1+1))^3 = 1/8
-    P = semigroup.abel_power_quadrature(np.array([[-1.0]]), 1.0, 3)
+    P, _ = semigroup.abel_power_quadrature(np.array([[-1.0]]), 1.0, 3)
     assert abs(P[0, 0] - 0.125) <= 1e-12
 
 
@@ -121,7 +199,7 @@ def test_power_quadrature_matches_matrix_power():
     B = stable_generator(rng, 4)
     closed = semigroup.abel_average_closed(B, 1.0)
     for n in (1, 2, 4, 8):
-        P = semigroup.abel_power_quadrature(B, 1.0, n)
+        P, _ = semigroup.abel_power_quadrature(B, 1.0, n)
         ref = np.linalg.matrix_power(closed, n)
         rel = np.linalg.norm(P - ref, 2) / np.linalg.norm(ref, 2)
         assert rel <= 1e-8
