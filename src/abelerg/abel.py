@@ -11,7 +11,8 @@ with a certificate of what happened, and builds that projection directly
 from kernel/image bases so the two routes can be compared.
 """
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -53,15 +54,20 @@ class ConvergenceReport:
     """Outcome of iterating the powers of a matrix by repeated squaring.
 
     steps is the exponent 2^k reached when convergence (or divergence) was
-    declared.  history records (exponent, defect) pairs where defect is the
-    Cauchy increment ||M^(2^(k+1)) - M^(2^k)||.  divergence_reason is
-    "blow_up" or "no_cauchy" when converged is False.
+    declared.  history has one (exponent, defect_bound) row per doubling,
+    where defect_bound is the upper bound that linalg.norm_at_most takes
+    of the Cauchy increment ||M^(2^(k+1)) - M^(2^k)||_2 (the Frobenius
+    norm, or the exact 2-norm for M of size 2x2 or 1x1), or inf on blow-up.
+    final_defect is the exact SVD 2-norm of the last increment, or inf on
+    blow-up.  divergence_reason is "blow_up" or "no_cauchy" when converged
+    is False.
     """
 
     converged: bool
     limit: Optional[np.ndarray]
     steps: int
-    history: list = field(default_factory=list)
+    final_defect: float
+    history: list
     divergence_reason: Optional[str] = None
 
 
@@ -134,36 +140,57 @@ def power_iterate(M, tol=DEFAULT_TOL, max_doublings=DEFAULT_MAX_DOUBLINGS):
     ||M^(2^(k+1)) - M^(2^k)|| <= tol, idempotency ||L^2 - L|| <= 10 tol of
     the candidate L, and the fixed-point identity ||M L - L|| <= 10 tol.
     The last two reject spurious fixed points of squaring (for instance a
-    sign-alternating factor, whose even powers are constant).  Divergence
+    sign-alternating factor, whose even powers are constant).  Each test
+    is linalg.norm_at_most, which decides as the SVD 2-norm would but
+    mostly from O(n^2) bounds, so an SVD is taken only for the reported
+    final_defect and for the rare test the bounds leave open (every test
+    of a 2x2 or smaller M takes one, as norm_at_most does there).  Divergence
     is an in-band result: reason "blow_up" when any entry climbs past
-    BLOW_UP_THRESHOLD, "no_cauchy" when the doubling budget runs out.
+    BLOW_UP_THRESHOLD, "no_cauchy" when the max_doublings budget (an
+    integer >= 1) runs out.
     """
     M = linalg.as_matrix(M, square=True)
     tol = linalg.check_tolerance("tol", tol)
+    try:
+        max_doublings = operator.index(max_doublings)
+    except TypeError:
+        raise ValueError(
+            f"max_doublings must be an integer, got {max_doublings!r}") from None
+    if max_doublings < 1:
+        raise ValueError(f"max_doublings must be >= 1, got {max_doublings}")
     history = []
     P = M.copy()
     exponent = 1
-    for _ in range(int(max_doublings)):
+    for _ in range(max_doublings):
         with np.errstate(over="ignore", invalid="ignore"):
             Q = P @ P
-        if not np.all(np.isfinite(Q)) or np.max(np.abs(Q)) > BLOW_UP_THRESHOLD:
+        # the max is nan when any entry is, so this also catches nan and inf
+        if not np.abs(Q).max() <= BLOW_UP_THRESHOLD:
             history.append((exponent, float("inf")))
             return ConvergenceReport(
                 converged=False, limit=None, steps=exponent,
-                history=history, divergence_reason="blow_up")
-        defect = linalg.operator_norm(Q - P)
-        history.append((exponent, defect))
-        if defect <= tol:
-            idem = linalg.operator_norm(Q @ Q - Q)
-            fixed = linalg.operator_norm(M @ Q - Q)
-            if idem <= 10.0 * tol and fixed <= 10.0 * tol:
-                return ConvergenceReport(
-                    converged=True, limit=Q, steps=exponent, history=history)
+                final_defect=float("inf"), history=history,
+                divergence_reason="blow_up")
+        increment = Q - P
+        cauchy = linalg.norm_at_most(increment, tol)
+        history.append((exponent, cauchy.upper))
+        if (cauchy
+                and linalg.norm_at_most(Q @ Q - Q, 10.0 * tol)
+                and linalg.norm_at_most(M @ Q - Q, 10.0 * tol)):
+            return ConvergenceReport(
+                converged=True, limit=Q, steps=exponent,
+                final_defect=_exact_norm(increment, cauchy), history=history)
         P = Q
         exponent *= 2
     return ConvergenceReport(
-        converged=False, limit=None, steps=exponent, history=history,
+        converged=False, limit=None, steps=exponent,
+        final_defect=_exact_norm(increment, cauchy), history=history,
         divergence_reason="no_cauchy")
+
+
+def _exact_norm(X, test):
+    """||X||_2, reusing the SVD norm that test (norm_at_most of X) took."""
+    return test.norm if test.norm is not None else linalg.operator_norm(X)
 
 
 def riesz_projection_at_one(T, rank_tol=None):

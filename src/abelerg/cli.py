@@ -41,8 +41,8 @@ def _report_skeleton(command, inputs):
 
 def _alpha_evidence_payload(ev):
     payload = {"alpha": ev.alpha, "outcome": ev.outcome, "steps": ev.steps}
-    if ev.report is not None and ev.report.history:
-        payload["final_defect"] = ev.report.history[-1][1]
+    if ev.report is not None:
+        payload["final_defect"] = ev.report.final_defect
     return payload
 
 
@@ -99,7 +99,7 @@ def cmd_abel_power(args):
     report["converged"] = result.converged
     report["steps"] = result.steps
     report["divergence_reason"] = result.divergence_reason
-    report["final_defect"] = result.history[-1][1] if result.history else None
+    report["final_defect"] = result.final_defect
     report["limit"] = matrixio.serialize_matrix(result.limit) \
         if result.converged else None
     report["history_csv_path"] = csv_path

@@ -196,9 +196,9 @@ def write_report(path, report):
 
 
 def write_history_csv(path, history):
-    """Write (exponent, defect) rows with a fixed header, LF line ends."""
+    """Write (exponent, defect_bound) rows with a fixed header, LF line ends."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["exponent", "defect"])
-        for exponent, defect in history:
-            writer.writerow([int(exponent), format(float(defect), ".17g")])
+        writer.writerow(["exponent", "defect_bound"])
+        for exponent, bound in history:
+            writer.writerow([int(exponent), format(float(bound), ".17g")])

@@ -29,6 +29,9 @@ DEFAULT_TRUNCATION = 10_000
 # Largest truncation: every model quantity allocates a few float arrays of
 # this length (8 MB each at the cap).
 MAX_TRUNCATION = 1_000_000
+# Largest grid of eigen_residual, which holds a few float arrays of this
+# length (8 MB each at the cap); the CLI's grid has 24001 points.
+MAX_RESIDUAL_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -200,8 +203,17 @@ def eigen_residual(n, step=1e-3, half_width=12.0):
     step = float(step)
     if not step > 0:
         raise ValueError("step must be positive")
-    t = np.linspace(-half_width, half_width,
-                    int(round(2.0 * half_width / step)) + 1)
+    intervals = 2.0 * half_width / step
+    if not intervals < MAX_RESIDUAL_GRID_POINTS:
+        raise ValueError(
+            f"step {step} needs more than MAX_RESIDUAL_GRID_POINTS = "
+            f"{MAX_RESIDUAL_GRID_POINTS} grid points")
+    points = int(round(intervals)) + 1
+    if points < 3:
+        raise ValueError(
+            f"step {step} leaves {points} grid points; the second "
+            "difference needs at least 3")
+    t = np.linspace(-half_width, half_width, points)
     h = float(t[1] - t[0])
     x = hermite_function(n, t)
     second = (x[:-2] - 2.0 * x[1:-1] + x[2:]) / (h * h)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from abelerg import abel
+from abelerg import abel, certify, linalg
 from abelerg.errors import DecompositionFails, Overflow, PoleHit, ResolventPole
 
 
@@ -131,6 +131,127 @@ def test_power_iterate_rejects_bad_tol(bad):
     # an infinite tol would accept the first doubling as converged
     with pytest.raises(ValueError, match="tol"):
         abel.power_iterate(np.diag([1.0, 0.5]), tol=bad)
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, "4", None])
+def test_power_iterate_rejects_bad_max_doublings(bad):
+    # 0 and -3 used to return "no_cauchy" with an empty history
+    with pytest.raises(ValueError, match="max_doublings"):
+        abel.power_iterate(np.diag([1.0, 0.5]), max_doublings=bad)
+
+
+def test_power_iterate_rejects_empty_matrix():
+    with pytest.raises(ValueError, match="nonempty"):
+        abel.power_iterate(np.zeros((0, 0)))
+
+
+def reference_power_iterate(M, tol=abel.DEFAULT_TOL,
+                            max_doublings=abel.DEFAULT_MAX_DOUBLINGS):
+    """The loop power_iterate replaced: one SVD 2-norm per test.
+
+    Returns (converged, limit, steps, history, divergence_reason), with
+    history rows (exponent, exact Cauchy increment).
+    """
+    history = []
+    P = M.copy()
+    exponent = 1
+    for _ in range(max_doublings):
+        with np.errstate(over="ignore", invalid="ignore"):
+            Q = P @ P
+        if not np.all(np.isfinite(Q)) or \
+                np.max(np.abs(Q)) > abel.BLOW_UP_THRESHOLD:
+            history.append((exponent, float("inf")))
+            return False, None, exponent, history, "blow_up"
+        defect = linalg.operator_norm(Q - P)
+        history.append((exponent, defect))
+        if defect <= tol:
+            idem = linalg.operator_norm(Q @ Q - Q)
+            fixed = linalg.operator_norm(M @ Q - Q)
+            if idem <= 10.0 * tol and fixed <= 10.0 * tol:
+                return True, Q, exponent, history, None
+        P = Q
+        exponent *= 2
+    return False, None, exponent, history, "no_cauchy"
+
+
+def _reference_cases():
+    """Abel averages of the near-boundary slice and a small instance
+    corpus, plus the sign flip diag(1, -1) itself."""
+    near_boundary = [complex(1.0, b) for b in
+                     (1e-5, 1e-6, 1e-7, 1e-9, 1e-10, 1e-11)]
+    near_boundary.append(complex(1.0 + 1e-11, 0.0))
+    matrices = [np.diag([z, 0.3]) for z in near_boundary]
+    matrices += [inst.matrix for inst in
+                 certify.generate_instances(3, count=48, dims=(2, 24))]
+    cases = [np.diag([1.0, -1.0]).astype(np.complex128)]
+    for T in matrices:
+        for a in (0.1, 0.5, 0.9):
+            try:
+                cases.append(abel.abel_average(T, a))
+            except ResolventPole:
+                pass
+    return cases
+
+
+def test_power_iterate_matches_svd_per_doubling_reference():
+    outcomes = set()
+    for A in _reference_cases():
+        rep = abel.power_iterate(A)
+        converged, limit, steps, history, reason = reference_power_iterate(A)
+        assert rep.converged == converged
+        assert rep.steps == steps
+        assert rep.divergence_reason == reason
+        assert rep.final_defect == history[-1][1]
+        if converged:
+            assert np.array_equal(rep.limit, limit)
+        else:
+            assert rep.limit is None
+        # one row per doubling; each row bounds the exact increment above
+        assert [e for e, _ in rep.history] == [e for e, _ in history]
+        for (_, bound), (_, exact) in zip(rep.history, history):
+            assert bound >= exact * (1.0 - 1e-12)
+        outcomes.add(reason)
+    assert outcomes == {None, "blow_up", "no_cauchy"}
+
+
+def test_power_iterate_takes_at_most_two_svds(svd_calls):
+    # 2x2 input takes one SVD per test by design; see the next test
+    worst = 0
+    for inst in certify.generate_instances(7, count=120, dims=(2, 96)):
+        if inst.dim <= linalg.EXACT_NORM_MAX_DIMENSION:
+            continue
+        for a in (0.1, 0.5, 0.9):
+            try:
+                A = abel.abel_average(inst.matrix, a)
+            except ResolventPole:
+                continue
+            svd_calls.clear()
+            abel.power_iterate(A)
+            worst = max(worst, len(svd_calls))
+    assert worst <= 2
+
+
+def test_power_iterate_on_2x2_takes_one_svd_per_test(svd_calls):
+    # diag(1, 0.3): every doubling's Cauchy test, then idempotency and
+    # the fixed-point identity at acceptance, history rows exact
+    A = np.diag([1.0, 0.3])
+    converged, _, _, history, _ = reference_power_iterate(A)
+    svd_calls.clear()
+    rep = abel.power_iterate(A)
+    assert rep.converged and converged
+    assert len(svd_calls) == len(rep.history) + 2
+    assert rep.history == history
+
+
+def test_power_iterate_reuses_the_deciding_svd(svd_calls):
+    # increments of diag(1, 1/2, 1/2) are diag(0, d, d): the bounds bracket
+    # [d, d sqrt(2)] straddles tol = 1.2 d at exponent 8, so that Cauchy
+    # test takes an SVD, and final_defect must reuse it
+    d = 0.5 ** 8 - 0.5 ** 16
+    rep = abel.power_iterate(np.diag([1.0, 0.5, 0.5]), tol=1.2 * d)
+    assert rep.converged and rep.steps == 8
+    assert abs(rep.final_defect - d) <= 1e-15
+    assert len(svd_calls) == 1
 
 
 def test_riesz_projection_diag_oracle():

@@ -31,6 +31,20 @@ def equivalence_suite():
     return instances, reports, elapsed
 
 
+def test_equivalence_larger_dimensions():
+    instances = certify.generate_instances(7, count=12, dims=(17, 96))
+    reports = [certify.verify_equivalence(inst.matrix, alphas=SUITE_ALPHAS,
+                                          tol=SUITE_TOL)
+               for inst in instances]
+    assert [i for i, r in enumerate(reports) if not r.agree] == []
+    assert [i for i, (inst, r) in enumerate(zip(instances, reports))
+            if (r.condition_ii.verdict == certify.VERDICT_HOLDS)
+            != (inst.expected == certify.VERDICT_HOLDS)] == []
+    print(f"\nPASS certificates agree and match labels on "
+          f"{len(instances)} instances at dims "
+          f"{min(i.dim for i in instances)}-{max(i.dim for i in instances)}")
+
+
 def stable_generator(rng, n, lam):
     re = rng.uniform(-1.0, -0.1, n) * lam
     im = rng.uniform(-0.4, 0.4, n) * lam

@@ -186,6 +186,12 @@ def test_generate_instances_rejects_bad_arguments():
         certify.generate_instances(1, count=4, kinds=("no_such_kind",))
 
 
+def test_verify_equivalence_rejects_empty_matrix():
+    # used to fail inside numpy with "zero-size array to reduction"
+    with pytest.raises(ValueError, match="nonempty"):
+        certify.verify_equivalence(np.zeros((0, 0)))
+
+
 def test_verify_equivalence_validates_before_condition_i(monkeypatch):
     # a bad rank_tol used to surface only after every alpha's power
     # iteration had run

@@ -66,8 +66,10 @@ def test_abel_power_writes_history(tmp_path):
     csv_path = report["history_csv_path"]
     assert csv_path == str(out) + ".history.csv"
     lines = open(csv_path).read().splitlines()
-    assert lines[0] == "exponent,defect"
+    assert lines[0] == "exponent,defect_bound"
     assert len(lines) >= 3
+    # rows are upper bounds; the report's final_defect is the exact 2-norm
+    assert float(lines[-1].split(",")[1]) >= report["final_defect"]
     limit = matrixio.matrix_from_payload(report["limit"])
     assert np.allclose(limit, np.diag([1.0, 0.0]), atol=1e-8)
 

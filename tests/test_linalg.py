@@ -26,6 +26,9 @@ def test_as_matrix_rejects_nonfinite_and_nonsquare():
     with pytest.raises(ValueError):
         linalg.as_matrix(np.zeros((linalg.MAX_DIMENSION + 1,
                                    linalg.MAX_DIMENSION + 1)))
+    for shape in ((0, 0), (0, 3), (3, 0)):
+        with pytest.raises(ValueError, match="nonempty"):
+            linalg.as_matrix(np.zeros(shape))
 
 
 def test_solve_linear_upper_triangular_inverse():
@@ -142,6 +145,67 @@ def test_operator_norm_matches_largest_singular_value():
     rng = np.random.default_rng(3)
     M = random_matrix(rng, 6)
     assert abs(linalg.operator_norm(M) - np.linalg.norm(M, 2)) <= 1e-12
+
+
+def _norm_test_cases():
+    rng = np.random.default_rng(29)
+    cases = [np.zeros((3, 3)), np.zeros((1, 1))]
+    for _ in range(20):
+        n = int(rng.integers(1, 40))
+        cases.append(random_matrix(rng, n, complex_entries=n % 2 == 0))
+        # rank one: ||X||_F = ||X||_2, so the bounds pin the norm
+        u, v = random_matrix(rng, n)[:, :1], random_matrix(rng, n)[:, :1]
+        cases.append(u @ v.conj().T)
+    cases.append(np.diag([1.0, 0.5, 1e-3]))
+    cases.append(np.array([[1e200, 1e200, 0.0], [0.0, 1e200, 0.0],
+                           [0.0, 0.0, 1e200]]))
+    return cases
+
+
+def test_norm_at_most_decides_as_operator_norm():
+    for X in _norm_test_cases():
+        norm = linalg.operator_norm(X)
+        with np.errstate(over="ignore"):
+            candidates = [0.0, 1e-300, norm, np.nextafter(norm, 0.0),
+                          np.nextafter(norm, np.inf), norm * (1.0 + 1e-9),
+                          norm * (1.0 - 1e-9), norm * 2.0, norm / 2.0,
+                          np.linalg.norm(X, "fro"), np.max(np.abs(X))]
+        for bound in candidates:
+            if not np.isfinite(bound):
+                continue
+            test = linalg.norm_at_most(X, bound)
+            assert bool(test) == (norm <= bound), (X.shape, bound)
+            assert test.norm is None or test.norm == norm
+            assert test.upper >= norm * (1.0 - 1e-12) or test.upper == np.inf
+
+
+def test_norm_at_most_skips_the_svd_when_bounds_decide(svd_calls):
+    X = np.diag([1.0, 0.5, 0.25])
+    assert linalg.norm_at_most(X, 2.0) and not linalg.norm_at_most(X, 0.5)
+    assert svd_calls == []
+    # the bracket [1, sqrt(2)] of a 2x2 all-ones / sqrt(2) block is open at 1.2
+    block = np.zeros((3, 3))
+    block[:2, :2] = 1.0 / np.sqrt(2.0)
+    test = linalg.norm_at_most(block, 1.2)
+    assert not test and svd_calls == [1]
+    assert abs(test.norm - np.sqrt(2.0)) < 1e-15
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (2, 2)])
+def test_norm_at_most_takes_the_svd_of_tiny_matrices(svd_calls, shape):
+    X = np.full(shape, 0.25)
+    X[0, 0] = 1.0
+    norm = linalg.operator_norm(X)
+    svd_calls.clear()
+    test = linalg.norm_at_most(X, 2.0)
+    assert test and svd_calls == [1]
+    assert test.upper == test.norm == norm
+
+
+@pytest.mark.parametrize("bad", [-1e-3, float("nan"), float("inf")])
+def test_norm_at_most_rejects_bad_bound(bad):
+    with pytest.raises(ValueError, match="bound"):
+        linalg.norm_at_most(np.eye(2), bad)
 
 
 def test_hermitian_part_max_eig_diagonal():

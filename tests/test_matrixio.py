@@ -173,7 +173,7 @@ def test_write_history_csv_format(tmp_path):
     matrixio.write_history_csv(path, [(1, 0.5), (2, 0.25),
                                       (4, float("inf"))])
     lines = path.read_text().splitlines()
-    assert lines[0] == "exponent,defect"
+    assert lines[0] == "exponent,defect_bound"
     assert lines[1] == "1,0.5"
     assert lines[3] == "4,inf"
 

@@ -163,7 +163,10 @@ def test_eigen_residual_scales_with_step():
 def test_eigen_residual_window_validation():
     with pytest.raises(ValueError):
         oscillator.eigen_residual(30, step=1e-3, half_width=12.0)
-    for step in (0.0, -1e-3, float("nan")):
+    # 100 and 30 leave 1 and 2 grid points (a bare IndexError once); the
+    # last step asks for one point past MAX_RESIDUAL_GRID_POINTS
+    cap_step = 24.0 / (oscillator.MAX_RESIDUAL_GRID_POINTS + 1)
+    for step in (0.0, -1e-3, float("nan"), 100.0, 30.0, cap_step):
         with pytest.raises(ValueError):
             oscillator.eigen_residual(0, step=step)
 
