@@ -14,13 +14,17 @@ turns the weight into the (generalized) Laguerre weight u^(n-1) exp(-u).
 Quadrature results are never trusted blindly: every rule compares m with
 2m nodes and raises QuadratureUnstable when they disagree; Gauss-Laguerre
 runs at exactly the requested m, truncated Simpson doubles m (reusing every
-node) until they agree or m would pass SIMPSON_MAX_PANELS.  The closed
-resolvent form is available as an independent reference.
+node) until they agree or m would pass SIMPSON_MAX_PANELS.  Simpson nodes
+lie on uniform grids, so most are matrix products exp((u + 2h) B / lambda) =
+exp(u B / lambda) exp(2h B / lambda), with a direct expm every
+EXPM_ANCHOR_EVERY nodes.  The closed resolvent form is available as an
+independent reference.
 The substitution alpha = 1/(1 + lambda), T = I + B turns A~_lambda into
 the discrete Abel average of T exactly, which discrete_bridge checks as an
 algebraic identity.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -39,8 +43,11 @@ SCHEME_TRUNCATED_SIMPSON = "truncated_simpson"
 # quadrature result is not returned.
 SELF_CHECK_TOL = 1e-6
 
-# Largest Simpson panel count m checked against 2m (32769 expm calls).
+# Largest Simpson panel count m checked against 2m (32769 nodes).
 SIMPSON_MAX_PANELS = 8192
+# Simpson takes every EXPM_ANCHOR_EVERY-th node of a progression by a direct
+# expm and the nodes between as products with the stride factor.
+EXPM_ANCHOR_EVERY = 32
 # Largest node_count: laguerre_rule(2m) holds a 2m x 2m eigenvector matrix.
 MAX_NODE_COUNT = 1024
 
@@ -63,8 +70,10 @@ class QuadratureSpec:
                 or not 8 <= self.node_count <= MAX_NODE_COUNT:
             raise ValueError(
                 f"node_count must be an integer in [8, {MAX_NODE_COUNT}]")
-        if self.t_max_factor < 10.0:
-            raise ValueError("t_max_factor must be >= 10")
+        if not (math.isfinite(self.t_max_factor)
+                and self.t_max_factor >= 10.0):
+            raise ValueError(f"t_max_factor must be finite and >= 10, "
+                             f"got {self.t_max_factor}")
         if self.scheme not in (SCHEME_GAUSS_LAGUERRE, SCHEME_TRUNCATED_SIMPSON):
             raise ValueError(f"unknown quadrature scheme: {self.scheme}")
 
@@ -77,7 +86,8 @@ def laguerre_rule(node_count, power=0.0):
     intermediate quantity of order one for any power, which is the
     overflow-free equivalent of carrying the factorial in the log domain.
     Golub-Welsch: eigenvalues of the symmetrized Jacobi matrix are the
-    nodes, squared first eigenvector components the weights.
+    nodes, squared first eigenvector components the weights.  Rules are
+    memoized, so both arrays come back read-only.
     """
     m = int(node_count)
     if m < 1:
@@ -85,13 +95,21 @@ def laguerre_rule(node_count, power=0.0):
     p = float(power)
     if p <= -1.0:
         raise ValueError("power must exceed -1")
+    return _golub_welsch(m, p)
+
+
+@functools.lru_cache(maxsize=64)
+def _golub_welsch(m, p):
     k = np.arange(m, dtype=np.float64)
     diag = 2.0 * k + p + 1.0
     off = k * (k + p)
     off[0] = 1.0  # placeholder; sets the weight normalization to sum 1
     band = np.vstack((np.sqrt(off), diag))
     nodes, vectors = eig_banded(band)
-    return nodes, vectors[0, :] ** 2
+    weights = vectors[0, :] ** 2
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def semigroup_at(B, t):
@@ -136,28 +154,62 @@ def _weighted_sum(B, lam, nodes, weights):
     return total
 
 
+def _grid_sum(B, lam, u, density, first, step):
+    """sum_k density_k exp(u_k B / lambda) over an arithmetic progression u.
+
+    first is exp(u_0 B / lambda) and step is exp((u_1 - u_0) B / lambda).
+    Each later node is the one before times step, one n x n product, except
+    every EXPM_ANCHOR_EVERY-th, a direct expm that restarts the chain, so
+    rounding accumulates over fewer than EXPM_ANCHOR_EVERY products.  Raises
+    Overflow when the sum is not finite.
+    """
+    node = first
+    total = density[0] * first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, len(u)):
+            if k % EXPM_ANCHOR_EVERY:
+                node = node @ step
+            else:
+                node = linalg.matrix_exponential(B, u[k] / lam)
+            total += density[k] * node
+    if not np.isfinite(total).all():
+        raise Overflow(f"exp(u B / {lam}) overflowed on the Simpson grid")
+    return total
+
+
 def _simpson_estimates(B, lam, power, panels, u_max):
     """Composite Simpson on [0, u_max] at panels, 2 panels, 4 panels, ...
 
     m panels have the nodes j * u_max / (2m); doubling m keeps them all and
     adds the midpoints as the new odd nodes.  Carrying density-weighted
     sums over the end, even and odd nodes evaluates each exp(uB/lambda)
-    once: 4m + 1 expm calls up to the estimate at 2m panels.
+    once.  The even and odd nodes of a grid are arithmetic progressions of
+    stride 2h, summed by _grid_sum: one direct expm per EXPM_ANCHOR_EVERY
+    nodes, and an n x n product for each other node.  The stride factor
+    exp(2hB/lambda) is a node already taken directly: the first even node,
+    then the first odd node of the grid before.
     """
-    def node_sum(indices):
+    def nodes(indices):
         u = np.asarray(indices, dtype=np.float64) * (u_max / intervals)
         # normalized weight u^p e^{-u} / Gamma(p+1) in the log domain
         density = np.exp(xlogy(power, u) - u - gammaln(power + 1.0))
-        return _weighted_sum(B, lam, u, density)
+        return u, density
+
+    def first_node(index):
+        return linalg.matrix_exponential(B, index * (u_max / intervals) / lam)
 
     intervals = 2 * panels
-    ends = node_sum([0, intervals])
-    even = node_sum(range(2, intervals, 2))
+    ends = _weighted_sum(B, lam, *nodes([0, intervals]))
+    stride = first_node(2)
+    even = _grid_sum(B, lam, *nodes(range(2, intervals, 2)), stride, stride)
     while True:
-        odd = node_sum(range(1, intervals, 2))
+        first_odd = first_node(1)
+        odd = _grid_sum(B, lam, *nodes(range(1, intervals, 2)), first_odd,
+                        stride)
         yield (u_max / intervals / 3.0) * (ends + 4.0 * odd + 2.0 * even)
         even += odd
         intervals *= 2
+        stride = first_odd
 
 
 def _settle(estimates, m, max_m):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,18 @@ def test_nonfinite_tolerance_exit_two(tmp_path, capsys, command, flag, value):
     assert run_cli([command, path, flag, value, "--out", str(out)]) == 2
     assert "must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_t_max_factor_exit_two(tmp_path, capsys, value):
+    # nan fails every comparison and inf puts 0 * inf on the Simpson grid:
+    # both must stop at the spec, before any expm or numpy warning
+    path = write_matrix(tmp_path, "b.json", [[-1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["semigroup", path, "--lambda", "1.0",
+                        "--t-max-factor", value]) == 2
+    assert "t_max_factor must be finite" in capsys.readouterr().err
 
 
 def test_resolvent_pole_exit_three(tmp_path):

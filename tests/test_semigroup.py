@@ -1,13 +1,14 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.special
 
 from abelerg import linalg, semigroup
-from abelerg.errors import (IntegralDiverges, PoleHit, QuadratureUnstable,
-                            ResolventPole)
+from abelerg.errors import (IntegralDiverges, Overflow, PoleHit,
+                            QuadratureUnstable, ResolventPole)
 
 SIMPSON = semigroup.QuadratureSpec(scheme=semigroup.SCHEME_TRUNCATED_SIMPSON)
 # ||B|| / lambda is about 2 at lambda = 1: Simpson settles past 64 panels
@@ -33,6 +34,9 @@ def test_quadrature_spec_validation():
         semigroup.QuadratureSpec(node_count=4)
     with pytest.raises(ValueError):
         semigroup.QuadratureSpec(t_max_factor=2.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="t_max_factor"):
+            semigroup.QuadratureSpec(t_max_factor=bad)
     with pytest.raises(ValueError):
         semigroup.QuadratureSpec(scheme="monte_carlo")
 
@@ -60,6 +64,16 @@ def test_laguerre_rule_matches_scipy_reference():
         assert np.allclose(nodes, ref_nodes, rtol=1e-12, atol=1e-12)
         assert np.allclose(weights, ref_weights / scipy.special.gamma(p + 1.0),
                            rtol=1e-11, atol=1e-15)
+
+
+def test_laguerre_rule_is_memoized_read_only():
+    nodes, weights = semigroup.laguerre_rule(48, power=3.0)
+    again = semigroup.laguerre_rule(48, power=3)
+    for first, second in zip((nodes, weights), again):
+        assert np.array_equal(first, second)
+        assert not first.flags.writeable and not second.flags.writeable
+        with pytest.raises(ValueError):
+            second[0] = 0.0
 
 
 def test_laguerre_rule_integrates_monomials_exactly():
@@ -138,13 +152,27 @@ def test_simpson_doubles_until_self_check_passes():
     assert rel <= 1e-6
 
 
+def simpson_expm_calls(panels):
+    """Direct expm calls of Simpson runs from SIMPSON.node_count panels up to
+    the estimate at 2 * panels: the two ends, then one per
+    EXPM_ANCHOR_EVERY nodes of the first grid's even nodes and of each
+    grid's odd nodes (m0, 2 m0, ..., 2 * panels of them)."""
+    m0 = SIMPSON.node_count
+    progressions = [m0 - 1]
+    while progressions[-1] < 2 * panels:
+        progressions.append(m0 * 2 ** (len(progressions) - 1))
+    return 2 + sum(-(-count // semigroup.EXPM_ANCHOR_EVERY)
+                   for count in progressions)
+
+
 def test_simpson_evaluates_each_node_once(monkeypatch):
-    # settling at m panels means checking against 2m: 4m + 1 nodes in all
+    # settling at m panels means checking against 2m: 4m + 1 nodes in all,
+    # each an expm or a product; no t is exponentiated twice
     calls = count_expm_calls(monkeypatch)
     for B, power in ((STIFF, 1), (np.array([[-1.0]]), 3)):
         calls.clear()
         _, panels = semigroup.abel_power_quadrature(B, 1.0, power, SIMPSON)
-        assert len(calls) == 4 * panels + 1
+        assert len(calls) == simpson_expm_calls(panels)
         assert len(set(calls)) == len(calls)
 
 
@@ -162,7 +190,80 @@ def test_simpson_cap_raises_quadrature_unstable(monkeypatch):
     monkeypatch.setattr(semigroup, "SIMPSON_MAX_PANELS", SIMPSON.node_count)
     with pytest.raises(QuadratureUnstable):
         semigroup.abel_average_quadrature(STIFF, 1.0, SIMPSON)
-    assert len(calls) == 4 * SIMPSON.node_count + 1
+    assert len(calls) == simpson_expm_calls(SIMPSON.node_count)
+
+
+def reference_simpson(B, lam, power, panels, u_max):
+    """Simpson estimates with one expm per node: the product chain's
+    reference."""
+    def node_sum(indices):
+        u = np.asarray(indices, dtype=np.float64) * (u_max / intervals)
+        density = np.exp(scipy.special.xlogy(power, u) - u
+                         - scipy.special.gammaln(power + 1.0))
+        total = np.zeros(B.shape, dtype=np.complex128)
+        for u_i, w_i in zip(u, density):
+            total += w_i * linalg.matrix_exponential(B, u_i / lam)
+        return total
+
+    intervals = 2 * panels
+    ends = node_sum([0, intervals])
+    even = node_sum(range(2, intervals, 2))
+    while True:
+        odd = node_sum(range(1, intervals, 2))
+        yield (u_max / intervals / 3.0) * (ends + 4.0 * odd + 2.0 * even)
+        even += odd
+        intervals *= 2
+
+
+def _product_chain_cases():
+    # spectral radius / lambda from 0.5 to 2, as the semigroup benchmark
+    # draws it, on normal generators (condition 1) and on non-normal ones
+    # whose eigenvector matrix has condition 10 to 1e4
+    rng = np.random.default_rng(139)
+    for i, cond in enumerate((1.0, 1.0, 1.0, 1.0, 1e1, 1e2, 1e3, 1e4, 1e4)):
+        lam = (0.1, 1.0, 10.0)[i % 3]
+        n = 2 + i % 5
+        values = rng.uniform(-1.0, -0.1, n) + 1j * rng.uniform(-0.4, 0.4, n)
+        values *= min(0.5 + 0.5 * i, 2.0) * lam / np.max(np.abs(values))
+        Q1, Q2 = (np.linalg.qr(rng.normal(size=(n, n))
+                               + 1j * rng.normal(size=(n, n)))[0]
+                  for _ in range(2))
+        S = (Q1 * np.logspace(0.0, np.log10(cond), n)) @ Q2
+        yield S @ np.diag(values) @ np.linalg.inv(S), lam, cond
+
+
+def test_simpson_products_match_one_expm_per_node(monkeypatch):
+    for B, lam, cond in _product_chain_cases():
+        # at condition 1e4, ||exp(tB)|| climbs to about 1e3 before it decays,
+        # and the stride factor's rounding, carried through up to 31
+        # products, moves the sum by up to a few 1e-7 (one case here is
+        # 1.0e-7 from the rule with exact nodes, where one expm per node is
+        # 4.3e-8 from it); still well inside SELF_CHECK_TOL
+        bound = 1e-7 if cond < 1e4 else 5e-7
+        for n in (1, 4):
+            value, panels = semigroup.abel_power_quadrature(B, lam, n,
+                                                            SIMPSON)
+            with monkeypatch.context() as patch:
+                patch.setattr(semigroup, "_simpson_estimates",
+                              reference_simpson)
+                ref, ref_panels = semigroup.abel_power_quadrature(
+                    B, lam, n, SIMPSON)
+            assert panels == ref_panels
+            gap = np.linalg.norm(value - ref, 2) / np.linalg.norm(ref, 2)
+            assert gap <= bound
+
+
+def test_simpson_product_overflow_raises(monkeypatch):
+    # every direct expm is huge but finite, so the first product of the
+    # even nodes overflows; the sum must raise quietly, as expm does, not
+    # come back as inf or nan
+    original = linalg.matrix_exponential
+    monkeypatch.setattr(linalg, "matrix_exponential",
+                        lambda B, t: 1e160 * original(B, t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow):
+            semigroup.abel_average_quadrature(STIFF, 1.0, SIMPSON)
 
 
 def test_simpson_memory_does_not_grow_with_panel_count():
