@@ -10,10 +10,7 @@ Ker(I - T) + Im(I - T) of kernel and image.
 
 from .abel import (
     abel_average,
-    abel_series_partial,
-    alpha_sweep,
     cesaro_average,
-    in_half_plane_pi,
     in_omega_alpha,
     power_iterate,
     riesz_projection_at_one,
@@ -21,10 +18,8 @@ from .abel import (
 )
 from .certify import (
     check_power_convergence,
-    check_power_growth,
     check_spectral_condition,
     generate_instances,
-    kernel_image_transfer_check,
     verify_equivalence,
 )
 from .oscillator import (
@@ -33,7 +28,6 @@ from .oscillator import (
     eigen_residual,
     first_order_gap,
     hermite_function,
-    kernel_image_decomposition_check,
     scaled_resolvent_power_gap,
 )
 from .semigroup import (
@@ -42,10 +36,7 @@ from .semigroup import (
     abel_average_quadrature,
     abel_power_quadrature,
     discrete_bridge,
-    ergodic_projection_continuous,
-    growth_log_norm,
     laguerre_rule,
-    semigroup_at,
 )
 
 __version__ = "0.1.0"
@@ -57,29 +48,20 @@ __all__ = [
     "abel_average_closed",
     "abel_average_quadrature",
     "abel_power_quadrature",
-    "abel_series_partial",
-    "alpha_sweep",
     "c_constant",
     "cesaro_average",
     "check_power_convergence",
-    "check_power_growth",
     "check_spectral_condition",
     "discrete_bridge",
     "eigen_residual",
-    "ergodic_projection_continuous",
     "first_order_gap",
     "generate_instances",
-    "growth_log_norm",
     "hermite_function",
-    "in_half_plane_pi",
     "in_omega_alpha",
-    "kernel_image_decomposition_check",
-    "kernel_image_transfer_check",
     "laguerre_rule",
     "power_iterate",
     "riesz_projection_at_one",
     "scaled_resolvent_power_gap",
-    "semigroup_at",
     "spectral_map",
     "verify_equivalence",
 ]

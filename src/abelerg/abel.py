@@ -88,24 +88,6 @@ def abel_average(T, alpha):
             f"1/alpha = {1.0 / a:.17g} lies in the numerical spectrum") from exc
 
 
-def abel_series_partial(T, alpha, N):
-    """Partial sum (1 - alpha) sum_{k=0}^{N} alpha^k T^k, Horner style."""
-    T = linalg.as_matrix(T, square=True)
-    a = check_alpha(alpha)
-    N = int(N)
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    n = T.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    S = eye.copy()
-    for _ in range(N):
-        with np.errstate(over="ignore", invalid="ignore"):
-            S = eye + a * (T @ S)
-        if not np.all(np.isfinite(S)):
-            raise Overflow("partial sums left the representable range")
-    return (1.0 - a) * S
-
-
 def _power_and_geometric_sum(T, N):
     """Return (T^N, sum_{k=0}^{N-1} T^k) using O(log N) multiplications."""
     n = T.shape[0]
@@ -253,34 +235,3 @@ def in_omega_alpha(zeta, alpha):
     a = check_alpha(alpha)
     z = complex(zeta)
     return bool(abs(a * z - 1.0) > 1.0 - a)
-
-
-def in_half_plane_pi(zeta, slack=0.0):
-    """Re zeta <= 1 + slack."""
-    slack = float(slack)
-    if slack < 0:
-        raise ValueError("slack must be >= 0")
-    return bool(complex(zeta).real <= 1.0 + slack)
-
-
-def alpha_sweep(T, alphas):
-    """Diagnostic sweep of A_alpha along an increasing alpha grid.
-
-    Returns one record per alpha with the norm of A_alpha and its distance
-    to the previous grid point.  Whether the alpha -> 1 limit exists admits
-    no finite stopping rule, so this reports raw data and no verdict.
-    """
-    T = linalg.as_matrix(T, square=True)
-    out = []
-    previous = None
-    for a in sorted(float(x) for x in alphas):
-        A = abel_average(T, a)
-        entry = {
-            "alpha": a,
-            "norm": linalg.operator_norm(A),
-            "step_from_previous": (
-                linalg.operator_norm(A - previous) if previous is not None else None),
-        }
-        out.append(entry)
-        previous = A
-    return out

@@ -16,11 +16,10 @@ reproducible from a recorded seed.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import abel, linalg
 from .errors import DecompositionFails, ResolventPole
@@ -194,74 +193,6 @@ def verify_equivalence(T, alphas=(0.1, 0.5, 0.9), tol=abel.DEFAULT_TOL,
                          "alphas": [float(a) for a in alphas]})
 
 
-@dataclass
-class GrowthReport:
-    """Samples of ||T^n|| / n along n = 1, 2, 4, ... plus two verdicts.
-
-    heuristic_holds looks at the sampled sequence only (tail nonincreasing
-    and final value below a tenth of the initial one); exact_holds is the
-    spectral criterion: spectral radius <= 1 and every unimodular
-    eigenvalue semisimple.
-    """
-
-    entries: list
-    heuristic_holds: bool
-    exact_holds: bool
-    witnesses: list = field(default_factory=list)
-
-
-def check_power_growth(T, n_max):
-    """Diagnostic for ||T^n / n|| -> 0, sampled at powers of two."""
-    T = linalg.as_matrix(T, square=True)
-    n_max = int(n_max)
-    if n_max < 4:
-        raise ValueError("n_max must be >= 4")
-    entries = []
-    witnesses = []
-    overflowed = False
-    P = T.copy()
-    exponent = 1
-    while exponent <= n_max:
-        if not np.all(np.isfinite(P)):
-            witnesses.append({"kind": "overflow", "value": exponent})
-            overflowed = True
-            break
-        entries.append((exponent, linalg.operator_norm(P) / exponent))
-        if 2 * exponent > n_max:
-            break
-        with np.errstate(over="ignore", invalid="ignore"):
-            P = P @ P
-        exponent *= 2
-    heuristic = not overflowed and len(entries) >= 2
-    if heuristic:
-        values = [v for _, v in entries]
-        tail = values[len(values) // 2:]
-        heuristic = all(tail[i + 1] <= tail[i] * (1.0 + 1e-12)
-                        for i in range(len(tail) - 1))
-        heuristic = heuristic and values[-1] < 0.1 * values[0]
-    eig = linalg.eigendecompose(T)
-    slack = 1e-8 * max(1.0, linalg.operator_norm(T))
-    radius = float(np.max(np.abs(eig.values))) if eig.values.size else 0.0
-    exact = radius <= 1.0 + slack
-    if not exact:
-        witnesses.append({"kind": "spectral_radius", "value": radius})
-    else:
-        seen = []
-        for z in eig.values:
-            if abs(abs(z) - 1.0) > slack:
-                continue
-            if any(abs(z - w) <= 1e-6 for w in seen):
-                continue
-            seen.append(complex(z))
-            first, second = _rank_pair(T, complex(z), CERTIFY_RANK_TOL)
-            if first != second:
-                witnesses.append(
-                    {"kind": "defective_unimodular", "value": complex(z)})
-                exact = False
-    return GrowthReport(entries=entries, heuristic_holds=bool(heuristic),
-                        exact_holds=bool(exact), witnesses=witnesses)
-
-
 def cesaro_sup_estimate(T, N_max):
     """sup_{N <= N_max} of the Cesaro average norms, by a running sweep.
 
@@ -311,45 +242,6 @@ def abel_partial_sup_estimate(T, alpha_grid, N_max):
             S = S + P
             sup = max(sup, (1.0 - a) * linalg.operator_norm(S))
     return float(sup)
-
-
-@dataclass
-class TransferReport:
-    alpha: float
-    kernel_angle: float
-    image_angle: float
-    passes: bool
-
-
-def _max_principal_angle(B1, B2):
-    if B1.dim != B2.dim:
-        return math.pi / 2.0
-    if B1.dim == 0:
-        return 0.0
-    angles = scipy.linalg.subspace_angles(B1.vectors, B2.vectors)
-    return float(np.max(angles)) if angles.size else 0.0
-
-
-def kernel_image_transfer_check(T, alpha, rank_tol=CERTIFY_RANK_TOL,
-                                angle_tol=1e-7):
-    """Check Ker(I - A_alpha) = Ker(I - T) and the same for images.
-
-    Measured as the largest principal angle between the two computed
-    bases; passes when both angles are <= angle_tol.
-    """
-    T = linalg.as_matrix(T, square=True)
-    a = abel.check_alpha(alpha)
-    A = abel.abel_average(T, a)
-    n = T.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    ker_T = linalg.kernel_basis(eye - T, rank_tol)
-    ker_A = linalg.kernel_basis(eye - A, rank_tol)
-    im_T = linalg.image_basis(eye - T, rank_tol)
-    im_A = linalg.image_basis(eye - A, rank_tol)
-    ka = _max_principal_angle(ker_T, ker_A)
-    ia = _max_principal_angle(im_T, im_A)
-    return TransferReport(alpha=a, kernel_angle=ka, image_angle=ia,
-                          passes=bool(ka <= angle_tol and ia <= angle_tol))
 
 
 # ---------------------------------------------------------------------------

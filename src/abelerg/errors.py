@@ -41,10 +41,6 @@ class GridTooCoarse(AbelergError):
     """A finite-difference residual exceeded its step-size error budget."""
 
 
-class NotInComplement(AbelergError):
-    """A coefficient vector has a component along the fixed-point direction."""
-
-
 class ParseError(AbelergError):
     """A matrix file violates the expected JSON schema."""
 

@@ -57,14 +57,17 @@ def as_matrix(A, square=False):
 
 
 def check_tolerance(name, value):
-    """Validate a tolerance as a positive finite number and return it as float.
+    """Validate a tolerance in (0, 1) and return it as float.
 
     NaN passes no comparison and infinity passes every one, so either would
-    silently decide a convergence or rank test.
+    silently decide a convergence or rank test.  So would a tolerance of 1
+    or more: every relative rank test and every Cauchy step of a bounded
+    iteration would pass it.
     """
     tol = float(value)
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(
+            f"{name} must be positive and finite, and below 1, got {value}")
     return tol
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse, NotInComplement, PoleHit
+from .errors import GridTooCoarse, Overflow, PoleHit
 
 DEFAULT_TRUNCATION = 10_000
 # Largest truncation: every model quantity allocates a few float arrays of
@@ -80,17 +80,10 @@ class CConstant:
         return self.value + self.tail_bound
 
 
-@dataclass(frozen=True)
-class DecompositionWitness:
-    """Preimage y with (I - T) y = x on the truncation, and its residual."""
-
-    preimage: np.ndarray
-    residual: float
-    within_tolerance: bool
-
-
 def _check_lambda_above_one(model, lam):
     lam = float(lam)
+    if not np.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     if lam > 1.0:
         return lam
     eigs = model.eigenvalues()
@@ -98,24 +91,6 @@ def _check_lambda_above_one(model, lam):
     if nearest <= 1e-12:
         raise PoleHit(f"lambda = {lam:.17g} hits an eigenvalue 1 - 2n")
     raise ValueError("the resolvent formulas require lambda > 1")
-
-
-def _coeffs(model, x):
-    v = np.asarray(x, dtype=np.complex128)
-    if v.ndim != 1 or v.size != model.truncation:
-        raise ValueError(
-            f"expected a coefficient vector of length {model.truncation}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("coefficients must be finite")
-    return v
-
-
-def resolvent_apply(model, lam, x):
-    """Apply R(lambda, T): divide coefficient n by (lambda - 1 + 2n)."""
-    lam = _check_lambda_above_one(model, lam)
-    v = _coeffs(model, x)
-    n = np.arange(model.truncation, dtype=np.float64)
-    return v / (lam - 1.0 + 2.0 * n)
 
 
 def _ratios(model, lam):
@@ -156,7 +131,10 @@ def c_constant(model, lam):
     lam = _check_lambda_above_one(model, lam)
     value = float(np.sum(_ratios(model, lam) ** 2))
     # sum_{n >= N} f(n) <= integral_{N-1}^inf f(u) du for decreasing f
-    tail = (lam - 1.0) ** 2 / (2.0 * (lam - 3.0 + 2.0 * model.truncation))
+    try:
+        tail = (lam - 1.0) ** 2 / (2.0 * (lam - 3.0 + 2.0 * model.truncation))
+    except OverflowError:
+        raise Overflow(f"the tail bound of C({lam}) overflows") from None
     return CConstant(value=value, tail_bound=float(tail))
 
 
@@ -226,26 +204,3 @@ def eigen_residual(n, step=1e-3, half_width=12.0):
         raise GridTooCoarse(
             f"residual {worst:.3e} exceeds budget {budget:.3e} at step {h}")
     return worst
-
-
-def kernel_image_decomposition_check(model, x):
-    """Solve (I - T) y = x explicitly for x with no ground-state component.
-
-    On the truncation I - T acts diagonally as multiplication by 2n, so
-    y_n = x_n / (2n) for n >= 1 and the n = 0 slot must be empty: a
-    ground-state component of relative size above 1e-12 raises
-    NotInComplement.
-    """
-    v = _coeffs(model, x)
-    scale = float(np.linalg.norm(v))
-    if abs(v[0]) > 1e-12 * scale:
-        raise NotInComplement(
-            f"|x_0| = {abs(v[0]):.3e} exceeds 1e-12 * ||x||")
-    n = np.arange(model.truncation, dtype=np.float64)
-    y = np.zeros_like(v)
-    y[1:] = v[1:] / (2.0 * n[1:])
-    reconstructed = 2.0 * n * y
-    residual = float(np.linalg.norm(reconstructed - v))
-    return DecompositionWitness(
-        preimage=y, residual=residual,
-        within_tolerance=bool(residual <= 1e-12 * scale))

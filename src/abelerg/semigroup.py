@@ -27,7 +27,6 @@ algebraic identity.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import eig_banded
@@ -112,19 +111,10 @@ def _golub_welsch(m, p):
     return nodes, weights
 
 
-def semigroup_at(B, t):
-    """T_t = exp(t B) for t >= 0."""
-    B = linalg.as_matrix(B, square=True)
-    t = float(t)
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    return linalg.matrix_exponential(B, t)
-
-
 def _check_lambda(lam):
     lam = float(lam)
-    if not lam > 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
     return lam
 
 
@@ -296,79 +286,3 @@ def discrete_bridge(B, lam):
     scale = max(linalg.operator_norm(continuous), np.finfo(np.float64).tiny)
     return BridgeReport(lam=lam, alpha=alpha, defect=float(defect),
                         relative_defect=float(defect / scale))
-
-
-@dataclass
-class GrowthSamples:
-    """Samples of log ||T_t|| / t with a heuristic zero-growth verdict.
-
-    spectral_bound is max Re sigma(B), the exact growth rate; the sampled
-    verdict asks the last value to sit within 0.01 of zero with a
-    nonincreasing tail.  overflow_at records the first t where exp(t B)
-    left the representable range, if any.
-    """
-
-    samples: list
-    heuristic_holds: bool
-    spectral_bound: float
-    overflow_at: Optional[float] = None
-
-
-def growth_log_norm(B, t_grid):
-    """Sample log ||T_t|| / t along an increasing positive grid."""
-    B = linalg.as_matrix(B, square=True)
-    grid = [float(t) for t in t_grid]
-    if not grid or any(t <= 0 for t in grid):
-        raise ValueError("t_grid must be nonempty and positive")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("t_grid must be strictly increasing")
-    samples = []
-    overflow_at = None
-    for t in grid:
-        try:
-            norm = linalg.operator_norm(semigroup_at(B, t))
-        except Overflow:
-            overflow_at = t
-            break
-        value = math.log(norm) / t if norm > 0.0 else -math.inf
-        samples.append((t, value))
-    holds = overflow_at is None and len(samples) >= 1
-    if holds:
-        mags = [abs(v) for _, v in samples[-3:]]
-        holds = (math.isfinite(samples[-1][1])
-                 and abs(samples[-1][1]) <= 0.01
-                 and all(b <= a * (1.0 + 1e-12) + 1e-300
-                         for a, b in zip(mags, mags[1:])))
-    return GrowthSamples(samples=samples, heuristic_holds=bool(holds),
-                         spectral_bound=_spectral_abscissa(B),
-                         overflow_at=overflow_at)
-
-
-@dataclass
-class ContinuousErgodicReport:
-    """Power limit of the continuous Abel average, checked against Ker B."""
-
-    report: abel.ConvergenceReport
-    kernel_residual: Optional[float]
-    projects_onto_kernel: bool
-
-
-def ergodic_projection_continuous(B, lam, tol=abel.DEFAULT_TOL):
-    """Iterate powers of A~_lambda toward the projection onto Ker B.
-
-    When the powers converge, the limit L must satisfy ||B L|| <=
-    10 * tol * ||B||: it projects onto the kernel of the generator, along
-    its image.
-    """
-    B = linalg.as_matrix(B, square=True)
-    lam = _check_lambda(lam)
-    A = abel_average_closed(B, lam)
-    report = abel.power_iterate(A, tol=tol)
-    if not report.converged:
-        return ContinuousErgodicReport(report=report, kernel_residual=None,
-                                       projects_onto_kernel=False)
-    residual = linalg.operator_norm(B @ report.limit)
-    bound = 10.0 * tol * linalg.operator_norm(B)
-    return ContinuousErgodicReport(report=report,
-                                   kernel_residual=float(residual),
-                                   projects_onto_kernel=bool(residual <= bound))

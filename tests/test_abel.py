@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from abelerg import abel, certify, linalg
-from abelerg.errors import DecompositionFails, Overflow, PoleHit, ResolventPole
+from abelerg.errors import DecompositionFails, PoleHit, ResolventPole
 
 
 def jordan_block():
@@ -44,16 +44,6 @@ def test_abel_average_pole_detection():
         abel.abel_average(2.0 * np.eye(2), 0.5)
 
 
-def test_abel_series_partial_identity_oracle():
-    # T = I, alpha = 1/2, top power N = 3:
-    # (1/2)(1 + 1/2 + 1/4 + 1/8) = 1 - (1/2)^4 = 15/16
-    S = abel.abel_series_partial(np.eye(2), 0.5, 3)
-    assert np.allclose(S, 0.9375 * np.eye(2), atol=1e-15)
-    # T = 0: only the k = 0 term survives for any N
-    S0 = abel.abel_series_partial(np.zeros((2, 2)), 0.5, 10)
-    assert np.allclose(S0, 0.5 * np.eye(2), atol=1e-15)
-
-
 def test_abel_series_converges_to_average():
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -61,8 +51,11 @@ def test_abel_series_converges_to_average():
         T = random_contraction(rng, n)
         a = float(rng.uniform(0.1, 0.9))
         A = abel.abel_average(T, a)
-        S = abel.abel_series_partial(T, a, 800)
-        assert np.linalg.norm(S - A, 2) <= 1e-10
+        # (1 - alpha) sum_{k=0}^{800} alpha^k T^k, Horner style
+        S = np.eye(n)
+        for _ in range(800):
+            S = np.eye(n) + a * (T @ S)
+        assert np.linalg.norm((1.0 - a) * S - A, 2) <= 1e-10
 
 
 def test_cesaro_small_cases_match_direct_sum():
@@ -126,7 +119,8 @@ def test_power_iterate_rotation_never_cauchy():
     assert rep.divergence_reason == "no_cauchy"
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"),
+                                 1.0, 1e300])
 def test_power_iterate_rejects_bad_tol(bad):
     # an infinite tol would accept the first doubling as converged
     with pytest.raises(ValueError, match="tol"):
@@ -327,26 +321,5 @@ def test_omega_alpha_is_where_map_contracts():
             continue
         w = abel.spectral_map(zeta, a)
         assert abel.in_omega_alpha(zeta, a) == (abs(w) < 1.0)
-        if abel.in_half_plane_pi(zeta) and abs(zeta - 1.0) > 1e-9:
+        if zeta.real <= 1.0 and abs(zeta - 1.0) > 1e-9:
             assert abel.in_omega_alpha(zeta, a)
-
-
-def test_half_plane_membership():
-    assert abel.in_half_plane_pi(1.0)
-    assert abel.in_half_plane_pi(0.5 + 10.0j)
-    assert not abel.in_half_plane_pi(1.0 + 1e-6)
-    assert abel.in_half_plane_pi(1.0 + 1e-6, slack=1e-5)
-
-
-def test_alpha_sweep_reports_monotone_grid():
-    T = convergent_diag()
-    rows = abel.alpha_sweep(T, (0.1, 0.5, 0.9))
-    assert [r["alpha"] for r in rows] == [0.1, 0.5, 0.9]
-    assert all(np.isfinite(r["norm"]) for r in rows)
-    assert rows[0]["step_from_previous"] is None
-
-
-def test_series_partial_overflow_guard():
-    T = 3.0 * np.eye(2)
-    with pytest.raises(Overflow):
-        abel.abel_series_partial(T, 0.9, 5000)

@@ -102,9 +102,13 @@ def test_cesaro_agreement():
     checked = 0
     worst = 0.0
     for inst in instances:
-        growth = certify.check_power_growth(inst.matrix, 64)
+        # power-bounded: spectral radius at most 1 and condition (ii)
+        radius = float(np.max(np.abs(
+            linalg.eigendecompose(inst.matrix).values)))
+        slack = 1e-8 * max(1.0, linalg.operator_norm(inst.matrix))
         cii = certify.check_spectral_condition(inst.matrix)
-        if not (growth.exact_holds and cii.verdict == certify.VERDICT_HOLDS):
+        if not (radius <= 1.0 + slack
+                and cii.verdict == certify.VERDICT_HOLDS):
             continue
         checked += 1
         E = abel.riesz_projection_at_one(inst.matrix).matrix

@@ -142,10 +142,18 @@ def test_size_flags_above_their_caps_are_input_errors(tmp_path):
                     str(oscillator.MAX_TRUNCATION + 1)]) == 2
 
 
-def test_semigroup_zero_lambda_is_input_error(tmp_path):
+def test_semigroup_zero_lambda_is_input_error(tmp_path, capsys):
+    # an infinite lambda used to reach the resolvent solve, where inf * 0
+    # raised a numpy RuntimeWarning before the input error
     path = write_matrix(tmp_path, "b.json", [[-1.0]])
-    code = run_cli(["semigroup", path, "--lambda", "0.0"])
-    assert code == 2
+    for lam in ("0.0", "inf"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["semigroup", path, "--lambda", lam])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "lambda must be positive and finite" in err
+        assert "Warning" not in err
 
 
 def test_semigroup_unstable_generator_exit_three(tmp_path):
@@ -164,6 +172,20 @@ def test_oscillator_report(tmp_path):
     assert report["gap"] <= report["gap_bound"]
     assert report["gram_defect"] <= 1e-6
     assert all(v <= 1e-4 for v in report["eigen_residuals"].values())
+
+
+@pytest.mark.parametrize("lam,code,message", [
+    ("inf", 2, "lambda must be finite"),
+    ("1e200", 3, "Overflow"),
+    ("1e308", 3, "Overflow"),
+])
+def test_oscillator_extreme_lambda(tmp_path, capsys, lam, code, message):
+    # inf used to give an exit-0 report of nans; 1e200 and 1e308 crashed
+    # with an OverflowError traceback in c_constant
+    out = tmp_path / "report.json"
+    assert run_cli(["oscillator", "--lambda", lam, "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_reproducible_reports(tmp_path):
@@ -200,7 +222,7 @@ def test_huge_integer_entry_exit_two(tmp_path, capsys):
     assert "data[0]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1.0", "1e300"])
 @pytest.mark.parametrize("command,flag", [
     ("certify", "--tol"), ("certify", "--rank-tol"), ("abel-power", "--tol")])
 def test_nonfinite_tolerance_exit_two(tmp_path, capsys, command, flag, value):

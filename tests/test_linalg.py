@@ -96,7 +96,8 @@ def test_kernel_and_image_of_projection():
     assert abs(abs(img.vectors[0, 0]) - 1.0) <= 1e-14
 
 
-@pytest.mark.parametrize("bad", [0.0, -1e-8, float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [0.0, -1e-8, float("nan"), float("inf"),
+                                 1.0, 1e300])
 def test_kernel_and_image_reject_bad_rank_tol(bad):
     with pytest.raises(ValueError, match="rank_tol"):
         linalg.kernel_basis(np.eye(2), bad)

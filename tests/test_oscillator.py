@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from abelerg import oscillator
-from abelerg.errors import NotInComplement, PoleHit
+from abelerg.errors import PoleHit
 
 
 def small_model():
@@ -19,30 +19,14 @@ def test_model_validation_and_eigenvalues():
     assert np.array_equal(model.eigenvalues(), [1.0, -1.0, -3.0, -5.0, -7.0])
 
 
-def test_resolvent_apply_componentwise():
+def test_first_order_gap_rejects_poles_and_bad_lambda():
     model = oscillator.DiagonalOscillator(truncation=8)
-    # component n is divided by lambda - 1 + 2n
-    e0 = np.zeros(8)
-    e0[0] = 1.0
-    e1 = np.zeros(8)
-    e1[1] = 1.0
-    assert abs(oscillator.resolvent_apply(model, 2.0, e0)[0] - 1.0) <= 1e-15
-    assert abs(oscillator.resolvent_apply(model, 3.0, e0)[0] - 0.5) <= 1e-15
-    assert abs(oscillator.resolvent_apply(model, 3.0, e1)[1] - 0.25) <= 1e-15
-    zero = oscillator.resolvent_apply(model, 2.0, np.zeros(8))
-    assert np.array_equal(zero, np.zeros(8))
-
-
-def test_resolvent_apply_rejects_poles_and_bad_lambda():
-    model = oscillator.DiagonalOscillator(truncation=8)
-    x = np.ones(8)
     for pole in (1.0, -1.0, -3.0):
         with pytest.raises(PoleHit):
-            oscillator.resolvent_apply(model, pole, x)
-    with pytest.raises(ValueError):
-        oscillator.resolvent_apply(model, 0.5, x)
-    with pytest.raises(ValueError):
-        oscillator.resolvent_apply(model, 2.0, np.ones(5))
+            oscillator.first_order_gap(model, pole)
+    for bad in (0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            oscillator.first_order_gap(model, bad)
 
 
 def test_first_order_gap_closed_form():
@@ -169,36 +153,3 @@ def test_eigen_residual_window_validation():
     for step in (0.0, -1e-3, float("nan"), 100.0, 30.0, cap_step):
         with pytest.raises(ValueError):
             oscillator.eigen_residual(0, step=step)
-
-
-def test_decomposition_basis_vector_oracles():
-    model = oscillator.DiagonalOscillator(truncation=8)
-    # x = e_1 -> y = e_1 / 2, x = e_5 -> y = e_5 / 10
-    e1 = np.zeros(8)
-    e1[1] = 1.0
-    e5 = np.zeros(8)
-    e5[5] = 1.0
-    assert abs(oscillator.kernel_image_decomposition_check(model, e1)
-               .preimage[1] - 0.5) <= 1e-15
-    assert abs(oscillator.kernel_image_decomposition_check(model, e5)
-               .preimage[5] - 0.1) <= 1e-15
-
-
-def test_decomposition_solves_shifted_system():
-    model = oscillator.DiagonalOscillator(truncation=64)
-    rng = np.random.default_rng(81)
-    x = rng.normal(size=64) + 1j * rng.normal(size=64)
-    x[0] = 0.0
-    rep = oscillator.kernel_image_decomposition_check(model, x)
-    assert rep.within_tolerance
-    assert rep.residual <= 1e-12 * np.linalg.norm(x)
-    assert abs(rep.preimage[0]) == 0.0
-    n = np.arange(64)
-    assert np.allclose(2.0 * n[1:] * rep.preimage[1:], x[1:], atol=1e-12)
-
-
-def test_decomposition_rejects_ground_state_component():
-    model = oscillator.DiagonalOscillator(truncation=16)
-    x = np.ones(16)
-    with pytest.raises(NotInComplement):
-        oscillator.kernel_image_decomposition_check(model, x)

@@ -5,9 +5,23 @@ from pathlib import Path
 
 import pytest
 
+import abelerg
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(),
                     re.MULTILINE | re.DOTALL)
+
+
+def test_readme_api_list_matches_all():
+    # the bullets after "The public API is re-exported ..." name, per
+    # module, exactly the names in abelerg.__all__
+    section = README.read_text().split("The public API is re-exported", 1)[1]
+    bullets = re.match(r"[^\n]*\n\n((?:(?:- |  ).*\n)+)", section).group(1)
+    listed = []
+    for bullet in bullets.split("\n- "):
+        _, names = bullet.split(":", 1)
+        listed += re.findall(r"`(\w+)`", names)
+    assert sorted(listed) == sorted(abelerg.__all__)
 
 
 def test_readme_has_python_examples():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from abelerg import linalg, semigroup
+from abelerg import abel, linalg, semigroup
 from abelerg.errors import (IntegralDiverges, Overflow, PoleHit,
                             QuadratureUnstable, ResolventPole)
 
@@ -85,15 +85,6 @@ def test_laguerre_rule_integrates_monomials_exactly():
         value *= 2.0 + k
         quad = float(weights @ nodes ** k)
         assert abs(quad - value) <= 1e-12 * value
-
-
-def test_semigroup_at_nilpotent_closed_form():
-    B = np.array([[0.0, 1.0], [0.0, 0.0]])
-    for t in (0.0, 1.0, 4.5):
-        assert np.allclose(semigroup.semigroup_at(B, t),
-                           [[1.0, t], [0.0, 1.0]], atol=1e-14)
-    with pytest.raises(ValueError):
-        semigroup.semigroup_at(B, -1.0)
 
 
 def test_abel_average_closed_scalar_oracle():
@@ -317,31 +308,6 @@ def test_discrete_bridge_is_algebraic_identity():
         assert abs(rep.alpha - 1.0 / (1.0 + lam)) <= 1e-15
 
 
-def test_growth_log_norm_stable_generator_decays():
-    rng = np.random.default_rng(113)
-    B = stable_generator(rng, 4)
-    rep = semigroup.growth_log_norm(B, (1.0, 10.0, 50.0, 100.0, 200.0))
-    assert rep.spectral_bound < 0.0
-    assert rep.overflow_at is None
-    # sampled rate approaches the spectral bound from above
-    assert rep.samples[-1][1] <= rep.samples[0][1] + 1e-12
-
-
-def test_growth_log_norm_unstable_flags_positive_rate():
-    B = np.array([[1.0]])
-    rep = semigroup.growth_log_norm(B, (1.0, 2.0, 4.0))
-    assert not rep.heuristic_holds
-    assert abs(rep.samples[-1][1] - 1.0) <= 1e-12
-
-
-def test_growth_log_norm_grid_validation():
-    B = np.array([[-1.0]])
-    with pytest.raises(ValueError):
-        semigroup.growth_log_norm(B, (2.0, 1.0))
-    with pytest.raises(ValueError):
-        semigroup.growth_log_norm(B, (0.0, 1.0))
-
-
 def test_ergodic_projection_kernel_of_generator():
     rng = np.random.default_rng(127)
     # B with a one-dimensional kernel: limit projects onto it
@@ -351,11 +317,10 @@ def test_ergodic_projection_kernel_of_generator():
     W = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     Q, _ = np.linalg.qr(W)
     B = Q @ B @ Q.conj().T
-    rep = semigroup.ergodic_projection_continuous(B, 1.0)
-    assert rep.report.converged
-    assert rep.projects_onto_kernel
-    assert rep.kernel_residual <= 1e-8
-    L = rep.report.limit
+    rep = abel.power_iterate(semigroup.abel_average_closed(B, 1.0))
+    assert rep.converged
+    L = rep.limit
+    assert np.linalg.norm(B @ L, 2) <= 1e-8
     assert np.linalg.norm(L @ L - L, 2) <= 1e-8
     assert abs(np.trace(L) - 1.0) <= 1e-8
 
@@ -364,7 +329,6 @@ def test_ergodic_projection_shift_generator_diverges_cleanly():
     # B = [[0,1],[0,0]]: 0 is a defective eigenvalue of the generator,
     # the scaled resolvent has a Jordan block at 1 and powers blow up
     B = np.array([[0.0, 1.0], [0.0, 0.0]])
-    rep = semigroup.ergodic_projection_continuous(B, 1.0)
-    assert not rep.report.converged
-    assert not rep.projects_onto_kernel
-    assert rep.kernel_residual is None
+    rep = abel.power_iterate(semigroup.abel_average_closed(B, 1.0))
+    assert not rep.converged
+    assert rep.limit is None
