@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import abel, certify, linalg, matrixio, oscillator, semigroup
-from .errors import AbelergError, DimensionMismatch, ParseError
+from .errors import AbelergError, DimensionMismatch, Overflow, ParseError
 
 EXIT_COMPUTED = 0
 EXIT_INPUT_ERROR = 2
@@ -128,9 +128,6 @@ def cmd_semigroup(args):
     B = matrixio.load_matrix(args.matrix)
     if args.n < 1:
         raise ValueError("--n must be >= 1")
-    gl_spec = semigroup.QuadratureSpec(
-        node_count=args.nodes, t_max_factor=args.t_max_factor,
-        scheme=semigroup.SCHEME_GAUSS_LAGUERRE)
     simpson_spec = semigroup.QuadratureSpec(
         t_max_factor=args.t_max_factor,
         scheme=semigroup.SCHEME_TRUNCATED_SIMPSON)
@@ -138,18 +135,21 @@ def cmd_semigroup(args):
     tiny = float(np.finfo(np.float64).tiny)
     closed = semigroup.abel_average_closed(B, args.lam)
     scale = max(linalg.operator_norm(closed), tiny)
-    quad, _ = semigroup.abel_average_quadrature(B, args.lam, gl_spec)
+    quad, gl_nodes = semigroup.abel_average_quadrature(B, args.lam)
     simpson, simpson_panels = semigroup.abel_average_quadrature(
         B, args.lam, simpson_spec)
-    power_int, _ = semigroup.abel_power_quadrature(B, args.lam, args.n,
-                                                   gl_spec)
+    power_int, power_nodes = semigroup.abel_power_quadrature(
+        B, args.lam, args.n)
     closed_power = np.linalg.matrix_power(closed, args.n)
-    power_scale = max(linalg.operator_norm(closed_power), tiny)
+    power_scale = linalg.operator_norm(closed_power)
+    if power_scale < tiny:
+        raise Overflow(f"the power underflowed: ||closed form^{args.n}|| = "
+                       f"{power_scale:.3g}, below the smallest normal double")
     bridge = semigroup.discrete_bridge(B, args.lam)
 
     report = _report_skeleton("semigroup", {
         "matrix": matrixio.serialize_matrix(B),
-        "lambda": args.lam, "n": args.n, "nodes": args.nodes,
+        "lambda": args.lam, "n": args.n,
         "t_max_factor": args.t_max_factor,
     })
     report["lambda"] = args.lam
@@ -159,7 +159,9 @@ def cmd_semigroup(args):
         linalg.operator_norm(quad - closed) / scale
     report["simpson_relative_defect"] = \
         linalg.operator_norm(simpson - closed) / scale
+    report["gauss_laguerre_nodes"] = gl_nodes
     report["simpson_panels"] = simpson_panels
+    report["power_integral_nodes"] = power_nodes
     report["power_integral_relative_defect"] = \
         linalg.operator_norm(power_int - closed_power) / power_scale
     report["bridge"] = {
@@ -283,8 +285,6 @@ def build_parser():
                    help="Abel parameter lambda > 0")
     p.add_argument("--n", type=int, default=1,
                    help="power checked against the weighted integral")
-    p.add_argument("--nodes", type=int, default=64,
-                   help="Gauss-Laguerre node count, 8 to 1024")
     p.add_argument("--t-max-factor", type=float, default=40.0,
                    help="Simpson truncation horizon in units of 1/lambda")
     _add_common_flags(p)

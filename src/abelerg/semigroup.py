@@ -12,9 +12,9 @@ and its n-th power has the closed integral form
 Both integrals are evaluated after the substitution u = lambda s, which
 turns the weight into the (generalized) Laguerre weight u^(n-1) exp(-u).
 Quadrature results are never trusted blindly: every rule compares m with
-2m nodes and raises QuadratureUnstable when they disagree; Gauss-Laguerre
-runs at exactly the requested m, truncated Simpson doubles m (reusing every
-node) until they agree or m would pass SIMPSON_MAX_PANELS.  Simpson nodes
+2m nodes from m = START_NODE_COUNT and doubles m until they agree; past
+MAX_NODE_COUNT (Gauss-Laguerre) or SIMPSON_MAX_PANELS (truncated Simpson,
+which reuses every node) it raises QuadratureUnstable.  Simpson nodes
 lie on uniform grids, so most are matrix products exp((u + 2h) B / lambda) =
 exp(u B / lambda) exp(2h B / lambda), with a direct expm every
 EXPM_ANCHOR_EVERY nodes.  The closed resolvent form is available as an
@@ -25,6 +25,7 @@ algebraic identity.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,33 +43,31 @@ SCHEME_TRUNCATED_SIMPSON = "truncated_simpson"
 # quadrature result is not returned.
 SELF_CHECK_TOL = 1e-6
 
+# The m every self-check starts from: Gauss-Laguerre nodes, Simpson panels.
+START_NODE_COUNT = 64
+# Largest Gauss-Laguerre m checked against 2m: laguerre_rule(2m) holds a
+# 2m x 2m eigenvector matrix.
+MAX_NODE_COUNT = 1024
 # Largest Simpson panel count m checked against 2m (32769 nodes).
 SIMPSON_MAX_PANELS = 8192
 # Simpson takes every EXPM_ANCHOR_EVERY-th node of a progression by a direct
 # expm and the nodes between as products with the stride factor.
 EXPM_ANCHOR_EVERY = 32
-# Largest node_count: laguerre_rule(2m) holds a 2m x 2m eigenvector matrix.
-MAX_NODE_COUNT = 1024
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Quadrature resolution for the improper semigroup integrals.
+    """Quadrature scheme for the improper semigroup integrals.
 
-    node_count is the Gauss-Laguerre node count, or the Simpson panel
-    count the doubling starts from.  t_max_factor is the Simpson truncation
-    horizon as a multiple of 1/lambda (unused by Gauss-Laguerre).
+    Both schemes choose their node count by the self-check.  t_max_factor
+    is the Simpson truncation horizon as a multiple of 1/lambda (unused by
+    Gauss-Laguerre).
     """
 
-    node_count: int = 64
     t_max_factor: float = 40.0
     scheme: str = SCHEME_GAUSS_LAGUERRE
 
     def __post_init__(self):
-        if int(self.node_count) != self.node_count \
-                or not 8 <= self.node_count <= MAX_NODE_COUNT:
-            raise ValueError(
-                f"node_count must be an integer in [8, {MAX_NODE_COUNT}]")
         if not (math.isfinite(self.t_max_factor)
                 and self.t_max_factor >= 10.0):
             raise ValueError(f"t_max_factor must be finite and >= 10, "
@@ -202,9 +201,10 @@ def _simpson_estimates(B, lam, power, panels, u_max):
         stride = first_odd
 
 
-def _settle(estimates, m, max_m):
+def _settle(estimates, m, max_m, rule):
     """(estimate at 2m, m) for the first m, of m, 2m, 4m, ... up to max_m,
-    whose estimates at m and 2m nodes agree to SELF_CHECK_TOL."""
+    whose estimates at m and 2m nodes agree to SELF_CHECK_TOL.  rule names
+    the quadrature in the failure message."""
     coarse = next(estimates)
     while True:
         fine = next(estimates)
@@ -214,7 +214,7 @@ def _settle(estimates, m, max_m):
             return fine, m
         if 2 * m > max_m:
             raise QuadratureUnstable(
-                f"node counts {m} and {2 * m} disagree by "
+                f"{rule}: node counts {m} and {2 * m} disagree by "
                 f"{disagreement:.3e} relative (> {SELF_CHECK_TOL})")
         m *= 2
         coarse = fine
@@ -227,13 +227,14 @@ def _quadrature(B, lam, power, spec):
     if abscissa >= lam:
         raise IntegralDiverges(
             f"max Re sigma(B) = {abscissa:.6g} >= lambda = {lam:.6g}")
-    m = spec.node_count
+    m = START_NODE_COUNT
+    rule = f"{spec.scheme} with weight u^{power:g} e^-u"
     if spec.scheme == SCHEME_GAUSS_LAGUERRE:
-        rules = (_weighted_sum(B, lam, *laguerre_rule(k, power=power))
-                 for k in (m, 2 * m))
-        return _settle(rules, m, m)
+        rules = (_weighted_sum(B, lam, *laguerre_rule(m << k, power=power))
+                 for k in itertools.count())
+        return _settle(rules, m, MAX_NODE_COUNT, rule)
     return _settle(_simpson_estimates(B, lam, power, m, spec.t_max_factor),
-                   m, SIMPSON_MAX_PANELS)
+                   m, SIMPSON_MAX_PANELS, rule)
 
 
 def abel_average_quadrature(B, lam, spec=QuadratureSpec()):

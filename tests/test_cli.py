@@ -66,7 +66,8 @@ def test_abel_power_writes_history(tmp_path):
     assert report["converged"] is True
     csv_path = report["history_csv_path"]
     assert csv_path == str(out) + ".history.csv"
-    lines = open(csv_path).read().splitlines()
+    with open(csv_path) as handle:
+        lines = handle.read().splitlines()
     assert lines[0] == "exponent,defect_bound"
     assert len(lines) >= 3
     # rows are upper bounds; the report's final_defect is the exact 2-norm
@@ -133,13 +134,42 @@ def test_semigroup_simpson_cap_is_numerical_failure(tmp_path, monkeypatch):
 
 
 def test_size_flags_above_their_caps_are_input_errors(tmp_path):
-    path = write_matrix(tmp_path, "b.json", [[-1.0]])
-    assert run_cli(["semigroup", path, "--lambda", "1.0", "--nodes",
-                    str(semigroup.MAX_NODE_COUNT + 1)]) == 2
     assert run_cli(["generate", "--seed", "1", "--count",
                     str(certify.MAX_INSTANCE_COUNT + 1)]) == 2
     assert run_cli(["oscillator", "--truncation",
                     str(oscillator.MAX_TRUNCATION + 1)]) == 2
+
+
+def test_semigroup_settles_truncated_oscillator_generator(tmp_path):
+    # diag(-2n), n < 16, at lambda = 1: ||B|| / lambda = 30, which 64
+    # against 128 Gauss-Laguerre nodes cannot resolve within the self-check
+    path = write_matrix(tmp_path, "b.json", np.diag(-2.0 * np.arange(16)))
+    out = tmp_path / "report.json"
+    assert run_cli(["semigroup", path, "--lambda", "1", "--n", "4",
+                    "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["gauss_laguerre_nodes"] == 128
+    assert report["power_integral_nodes"] == 64
+    assert report["gauss_laguerre_relative_defect"] <= 1e-6
+    assert report["power_integral_relative_defect"] <= 1e-6
+
+
+def test_semigroup_nodes_flag_is_gone(tmp_path):
+    path = write_matrix(tmp_path, "b.json", [[-1.0]])
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["semigroup", path, "--lambda", "1.0", "--nodes", "64"])
+    assert exc.value.code == 2
+
+
+def test_semigroup_power_underflow_is_numerical_failure(tmp_path, capsys):
+    # 0.5^2000 underflows to 0 in the closed power and in the integral;
+    # comparing zero with zero would pass the check vacuously
+    path = write_matrix(tmp_path, "b.json", [[-1.0]])
+    out = tmp_path / "report.json"
+    assert run_cli(["semigroup", path, "--lambda", "1.0", "--n", "2000",
+                    "--out", str(out)]) == 3
+    assert "the power underflowed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_semigroup_zero_lambda_is_input_error(tmp_path, capsys):

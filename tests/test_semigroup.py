@@ -30,8 +30,9 @@ def stable_generator(rng, n, lam=1.0):
 
 
 def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        semigroup.QuadratureSpec(node_count=4)
+    # the node count is the self-check's to choose, not the caller's
+    with pytest.raises(TypeError):
+        semigroup.QuadratureSpec(node_count=64)
     with pytest.raises(ValueError):
         semigroup.QuadratureSpec(t_max_factor=2.0)
     for bad in (float("nan"), float("inf")):
@@ -39,14 +40,6 @@ def test_quadrature_spec_validation():
             semigroup.QuadratureSpec(t_max_factor=bad)
     with pytest.raises(ValueError):
         semigroup.QuadratureSpec(scheme="monte_carlo")
-
-
-def test_quadrature_spec_caps_node_count():
-    # laguerre_rule(2m) would hold a 2m x 2m eigenvector matrix
-    cap = semigroup.MAX_NODE_COUNT
-    assert semigroup.QuadratureSpec(node_count=cap).node_count == cap
-    with pytest.raises(ValueError):
-        semigroup.QuadratureSpec(node_count=cap + 1)
 
 
 def test_laguerre_rule_weights_sum_to_one():
@@ -115,10 +108,8 @@ def test_quadrature_matches_closed_form():
 def test_quadrature_simpson_scheme_agrees():
     rng = np.random.default_rng(103)
     B = stable_generator(rng, 3)
-    spec = semigroup.QuadratureSpec(node_count=400,
-                                    scheme=semigroup.SCHEME_TRUNCATED_SIMPSON)
     closed = semigroup.abel_average_closed(B, 1.0)
-    quad, _ = semigroup.abel_average_quadrature(B, 1.0, spec)
+    quad, _ = semigroup.abel_average_quadrature(B, 1.0, SIMPSON)
     rel = np.linalg.norm(quad - closed, 2) / np.linalg.norm(closed, 2)
     assert rel <= 1e-6
 
@@ -138,17 +129,18 @@ def count_expm_calls(monkeypatch):
 def test_simpson_doubles_until_self_check_passes():
     closed = semigroup.abel_average_closed(STIFF, 1.0)
     quad, panels = semigroup.abel_average_quadrature(STIFF, 1.0, SIMPSON)
-    assert panels in [SIMPSON.node_count * 2 ** k for k in range(1, 8)]
+    assert panels in [semigroup.START_NODE_COUNT * 2 ** k
+                      for k in range(1, 8)]
     rel = np.linalg.norm(quad - closed, 2) / np.linalg.norm(closed, 2)
     assert rel <= 1e-6
 
 
 def simpson_expm_calls(panels):
-    """Direct expm calls of Simpson runs from SIMPSON.node_count panels up to
+    """Direct expm calls of Simpson runs from START_NODE_COUNT panels up to
     the estimate at 2 * panels: the two ends, then one per
     EXPM_ANCHOR_EVERY nodes of the first grid's even nodes and of each
     grid's odd nodes (m0, 2 m0, ..., 2 * panels of them)."""
-    m0 = SIMPSON.node_count
+    m0 = semigroup.START_NODE_COUNT
     progressions = [m0 - 1]
     while progressions[-1] < 2 * panels:
         progressions.append(m0 * 2 ** (len(progressions) - 1))
@@ -168,20 +160,46 @@ def test_simpson_evaluates_each_node_once(monkeypatch):
 
 
 def test_gauss_laguerre_runs_once_at_m_and_2m(monkeypatch):
+    # STIFF settles at the starting count: m and 2m nodes, each taken once
     calls = count_expm_calls(monkeypatch)
-    spec = semigroup.QuadratureSpec(node_count=24)
-    _, nodes = semigroup.abel_average_quadrature(STIFF, 1.0, spec)
-    assert nodes == 24
-    assert len(calls) == 3 * 24
+    _, nodes = semigroup.abel_average_quadrature(STIFF, 1.0)
+    m = semigroup.START_NODE_COUNT
+    assert nodes == m
+    assert len(calls) == 3 * m
+
+
+def test_gauss_laguerre_doubles_until_self_check_passes(monkeypatch):
+    # ||B|| / lambda = 20: 64 against 128 nodes disagree, 128 against 256
+    # agree; settling at m takes m0 + 2 m0 + ... + 2m = 4m - m0 expm calls
+    calls = count_expm_calls(monkeypatch)
+    B = np.array([[-20.0]])
+    quad, nodes = semigroup.abel_average_quadrature(B, 1.0)
+    assert nodes == 128
+    assert len(calls) == 4 * nodes - semigroup.START_NODE_COUNT
+    assert len(set(calls)) == len(calls)
+    assert abs(quad[0, 0] - 1.0 / 21.0) <= 1e-8 / 21.0
+
+
+def test_gauss_laguerre_cap_raises_quadrature_unstable(monkeypatch):
+    # with the cap at the starting count, only 64 against 128 nodes runs
+    calls = count_expm_calls(monkeypatch)
+    m = semigroup.START_NODE_COUNT
+    monkeypatch.setattr(semigroup, "MAX_NODE_COUNT", m)
+    with pytest.raises(QuadratureUnstable,
+                       match=r"gauss_laguerre with weight u\^0 .*64 and 128"):
+        semigroup.abel_average_quadrature(np.array([[-20.0]]), 1.0)
+    assert len(calls) == 3 * m
 
 
 def test_simpson_cap_raises_quadrature_unstable(monkeypatch):
     # with the cap at the starting count, only 64 against 128 panels runs
     calls = count_expm_calls(monkeypatch)
-    monkeypatch.setattr(semigroup, "SIMPSON_MAX_PANELS", SIMPSON.node_count)
-    with pytest.raises(QuadratureUnstable):
+    m = semigroup.START_NODE_COUNT
+    monkeypatch.setattr(semigroup, "SIMPSON_MAX_PANELS", m)
+    with pytest.raises(QuadratureUnstable,
+                       match=r"truncated_simpson with weight u\^0 "):
         semigroup.abel_average_quadrature(STIFF, 1.0, SIMPSON)
-    assert len(calls) == simpson_expm_calls(SIMPSON.node_count)
+    assert len(calls) == simpson_expm_calls(m)
 
 
 def reference_simpson(B, lam, power, panels, u_max):
@@ -278,6 +296,28 @@ def test_quadrature_unstable_generator_rejected():
     # spectral abscissa above lambda: the improper integral diverges
     with pytest.raises(IntegralDiverges):
         semigroup.abel_average_quadrature(np.array([[0.5]]), 0.25)
+
+
+def test_gauss_laguerre_settles_on_stiff_generators():
+    # normal generators with ||B|| / lambda = 8, 12 and 20, drawn as the
+    # semigroup benchmark draws them; a fixed 64 against 128 nodes fails
+    # most of those at 12 and 20
+    rng = np.random.default_rng(113)
+    for i in range(9):
+        stiffness = (8.0, 12.0, 20.0)[i // 3]
+        lam = (0.1, 1.0, 10.0)[i % 3]
+        n = 2 + i % 4
+        values = rng.uniform(-1.0, -0.1, n) + 1j * rng.uniform(-0.4, 0.4, n)
+        values *= stiffness * lam / np.max(np.abs(values))
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n))
+                            + 1j * rng.normal(size=(n, n)))
+        B = (Q * values) @ Q.conj().T
+        closed = semigroup.abel_average_closed(B, lam)
+        for power in (1, 4):
+            quad, _ = semigroup.abel_power_quadrature(B, lam, power)
+            ref = np.linalg.matrix_power(closed, power)
+            rel = np.linalg.norm(quad - ref, 2) / np.linalg.norm(ref, 2)
+            assert rel <= 1e-8
 
 
 def test_power_quadrature_scalar_oracle():
