@@ -31,7 +31,6 @@ from .oscillator import (
     scaled_resolvent_power_gap,
 )
 from .semigroup import (
-    QuadratureSpec,
     abel_average_closed,
     abel_average_quadrature,
     abel_power_quadrature,
@@ -43,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DiagonalOscillator",
-    "QuadratureSpec",
     "abel_average",
     "abel_average_closed",
     "abel_average_quadrature",

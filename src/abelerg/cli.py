@@ -128,16 +128,12 @@ def cmd_semigroup(args):
     B = matrixio.load_matrix(args.matrix)
     if args.n < 1:
         raise ValueError("--n must be >= 1")
-    simpson_spec = semigroup.QuadratureSpec(
-        t_max_factor=args.t_max_factor,
-        scheme=semigroup.SCHEME_TRUNCATED_SIMPSON)
-
     tiny = float(np.finfo(np.float64).tiny)
     closed = semigroup.abel_average_closed(B, args.lam)
     scale = max(linalg.operator_norm(closed), tiny)
     quad, gl_nodes = semigroup.abel_average_quadrature(B, args.lam)
     simpson, simpson_panels = semigroup.abel_average_quadrature(
-        B, args.lam, simpson_spec)
+        B, args.lam, semigroup.SCHEME_TRUNCATED_SIMPSON)
     power_int, power_nodes = semigroup.abel_power_quadrature(
         B, args.lam, args.n)
     closed_power = np.linalg.matrix_power(closed, args.n)
@@ -150,7 +146,6 @@ def cmd_semigroup(args):
     report = _report_skeleton("semigroup", {
         "matrix": matrixio.serialize_matrix(B),
         "lambda": args.lam, "n": args.n,
-        "t_max_factor": args.t_max_factor,
     })
     report["lambda"] = args.lam
     report["n"] = args.n
@@ -285,8 +280,6 @@ def build_parser():
                    help="Abel parameter lambda > 0")
     p.add_argument("--n", type=int, default=1,
                    help="power checked against the weighted integral")
-    p.add_argument("--t-max-factor", type=float, default=40.0,
-                   help="Simpson truncation horizon in units of 1/lambda")
     _add_common_flags(p)
     p.set_defaults(func=cmd_semigroup)
 

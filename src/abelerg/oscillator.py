@@ -102,13 +102,18 @@ def scaled_resolvent_power_gap(model, lam, m):
     """|| [(lambda - 1) R(lambda, T)]^m - P_0 || on the truncated model.
 
     Exact by diagonality: the supremum of ((lambda-1)/(lambda-1+2n))^m
-    over n >= 1, attained at n = 1.
+    over n >= 1, attained at n = 1.  A gap below the smallest normal double
+    raises Overflow: comparing an underflowed gap with its bound says
+    nothing.
     """
     lam = _check_lambda_above_one(model, lam)
     m = int(m)
     if m < 1:
         raise ValueError("m must be >= 1")
     gap = float(np.max(_ratios(model, lam) ** m))
+    if gap < np.finfo(np.float64).tiny:
+        raise Overflow(f"the gap underflowed: {gap:.3g} at m = {m}, below "
+                       f"the smallest normal double")
     bound = None
     if m >= 4:
         ratio = (lam - 1.0) / (lam + 1.0)

@@ -14,11 +14,14 @@ turns the weight into the (generalized) Laguerre weight u^(n-1) exp(-u).
 Quadrature results are never trusted blindly: every rule compares m with
 2m nodes from m = START_NODE_COUNT and doubles m until they agree; past
 MAX_NODE_COUNT (Gauss-Laguerre) or SIMPSON_MAX_PANELS (truncated Simpson,
-which reuses every node) it raises QuadratureUnstable.  Simpson nodes
-lie on uniform grids, so most are matrix products exp((u + 2h) B / lambda) =
-exp(u B / lambda) exp(2h B / lambda), with a direct expm every
-EXPM_ANCHOR_EVERY nodes.  The closed resolvent form is available as an
-independent reference.
+which reuses every node) it raises QuadratureUnstable.  The self-check
+cannot see what Simpson drops past its horizon, so the horizon follows the
+decay of the integrand: u = SIMPSON_HORIZON / (1 - w/lambda), with w the
+spectral abscissa of B clipped at 0, whatever the weight power.  Simpson
+nodes lie on uniform grids, so most are matrix products
+exp((u + 2h) B / lambda) = exp(u B / lambda) exp(2h B / lambda), with a
+direct expm every EXPM_ANCHOR_EVERY nodes.  The closed resolvent form is
+available as an independent reference.
 The substitution alpha = 1/(1 + lambda), T = I + B turns A~_lambda into
 the discrete Abel average of T exactly, which discrete_bridge checks as an
 algebraic identity.
@@ -50,30 +53,12 @@ START_NODE_COUNT = 64
 MAX_NODE_COUNT = 1024
 # Largest Simpson panel count m checked against 2m (32769 nodes).
 SIMPSON_MAX_PANELS = 8192
+# At Simpson's horizon the weight e^-u times the growth e^(u w / lambda) of
+# exp(u B / lambda) has fallen to e^-SIMPSON_HORIZON.
+SIMPSON_HORIZON = 40.0
 # Simpson takes every EXPM_ANCHOR_EVERY-th node of a progression by a direct
 # expm and the nodes between as products with the stride factor.
 EXPM_ANCHOR_EVERY = 32
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Quadrature scheme for the improper semigroup integrals.
-
-    Both schemes choose their node count by the self-check.  t_max_factor
-    is the Simpson truncation horizon as a multiple of 1/lambda (unused by
-    Gauss-Laguerre).
-    """
-
-    t_max_factor: float = 40.0
-    scheme: str = SCHEME_GAUSS_LAGUERRE
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t_max_factor)
-                and self.t_max_factor >= 10.0):
-            raise ValueError(f"t_max_factor must be finite and >= 10, "
-                             f"got {self.t_max_factor}")
-        if self.scheme not in (SCHEME_GAUSS_LAGUERRE, SCHEME_TRUNCATED_SIMPSON):
-            raise ValueError(f"unknown quadrature scheme: {self.scheme}")
 
 
 def laguerre_rule(node_count, power=0.0):
@@ -220,7 +205,9 @@ def _settle(estimates, m, max_m, rule):
         coarse = fine
 
 
-def _quadrature(B, lam, power, spec):
+def _quadrature(B, lam, power, scheme):
+    if scheme not in (SCHEME_GAUSS_LAGUERRE, SCHEME_TRUNCATED_SIMPSON):
+        raise ValueError(f"unknown quadrature scheme: {scheme}")
     B = linalg.as_matrix(B, square=True)
     lam = _check_lambda(lam)
     abscissa = _spectral_abscissa(B)
@@ -228,26 +215,30 @@ def _quadrature(B, lam, power, spec):
         raise IntegralDiverges(
             f"max Re sigma(B) = {abscissa:.6g} >= lambda = {lam:.6g}")
     m = START_NODE_COUNT
-    rule = f"{spec.scheme} with weight u^{power:g} e^-u"
-    if spec.scheme == SCHEME_GAUSS_LAGUERRE:
+    rule = f"{scheme} with weight u^{power:g} e^-u"
+    if scheme == SCHEME_GAUSS_LAGUERRE:
         rules = (_weighted_sum(B, lam, *laguerre_rule(m << k, power=power))
                  for k in itertools.count())
         return _settle(rules, m, MAX_NODE_COUNT, rule)
-    return _settle(_simpson_estimates(B, lam, power, m, spec.t_max_factor),
+    # as SIMPSON_HORIZON * lam / (lam - w), but exactly SIMPSON_HORIZON
+    # whenever w = 0
+    u_max = SIMPSON_HORIZON / (1.0 - max(abscissa, 0.0) / lam)
+    return _settle(_simpson_estimates(B, lam, power, m, u_max),
                    m, SIMPSON_MAX_PANELS, rule)
 
 
-def abel_average_quadrature(B, lam, spec=QuadratureSpec()):
+def abel_average_quadrature(B, lam, scheme=SCHEME_GAUSS_LAGUERRE):
     """Abel average by numerical integration of lambda e^(-lambda s) T_s.
 
     Requires max Re sigma(B) < lambda, otherwise the improper integral
-    diverges and IntegralDiverges is raised up front.  Returns (value, m):
+    diverges and IntegralDiverges is raised up front.  scheme is
+    SCHEME_GAUSS_LAGUERRE or SCHEME_TRUNCATED_SIMPSON.  Returns (value, m):
     the result at 2m nodes and the m it passed the self-check against.
     """
-    return _quadrature(B, lam, 0.0, spec)
+    return _quadrature(B, lam, 0.0, scheme)
 
 
-def abel_power_quadrature(B, lam, n, spec=QuadratureSpec()):
+def abel_power_quadrature(B, lam, n, scheme=SCHEME_GAUSS_LAGUERRE):
     """n-th power of the Abel average by a single weighted integral.
 
     Uses the generalized Laguerre weight u^(n-1) exp(-u) after the
@@ -258,7 +249,7 @@ def abel_power_quadrature(B, lam, n, spec=QuadratureSpec()):
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _quadrature(B, lam, float(n - 1), spec)
+    return _quadrature(B, lam, float(n - 1), scheme)
 
 
 @dataclass(frozen=True)

@@ -155,10 +155,12 @@ def test_semigroup_settles_truncated_oscillator_generator(tmp_path):
 
 
 def test_semigroup_nodes_flag_is_gone(tmp_path):
+    # the rules choose their node counts, and Simpson its horizon
     path = write_matrix(tmp_path, "b.json", [[-1.0]])
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["semigroup", path, "--lambda", "1.0", "--nodes", "64"])
-    assert exc.value.code == 2
+    for flag, value in (("--nodes", "64"), ("--t-max-factor", "40")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["semigroup", path, "--lambda", "1.0", flag, value])
+        assert exc.value.code == 2
 
 
 def test_semigroup_power_underflow_is_numerical_failure(tmp_path, capsys):
@@ -218,6 +220,17 @@ def test_oscillator_extreme_lambda(tmp_path, capsys, lam, code, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("m", ["650", "700"])
+def test_oscillator_gap_underflow_is_numerical_failure(tmp_path, capsys, m):
+    # (1/3)^650 is subnormal and (1/3)^700 is 0: the gap check against its
+    # bound would pass on digits that are no longer there
+    out = tmp_path / "report.json"
+    assert run_cli(["oscillator", "--lambda", "2", "--m", m,
+                    "--out", str(out)]) == 3
+    assert "the gap underflowed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_reproducible_reports(tmp_path):
     out1 = tmp_path / "g1.json"
     out2 = tmp_path / "g2.json"
@@ -261,18 +274,6 @@ def test_nonfinite_tolerance_exit_two(tmp_path, capsys, command, flag, value):
     assert run_cli([command, path, flag, value, "--out", str(out)]) == 2
     assert "must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_nonfinite_t_max_factor_exit_two(tmp_path, capsys, value):
-    # nan fails every comparison and inf puts 0 * inf on the Simpson grid:
-    # both must stop at the spec, before any expm or numpy warning
-    path = write_matrix(tmp_path, "b.json", [[-1.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run_cli(["semigroup", path, "--lambda", "1.0",
-                        "--t-max-factor", value]) == 2
-    assert "t_max_factor must be finite" in capsys.readouterr().err
 
 
 def test_resolvent_pole_exit_three(tmp_path):

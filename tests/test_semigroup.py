@@ -10,7 +10,7 @@ from abelerg import abel, linalg, semigroup
 from abelerg.errors import (IntegralDiverges, Overflow, PoleHit,
                             QuadratureUnstable, ResolventPole)
 
-SIMPSON = semigroup.QuadratureSpec(scheme=semigroup.SCHEME_TRUNCATED_SIMPSON)
+SIMPSON = semigroup.SCHEME_TRUNCATED_SIMPSON
 # ||B|| / lambda is about 2 at lambda = 1: Simpson settles past 64 panels
 STIFF = np.array([[-1.0, 0.5], [0.0, -2.0]])
 
@@ -29,17 +29,15 @@ def stable_generator(rng, n, lam=1.0):
     return S @ np.diag(re + 1j * im) @ np.linalg.inv(S)
 
 
-def test_quadrature_spec_validation():
+def test_unknown_quadrature_scheme_rejected():
     # the node count is the self-check's to choose, not the caller's
+    B = np.array([[-1.0]])
     with pytest.raises(TypeError):
-        semigroup.QuadratureSpec(node_count=64)
-    with pytest.raises(ValueError):
-        semigroup.QuadratureSpec(t_max_factor=2.0)
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="t_max_factor"):
-            semigroup.QuadratureSpec(t_max_factor=bad)
-    with pytest.raises(ValueError):
-        semigroup.QuadratureSpec(scheme="monte_carlo")
+        semigroup.abel_average_quadrature(B, 1.0, node_count=64)
+    with pytest.raises(ValueError, match="unknown quadrature scheme"):
+        semigroup.abel_average_quadrature(B, 1.0, "monte_carlo")
+    with pytest.raises(ValueError, match="unknown quadrature scheme"):
+        semigroup.abel_power_quadrature(B, 1.0, 2, "monte_carlo")
 
 
 def test_laguerre_rule_weights_sum_to_one():
@@ -112,6 +110,40 @@ def test_quadrature_simpson_scheme_agrees():
     quad, _ = semigroup.abel_average_quadrature(B, 1.0, SIMPSON)
     rel = np.linalg.norm(quad - closed, 2) / np.linalg.norm(closed, 2)
     assert rel <= 1e-6
+
+
+@pytest.mark.parametrize("B", [[[0.7]], [[0.8]], [[0.9]],
+                               [[0.9, 0.0], [0.3, -1.0]]])
+def test_simpson_horizon_covers_growing_semigroups(B):
+    # exp(tB) grows like e^(w t), w = 0.7 to 0.9: a horizon of 40 / lambda
+    # cuts the integrand at e^(-40 (1 - w)), e^-4 at w = 0.9, and the
+    # self-check cannot see the tail it dropped (1.8e-2 relative there)
+    B = np.array(B)
+    closed = semigroup.abel_average_closed(B, 1.0)
+    quad, _ = semigroup.abel_average_quadrature(B, 1.0, SIMPSON)
+    rel = np.linalg.norm(quad - closed, 2) / np.linalg.norm(closed, 2)
+    assert rel <= 1e-6
+
+
+def test_simpson_horizon_past_expm_range_overflows():
+    # the horizon 40 / (1 - 0.99) = 4000 puts e^3960 on the grid
+    with pytest.raises(Overflow):
+        semigroup.abel_average_quadrature(np.array([[0.99]]), 1.0, SIMPSON)
+
+
+def test_simpson_horizon_on_stable_generators_is_forty():
+    # bit for bit the grid of the fixed horizon 40; at the last lambda,
+    # 40 * lambda / lambda rounds to a neighbour of 40
+    rng = np.random.default_rng(137)
+    for lam in (0.1, 1.0, 10.0, 1.8389906439653343):
+        B = stable_generator(rng, 3, lam)
+        value, panels = semigroup.abel_average_quadrature(B, lam, SIMPSON)
+        ref, ref_panels = semigroup._settle(
+            semigroup._simpson_estimates(B, lam, 0.0,
+                                         semigroup.START_NODE_COUNT, 40.0),
+            semigroup.START_NODE_COUNT, semigroup.SIMPSON_MAX_PANELS, "ref")
+        assert panels == ref_panels
+        assert np.array_equal(value, ref)
 
 
 def count_expm_calls(monkeypatch):
@@ -281,11 +313,9 @@ def test_simpson_memory_does_not_grow_with_panel_count():
     rng = np.random.default_rng(131)
     n = 32
     B = stable_generator(rng, n)
-    spec = semigroup.QuadratureSpec(
-        t_max_factor=10.0, scheme=semigroup.SCHEME_TRUNCATED_SIMPSON)
     tracemalloc.start()
     try:
-        semigroup.abel_average_quadrature(B, 1.0, spec)
+        semigroup.abel_average_quadrature(B, 1.0, SIMPSON)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
