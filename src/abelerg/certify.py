@@ -193,6 +193,45 @@ def verify_equivalence(T, alphas=(0.1, 0.5, 0.9), tol=abel.DEFAULT_TOL,
                          "alphas": [float(a) for a in alphas]})
 
 
+# Bytes of running sums a sweep buffers for one batched SVD call, so the
+# sweeps hold O(max(SWEEP_CHUNK_BYTES, n^2)) memory whatever N_max.
+SWEEP_CHUNK_BYTES = 1 << 20
+
+
+def _sweep_sup(T, steps, alpha=None):
+    """sup over k <= steps of the weighted norms of the running sums
+
+        S_k = P_0 + ... + P_k,   P_0 = I,   P_k = P_(k-1) T (times alpha),
+
+    weighted 1 / (k + 1) without alpha (Cesaro) and 1 - alpha with it
+    (Abel).  The sums fill a buffer of SWEEP_CHUNK_BYTES whose norms one
+    batched SVD call takes; +inf if a sum overflows, since every later sum
+    is then non-finite too.
+    """
+    n = T.shape[0]
+    size = min(steps + 1, max(1, SWEEP_CHUNK_BYTES // (16 * n * n)))
+    buffer = np.empty((size, n, n), dtype=np.complex128)
+    P = S = np.eye(n, dtype=np.complex128)
+    sup = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps + 1):
+            if k:
+                P = P @ T if alpha is None else alpha * (P @ T)
+                S = S + P
+            i = k % size
+            buffer[i] = S
+            if i < size - 1 and k < steps:
+                continue
+            sums = buffer[:i + 1]
+            if not np.isfinite(sums).all():
+                return math.inf
+            norms = linalg.operator_norms(sums)
+            weighted = norms / np.arange(k - i + 1, k + 2) if alpha is None \
+                else (1.0 - alpha) * norms
+            sup = max(sup, float(weighted.max()))
+    return sup
+
+
 def cesaro_sup_estimate(T, N_max):
     """sup_{N <= N_max} of the Cesaro average norms, by a running sweep.
 
@@ -203,18 +242,7 @@ def cesaro_sup_estimate(T, N_max):
     N_max = int(N_max)
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
-    n = T.shape[0]
-    P = np.eye(n, dtype=np.complex128)
-    S = P.copy()
-    sup = linalg.operator_norm(S)
-    for N in range(2, N_max + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            P = P @ T
-        if not np.all(np.isfinite(P)):
-            return math.inf
-        S = S + P
-        sup = max(sup, linalg.operator_norm(S) / N)
-    return float(sup)
+    return _sweep_sup(T, N_max - 1)
 
 
 def abel_partial_sup_estimate(T, alpha_grid, N_max):
@@ -227,21 +255,8 @@ def abel_partial_sup_estimate(T, alpha_grid, N_max):
     N_max = int(N_max)
     if N_max < 0:
         raise ValueError("N_max must be >= 0")
-    n = T.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    sup = 0.0
-    for a in (abel.check_alpha(x) for x in alpha_grid):
-        P = eye.copy()
-        S = eye.copy()
-        sup = max(sup, (1.0 - a) * linalg.operator_norm(S))
-        for _ in range(N_max):
-            with np.errstate(over="ignore", invalid="ignore"):
-                P = a * (P @ T)
-            if not np.all(np.isfinite(P)):
-                return math.inf
-            S = S + P
-            sup = max(sup, (1.0 - a) * linalg.operator_norm(S))
-    return float(sup)
+    return max((_sweep_sup(T, N_max, abel.check_alpha(a)) for a in alpha_grid),
+               default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,12 @@ Quadrature results are never trusted blindly: every rule compares m with
 MAX_NODE_COUNT (Gauss-Laguerre) or SIMPSON_MAX_PANELS (truncated Simpson,
 which reuses every node) it raises QuadratureUnstable.  The self-check
 cannot see what Simpson drops past its horizon, so the horizon follows the
-decay of the integrand: u = SIMPSON_HORIZON / (1 - w/lambda), with w the
-spectral abscissa of B clipped at 0, whatever the weight power.  Simpson
-nodes lie on uniform grids, so most are matrix products
-exp((u + 2h) B / lambda) = exp(u B / lambda) exp(2h B / lambda), with a
-direct expm every EXPM_ANCHOR_EVERY nodes.  The closed resolvent form is
-available as an independent reference.
+decay of the integrand: u = (SIMPSON_HORIZON + p + 8 sqrt(p)) / (1 - w/lambda),
+with p the weight power (its mass sits near u = p) and w the spectral
+abscissa of B clipped at 0.  Simpson nodes lie on uniform grids, so most
+are matrix products exp((u + 2h) B / lambda) = exp(u B / lambda)
+exp(2h B / lambda), with a direct expm every EXPM_ANCHOR_EVERY nodes.
+The closed resolvent form is available as an independent reference.
 The substitution alpha = 1/(1 + lambda), T = I + B turns A~_lambda into
 the discrete Abel average of T exactly, which discrete_bridge checks as an
 algebraic identity.
@@ -54,7 +54,8 @@ MAX_NODE_COUNT = 1024
 # Largest Simpson panel count m checked against 2m (32769 nodes).
 SIMPSON_MAX_PANELS = 8192
 # At Simpson's horizon the weight e^-u times the growth e^(u w / lambda) of
-# exp(u B / lambda) has fallen to e^-SIMPSON_HORIZON.
+# exp(u B / lambda) has fallen to e^-SIMPSON_HORIZON; a weight u^p e^-u, which
+# peaks at u = p with width sqrt(p), moves the horizon out by p + 8 sqrt(p).
 SIMPSON_HORIZON = 40.0
 # Simpson takes every EXPM_ANCHOR_EVERY-th node of a progression by a direct
 # expm and the nodes between as products with the stride factor.
@@ -220,9 +221,9 @@ def _quadrature(B, lam, power, scheme):
         rules = (_weighted_sum(B, lam, *laguerre_rule(m << k, power=power))
                  for k in itertools.count())
         return _settle(rules, m, MAX_NODE_COUNT, rule)
-    # as SIMPSON_HORIZON * lam / (lam - w), but exactly SIMPSON_HORIZON
-    # whenever w = 0
-    u_max = SIMPSON_HORIZON / (1.0 - max(abscissa, 0.0) / lam)
+    # exactly SIMPSON_HORIZON whenever p = 0 and w = 0
+    u_max = (SIMPSON_HORIZON + power + 8.0 * math.sqrt(power)) \
+        / (1.0 - max(abscissa, 0.0) / lam)
     return _settle(_simpson_estimates(B, lam, power, m, u_max),
                    m, SIMPSON_MAX_PANELS, rule)
 

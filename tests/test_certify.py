@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,83 @@ def test_cesaro_sup_estimate_identity():
 
 def test_cesaro_sup_estimate_overflow_is_inf():
     assert certify.cesaro_sup_estimate(np.diag([4.0]), 600) == math.inf
+
+
+def test_cesaro_sup_estimate_sum_overflow_is_inf():
+    # the running sum overflows one step before the term does; the sweep
+    # used to raise "matrix entries must be finite" there
+    assert certify.cesaro_sup_estimate(np.diag([3.6]), 1000) == math.inf
+
+
+def test_abel_partial_sup_estimate_sum_overflow_is_inf():
+    assert certify.abel_partial_sup_estimate(
+        np.diag([4.0]), (0.1, 0.5, 0.9), 1000) == math.inf
+
+
+def reference_cesaro_sup(T, N_max):
+    # the Cesaro sweep with one operator_norm call per prefix sum
+    P = S = np.eye(T.shape[0], dtype=np.complex128)
+    sup = linalg.operator_norm(S)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for N in range(2, N_max + 1):
+            P = P @ T
+            S = S + P
+            if not np.isfinite(S).all():
+                return math.inf
+            sup = max(sup, linalg.operator_norm(S) / N)
+    return sup
+
+
+def reference_abel_partial_sup(T, alphas, N_max):
+    # the Abel sweep with one operator_norm call per prefix sum
+    sup = 0.0
+    for a in alphas:
+        P = S = np.eye(T.shape[0], dtype=np.complex128)
+        sup = max(sup, (1.0 - a) * linalg.operator_norm(S))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(N_max):
+                P = a * (P @ T)
+                S = S + P
+                if not np.isfinite(S).all():
+                    return math.inf
+                sup = max(sup, (1.0 - a) * linalg.operator_norm(S))
+    return sup
+
+
+def assert_sweeps_match_reference(T, N_max, alphas=(0.1, 0.5, 0.9)):
+    """Both batched sweeps equal the per-prefix reference bit for bit."""
+    T = np.asarray(T, dtype=np.complex128)
+    if N_max >= 1:
+        assert certify.cesaro_sup_estimate(T, N_max) \
+            == reference_cesaro_sup(T, N_max)
+    assert certify.abel_partial_sup_estimate(T, alphas, N_max) \
+        == reference_abel_partial_sup(T, alphas, N_max)
+
+
+def test_sweeps_match_per_prefix_reference():
+    # one cycle of the default kinds; the escapes grow like 1.9^N
+    for inst in certify.generate_instances(5, count=6, dims=(2, 16)):
+        for N_max in (0, 1, 1000):
+            assert_sweeps_match_reference(inst.matrix, N_max)
+    # n = 64 buffers 16 sums: N_max = 100 takes 7 buffers, the last partial
+    T = certify.generate_instances(7, count=1, dims=(64, 64))[0].matrix
+    assert certify.SWEEP_CHUNK_BYTES // (16 * 64 * 64) == 16
+    assert_sweeps_match_reference(T, 100)
+
+
+def test_sweep_memory_is_bounded():
+    # one buffer of SWEEP_CHUNK_BYTES (here a single 1 MiB sum) and a few
+    # n x n matrices whatever N_max; keeping every sum would take 50
+    n = 256
+    T = certify.generate_instances(3, count=1, dims=(n, n))[0].matrix
+    tracemalloc.start()
+    try:
+        certify.cesaro_sup_estimate(T, 50)
+        certify.abel_partial_sup_estimate(T, (0.5,), 50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * max(certify.SWEEP_CHUNK_BYTES, 16 * n * n)
 
 
 def test_abel_partial_sup_matches_norm_bound():

@@ -125,6 +125,19 @@ def test_simpson_horizon_covers_growing_semigroups(B):
     assert rel <= 1e-6
 
 
+@pytest.mark.parametrize("n", [30, 40, 60, 100])
+@pytest.mark.parametrize("B", [[[-0.5]], [[-0.01]], [[0.5]],
+                               [[-1.0, 2.0], [0.0, -0.2]]])
+def test_simpson_horizon_covers_the_power_weight(B, n):
+    # the weight u^(n-1) e^-u peaks near u = n - 1; a horizon of 40 cut it
+    # off unseen by the self-check (0.48 relative on [[-0.5]] at n = 60)
+    B = np.array(B, dtype=np.complex128)
+    exact = np.linalg.matrix_power(semigroup.abel_average_closed(B, 1.0), n)
+    quad, _ = semigroup.abel_power_quadrature(B, 1.0, n, SIMPSON)
+    rel = np.linalg.norm(quad - exact, 2) / np.linalg.norm(exact, 2)
+    assert rel <= 1e-6
+
+
 def test_simpson_horizon_past_expm_range_overflows():
     # the horizon 40 / (1 - 0.99) = 4000 puts e^3960 on the grid
     with pytest.raises(Overflow):
