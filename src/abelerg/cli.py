@@ -73,7 +73,7 @@ def cmd_certify(args):
     result = certify.verify_equivalence(
         T, alphas=alphas, tol=args.tol, rank_tol=rank_tol)
     report = _report_skeleton("certify", {
-        "matrix": matrixio.serialize_matrix(T),
+        "matrix": matrixio.matrix_fingerprint(T),
         "alphas": list(alphas), "tol": args.tol, "rank_tol": rank_tol,
     })
     report["condition_i"] = _condition_i_payload(result.condition_i)
@@ -92,7 +92,7 @@ def cmd_abel_power(args):
         else DEFAULT_HISTORY_PATH
     matrixio.write_history_csv(csv_path, result.history)
     report = _report_skeleton("abel-power", {
-        "matrix": matrixio.serialize_matrix(T),
+        "matrix": matrixio.matrix_fingerprint(T),
         "alpha": alpha, "tol": args.tol,
     })
     report["alpha"] = alpha
@@ -113,7 +113,7 @@ def cmd_cesaro(args):
     C = abel.cesaro_average(T, args.n)
     sweep_cap = min(args.n, 1000)
     report = _report_skeleton("cesaro", {
-        "matrix": matrixio.serialize_matrix(T), "n": args.n,
+        "matrix": matrixio.matrix_fingerprint(T), "n": args.n,
     })
     report["n"] = args.n
     report["average"] = matrixio.serialize_matrix(C)
@@ -144,7 +144,7 @@ def cmd_semigroup(args):
     bridge = semigroup.discrete_bridge(B, args.lam)
 
     report = _report_skeleton("semigroup", {
-        "matrix": matrixio.serialize_matrix(B),
+        "matrix": matrixio.matrix_fingerprint(B),
         "lambda": args.lam, "n": args.n,
     })
     report["lambda"] = args.lam

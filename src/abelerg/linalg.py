@@ -262,13 +262,3 @@ def norm_at_most(A, bound):
     norm = operator_norm(A)
     return NormTest(norm <= bound, upper, norm)
 
-
-def hermitian_part_max_eig(T):
-    """Largest eigenvalue of (T + T*)/2.
-
-    In an inner-product space this equals max Re W(T), the rightmost point
-    of the numerical range's real part.
-    """
-    T = as_matrix(T, square=True)
-    H = (T + T.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(H)[-1])

@@ -125,6 +125,20 @@ def serialize_matrix(M):
     }
 
 
+def matrix_fingerprint(M):
+    """Shape and SHA-256 of a 2d matrix's little-endian complex128 bytes.
+
+    Identifies an input matrix in a report's inputs_digest without
+    formatting its entries: two matrices get the same fingerprint exactly
+    when their shapes and the bits of their entries (the sign of zero
+    included) are equal, on any platform and for any memory layout.
+    """
+    M = np.ascontiguousarray(M, dtype="<c16")
+    rows, cols = M.shape
+    return {"rows": rows, "cols": cols,
+            "sha256": hashlib.sha256(M.data).hexdigest()}
+
+
 def _format_float(x):
     if math.isnan(x):
         return '"nan"'

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from abelerg import linalg
@@ -11,3 +12,16 @@ def svd_calls(monkeypatch):
     monkeypatch.setattr(linalg, "operator_norm",
                         lambda A: calls.append(1) or original(A))
     return calls
+
+
+@pytest.fixture
+def hermitian_part_max_eig():
+    """Largest eigenvalue of (T + T*)/2, as a function of T.
+
+    In an inner-product space this equals max Re W(T), the rightmost point
+    of the numerical range's real part; tests use it to build instances.
+    """
+    def max_eig(T):
+        T = np.asarray(T, dtype=np.complex128)
+        return float(np.linalg.eigvalsh((T + T.conj().T) / 2.0)[-1])
+    return max_eig

@@ -318,3 +318,58 @@ def test_cli_reports_are_deterministic(tmp_path):
     assert run_cli(["certify", path, "--out", str(out1)]) == 0
     assert run_cli(["certify", path, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _certify_digest(path, tmp_path, flags=()):
+    out = tmp_path / "digest-report.json"
+    assert run_cli(["certify", path, *flags, "--out", str(out)]) == 0
+    return json.loads(out.read_text())["inputs_digest"]
+
+
+def test_certify_inputs_digest_is_pinned(tmp_path):
+    # the hash of the shape and little-endian complex128 bytes, plus flags
+    path = write_matrix(tmp_path, "m.json",
+                        [[1.0, 0.5 - 0.25j], [0.0, 1 / 3 + 1e-300j]])
+    flags = ["--alpha", "0.25", "--alpha", "0.75", "--tol", "1e-9",
+             "--rank-tol", "1e-8"]
+    assert _certify_digest(path, tmp_path, flags) == \
+        "ca2a6658b1bf83ec29a93948ba8cc269ca6aad0aecfc22e340f0dddb3cc50e05"
+
+
+def write_matrix_plain(tmp_path, name, M):
+    """Write M with json.dumps, as perfbench/workloads.py does: -0.0 stays
+    "-0.0", where canonical_json's "-0" parses back as +0.0."""
+    M = np.asarray(M, dtype=np.complex128)
+    path = tmp_path / name
+    path.write_text(json.dumps({
+        "rows": M.shape[0], "cols": M.shape[1],
+        "data": np.stack([M.real.ravel(), M.imag.ravel()], axis=1).tolist()}))
+    return str(path)
+
+
+def test_inputs_digest_sees_the_sign_of_zero(tmp_path):
+    plus = write_matrix_plain(tmp_path, "plus.json", np.diag([0.5, 0.0]))
+    minus = write_matrix_plain(tmp_path, "minus.json", np.diag([0.5, -0.0]))
+    assert "-0.0" in (tmp_path / "minus.json").read_text()
+    assert _certify_digest(plus, tmp_path) != \
+        _certify_digest(minus, tmp_path)
+
+
+def test_inputs_digest_ignores_how_the_file_was_written(tmp_path):
+    M = np.array([[0.1 + 0.2j, -1e-17], [2.0 ** 60, 1 / 7 - 3j]])
+    canonical = write_matrix(tmp_path, "canonical.json", M)
+    plain = write_matrix_plain(tmp_path, "plain.json", M)
+    assert (tmp_path / "plain.json").read_text() != \
+        (tmp_path / "canonical.json").read_text()
+    assert _certify_digest(canonical, tmp_path) == \
+        _certify_digest(plain, tmp_path)
+
+
+def test_certify_does_not_reserialize_its_input(tmp_path, monkeypatch):
+    path = write_matrix(tmp_path, "m.json", np.diag([1.0, 0.5]))
+
+    def refuse(M):
+        raise AssertionError("the input matrix was serialized again")
+
+    monkeypatch.setattr(matrixio, "serialize_matrix", refuse)
+    assert len(_certify_digest(path, tmp_path)) == 64

@@ -168,6 +168,23 @@ def test_payload_digest_stable_and_sensitive():
         "d6c2ce9b2212ea5ea80794d314ff5659a381cd55c51372f7fbf91d97e231b390"
 
 
+def test_matrix_fingerprint_tells_shapes_apart():
+    values = np.array([1 + 2j, -0.5, 3j, 0.25 - 1j])
+    digests = {matrixio.payload_digest({"matrix": matrixio.matrix_fingerprint(
+        values.reshape(shape))}) for shape in ((1, 4), (2, 2), (4, 1))}
+    assert len(digests) == 3
+
+
+def test_matrix_fingerprint_ignores_memory_layout():
+    M = np.arange(12.0).reshape(3, 4) * (1 - 0.5j)
+    assert matrixio.matrix_fingerprint(M.T) == \
+        matrixio.matrix_fingerprint(M.T.copy())
+    assert matrixio.matrix_fingerprint(M.T)["rows"] == 4
+    # the dtype is fixed before hashing: real input hashes as complex128
+    assert matrixio.matrix_fingerprint(M.real) == \
+        matrixio.matrix_fingerprint(M.real.astype(np.complex128))
+
+
 def test_write_history_csv_format(tmp_path):
     path = tmp_path / "history.csv"
     matrixio.write_history_csv(path, [(1, 0.5), (2, 0.25),
