@@ -34,7 +34,6 @@ from .semigroup import (
     abel_average_closed,
     abel_average_quadrature,
     abel_power_quadrature,
-    discrete_bridge,
     laguerre_rule,
 )
 
@@ -50,7 +49,6 @@ __all__ = [
     "cesaro_average",
     "check_power_convergence",
     "check_spectral_condition",
-    "discrete_bridge",
     "eigen_residual",
     "first_order_gap",
     "generate_instances",

@@ -11,10 +11,8 @@ error; 3 = numerical failure.
 import argparse
 import sys
 
-import numpy as np
-
 from . import abel, certify, linalg, matrixio, oscillator, semigroup
-from .errors import AbelergError, DimensionMismatch, Overflow, ParseError
+from .errors import AbelergError, DimensionMismatch, ParseError
 
 EXIT_COMPUTED = 0
 EXIT_INPUT_ERROR = 2
@@ -126,43 +124,13 @@ def cmd_cesaro(args):
 
 def cmd_semigroup(args):
     B = matrixio.load_matrix(args.matrix)
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
-    tiny = float(np.finfo(np.float64).tiny)
-    closed = semigroup.abel_average_closed(B, args.lam)
-    scale = max(linalg.operator_norm(closed), tiny)
-    quad, gl_nodes = semigroup.abel_average_quadrature(B, args.lam)
-    simpson, simpson_panels = semigroup.abel_average_quadrature(
-        B, args.lam, semigroup.SCHEME_TRUNCATED_SIMPSON)
-    power_int, power_nodes = semigroup.abel_power_quadrature(
-        B, args.lam, args.n)
-    closed_power = np.linalg.matrix_power(closed, args.n)
-    power_scale = linalg.operator_norm(closed_power)
-    if power_scale < tiny:
-        raise Overflow(f"the power underflowed: ||closed form^{args.n}|| = "
-                       f"{power_scale:.3g}, below the smallest normal double")
-    bridge = semigroup.discrete_bridge(B, args.lam)
-
+    fields = semigroup.check(B, args.lam, args.n)
     report = _report_skeleton("semigroup", {
         "matrix": matrixio.matrix_fingerprint(B),
         "lambda": args.lam, "n": args.n,
     })
-    report["lambda"] = args.lam
-    report["n"] = args.n
-    report["closed_form"] = matrixio.serialize_matrix(closed)
-    report["gauss_laguerre_relative_defect"] = \
-        linalg.operator_norm(quad - closed) / scale
-    report["simpson_relative_defect"] = \
-        linalg.operator_norm(simpson - closed) / scale
-    report["gauss_laguerre_nodes"] = gl_nodes
-    report["simpson_panels"] = simpson_panels
-    report["power_integral_nodes"] = power_nodes
-    report["power_integral_relative_defect"] = \
-        linalg.operator_norm(power_int - closed_power) / power_scale
-    report["bridge"] = {
-        "alpha": bridge.alpha, "defect": bridge.defect,
-        "relative_defect": bridge.relative_defect,
-    }
+    report.update(fields)
+    report["closed_form"] = matrixio.serialize_matrix(report["closed_form"])
     return report
 
 
@@ -170,19 +138,6 @@ def cmd_oscillator(args):
     model = oscillator.DiagonalOscillator(truncation=args.truncation)
     gap = oscillator.scaled_resolvent_power_gap(model, args.lam, args.m)
     c_val = oscillator.c_constant(model, args.lam)
-    residuals = {
-        str(n): oscillator.eigen_residual(n, step=1e-3, half_width=12.0)
-        for n in range(7)
-    }
-
-    t = np.linspace(-12.0, 12.0, 24001)
-    weights = np.full(t.size, t[1] - t[0])
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    rows = np.stack([oscillator.hermite_function(n, t) for n in range(10)])
-    gram = (rows * weights) @ rows.T
-    gram_defect = float(np.max(np.abs(gram - np.eye(10))))
-
     report = _report_skeleton("oscillator", {
         "lambda": args.lam, "m": args.m, "truncation": args.truncation,
     })
@@ -196,8 +151,9 @@ def cmd_oscillator(args):
         "value": c_val.value, "tail_bound": c_val.tail_bound,
         "estimate": c_val.estimate,
     }
-    report["eigen_residuals"] = residuals
-    report["gram_defect"] = gram_defect
+    report["eigen_residuals"] = {
+        str(n): oscillator.eigen_residual(n) for n in range(7)}
+    report["gram_defect"] = oscillator.gram_defect(10)
     return report
 
 

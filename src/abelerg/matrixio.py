@@ -102,7 +102,9 @@ def _bulk_pairs(data):
 def parse_matrix(text):
     """Parse the strict matrix JSON format from a string."""
     try:
-        payload = json.loads(text, parse_constant=_reject_constant)
+        # canonical_json writes -0.0 as "-0", which int() reads as +0
+        payload = json.loads(text, parse_constant=_reject_constant,
+                             parse_int=lambda s: -0.0 if s == "-0" else int(s))
     except ValueError as exc:   # JSONDecodeError, or an over-long integer
         raise ParseError(f"invalid JSON: {exc}") from exc
     return matrix_from_payload(payload)

@@ -30,7 +30,8 @@ DEFAULT_TRUNCATION = 10_000
 # this length (8 MB each at the cap).
 MAX_TRUNCATION = 1_000_000
 # Largest grid of eigen_residual, which holds a few float arrays of this
-# length (8 MB each at the cap); the CLI's grid has 24001 points.
+# length (8 MB each at the cap); its default grid, which gram_defect also
+# uses, has 24001 points.
 MAX_RESIDUAL_GRID_POINTS = 1_000_000
 
 
@@ -209,3 +210,18 @@ def eigen_residual(n, step=1e-3, half_width=12.0):
         raise GridTooCoarse(
             f"residual {worst:.3e} exceeds budget {budget:.3e} at step {h}")
     return worst
+
+
+def gram_defect(count):
+    """max |<x_j, x_k> - delta_jk| over the first count Hermite functions.
+
+    The inner products are trapezoidal sums on eigen_residual's default
+    grid, 24001 points on [-12, 12].
+    """
+    t = np.linspace(-12.0, 12.0, 24001)
+    weights = np.full(t.size, t[1] - t[0])
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    rows = np.stack([hermite_function(n, t) for n in range(count)])
+    gram = (rows * weights) @ rows.T
+    return float(np.max(np.abs(gram - np.eye(count))))

@@ -23,14 +23,13 @@ are matrix products exp((u + 2h) B / lambda) = exp(u B / lambda)
 exp(2h B / lambda), with a direct expm every EXPM_ANCHOR_EVERY nodes.
 The closed resolvent form is available as an independent reference.
 The substitution alpha = 1/(1 + lambda), T = I + B turns A~_lambda into
-the discrete Abel average of T exactly, which discrete_bridge checks as an
-algebraic identity.
+the discrete Abel average of T exactly, an algebraic identity whose
+defect check() reports next to the quadratures.
 """
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eig_banded
@@ -105,10 +104,11 @@ def _check_lambda(lam):
 
 def abel_average_closed(B, lam):
     """lambda (lambda I - B)^{-1}, the resolvent form of the Abel average."""
-    B = linalg.as_matrix(B, square=True)
-    lam = _check_lambda(lam)
-    n = B.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
+    return _resolvent(linalg.as_matrix(B, square=True), _check_lambda(lam))
+
+
+def _resolvent(B, lam):
+    eye = np.eye(B.shape[0], dtype=np.complex128)
     try:
         return linalg.solve_linear(lam * eye - B, lam * eye)
     except SingularMatrix as exc:
@@ -116,9 +116,14 @@ def abel_average_closed(B, lam):
             f"lambda = {lam:.17g} lies in the numerical spectrum of B") from exc
 
 
-def _spectral_abscissa(B):
-    values = linalg.eigendecompose(B).values
-    return float(np.max(values.real)) if values.size else 0.0
+def _abscissa(B, lam):
+    """max Re sigma(B), from one Schur form; IntegralDiverges unless it
+    lies below lambda."""
+    abscissa = float(np.max(linalg.eigendecompose(B).values.real))
+    if abscissa >= lam:
+        raise IntegralDiverges(
+            f"max Re sigma(B) = {abscissa:.6g} >= lambda = {lam:.6g}")
+    return abscissa
 
 
 def _weighted_sum(B, lam, nodes, weights):
@@ -195,10 +200,10 @@ def _settle(estimates, m, max_m, rule):
     while True:
         fine = next(estimates)
         scale = max(linalg.operator_norm(fine), np.finfo(np.float64).tiny)
-        disagreement = linalg.operator_norm(coarse - fine) / scale
-        if disagreement <= SELF_CHECK_TOL:
+        if linalg.norm_at_most(coarse - fine, SELF_CHECK_TOL * scale):
             return fine, m
         if 2 * m > max_m:
+            disagreement = linalg.operator_norm(coarse - fine) / scale
             raise QuadratureUnstable(
                 f"{rule}: node counts {m} and {2 * m} disagree by "
                 f"{disagreement:.3e} relative (> {SELF_CHECK_TOL})")
@@ -206,15 +211,11 @@ def _settle(estimates, m, max_m, rule):
         coarse = fine
 
 
-def _quadrature(B, lam, power, scheme):
+def _quadrature(B, lam, abscissa, power, scheme):
+    """(value, m) of the scheme on a validated B and lambda, with abscissa
+    from _abscissa(B, lam)."""
     if scheme not in (SCHEME_GAUSS_LAGUERRE, SCHEME_TRUNCATED_SIMPSON):
         raise ValueError(f"unknown quadrature scheme: {scheme}")
-    B = linalg.as_matrix(B, square=True)
-    lam = _check_lambda(lam)
-    abscissa = _spectral_abscissa(B)
-    if abscissa >= lam:
-        raise IntegralDiverges(
-            f"max Re sigma(B) = {abscissa:.6g} >= lambda = {lam:.6g}")
     m = START_NODE_COUNT
     rule = f"{scheme} with weight u^{power:g} e^-u"
     if scheme == SCHEME_GAUSS_LAGUERRE:
@@ -236,7 +237,9 @@ def abel_average_quadrature(B, lam, scheme=SCHEME_GAUSS_LAGUERRE):
     SCHEME_GAUSS_LAGUERRE or SCHEME_TRUNCATED_SIMPSON.  Returns (value, m):
     the result at 2m nodes and the m it passed the self-check against.
     """
-    return _quadrature(B, lam, 0.0, scheme)
+    B = linalg.as_matrix(B, square=True)
+    lam = _check_lambda(lam)
+    return _quadrature(B, lam, _abscissa(B, lam), 0.0, scheme)
 
 
 def abel_power_quadrature(B, lam, n, scheme=SCHEME_GAUSS_LAGUERRE):
@@ -250,32 +253,53 @@ def abel_power_quadrature(B, lam, n, scheme=SCHEME_GAUSS_LAGUERRE):
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _quadrature(B, lam, float(n - 1), scheme)
-
-
-@dataclass(frozen=True)
-class BridgeReport:
-    """Defect of the identity A~_lambda = A_alpha(I + B), alpha = 1/(1+lambda)."""
-
-    lam: float
-    alpha: float
-    defect: float
-    relative_defect: float
-
-
-def discrete_bridge(B, lam):
-    """Compare the continuous average with its discrete counterpart.
-
-    Pure resolvent algebra makes the two sides equal; the reported defect
-    is floating-point noise unless something is wrong.
-    """
     B = linalg.as_matrix(B, square=True)
     lam = _check_lambda(lam)
+    return _quadrature(B, lam, _abscissa(B, lam), float(n - 1), scheme)
+
+
+def check(B, lam, n):
+    """The semigroup report's fields under its keys; closed_form is a matrix.
+
+    Gauss-Laguerre and truncated Simpson are compared with the closed form,
+    the power integral with its n-th power, and the discrete average
+    A_alpha(I + B), alpha = 1/(1 + lambda), with the closed form (the
+    bridge), all from one resolvent solve and one Schur form.  A closed
+    power below the smallest normal double raises Overflow: its check
+    would compare zero with zero.
+    """
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    B = linalg.as_matrix(B, square=True)
+    lam = _check_lambda(lam)
+    tiny = np.finfo(np.float64).tiny
+    closed = _resolvent(B, lam)
+    scale = max(linalg.operator_norm(closed), tiny)
+    abscissa = _abscissa(B, lam)
+    quad, gl_nodes = _quadrature(B, lam, abscissa, 0.0, SCHEME_GAUSS_LAGUERRE)
+    simpson, panels = _quadrature(B, lam, abscissa, 0.0,
+                                  SCHEME_TRUNCATED_SIMPSON)
+    power, power_nodes = _quadrature(B, lam, abscissa, float(n - 1),
+                                     SCHEME_GAUSS_LAGUERRE)
+    closed_power = np.linalg.matrix_power(closed, n)
+    power_scale = linalg.operator_norm(closed_power)
+    if power_scale < tiny:
+        raise Overflow(f"the power underflowed: ||closed form^{n}|| = "
+                       f"{power_scale:.3g}, below the smallest normal double")
     alpha = 1.0 / (1.0 + lam)
-    continuous = abel_average_closed(B, lam)
-    n = B.shape[0]
-    discrete = abel.abel_average(np.eye(n, dtype=np.complex128) + B, alpha)
-    defect = linalg.operator_norm(continuous - discrete)
-    scale = max(linalg.operator_norm(continuous), np.finfo(np.float64).tiny)
-    return BridgeReport(lam=lam, alpha=alpha, defect=float(defect),
-                        relative_defect=float(defect / scale))
+    bridge = linalg.operator_norm(
+        closed - abel.abel_average(np.eye(B.shape[0]) + B, alpha))
+    return {
+        "lambda": lam, "n": n, "closed_form": closed,
+        "gauss_laguerre_relative_defect":
+            linalg.operator_norm(quad - closed) / scale,
+        "simpson_relative_defect":
+            linalg.operator_norm(simpson - closed) / scale,
+        "power_integral_relative_defect":
+            linalg.operator_norm(power - closed_power) / power_scale,
+        "gauss_laguerre_nodes": gl_nodes, "simpson_panels": panels,
+        "power_integral_nodes": power_nodes,
+        "bridge": {"alpha": alpha, "defect": bridge,
+                   "relative_defect": bridge / scale},
+    }

@@ -172,19 +172,20 @@ def test_semigroup_quadrature():
         lam = (0.1, 1.0, 10.0)[k % 3]
         n = int(rng.integers(2, 7))
         B = stable_generator(rng, n, lam)
-        closed = semigroup.abel_average_closed(B, lam)
-        scale = linalg.operator_norm(closed)
-        quad, _ = semigroup.abel_average_quadrature(B, lam)
-        worst_gl = max(worst_gl,
-                       linalg.operator_norm(quad - closed) / scale)
-        for p in (1, 2, 4, 8):
+        fields = semigroup.check(B, lam, 1)
+        closed = fields["closed_form"]
+        worst_gl = max(worst_gl, fields["gauss_laguerre_relative_defect"])
+        # check's power integral is the p = 1 case
+        worst_power = max(worst_power,
+                          fields["power_integral_relative_defect"])
+        for p in (2, 4, 8):
             ref = np.linalg.matrix_power(closed, p)
             P, _ = semigroup.abel_power_quadrature(B, lam, p)
             worst_power = max(
                 worst_power,
                 linalg.operator_norm(P - ref) / linalg.operator_norm(ref))
         worst_bridge = max(worst_bridge,
-                           semigroup.discrete_bridge(B, lam).relative_defect)
+                           fields["bridge"]["relative_defect"])
     assert worst_gl <= 1e-6
     assert worst_power <= 1e-6
     assert worst_bridge <= 1e-12

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import abelerg
-from abelerg import certify, cli, matrixio, oscillator, semigroup
+from abelerg import certify, cli, linalg, matrixio, oscillator, semigroup
 
 
 def write_matrix(tmp_path, name, M):
@@ -152,6 +152,23 @@ def test_semigroup_settles_truncated_oscillator_generator(tmp_path):
     assert report["power_integral_nodes"] == 64
     assert report["gauss_laguerre_relative_defect"] <= 1e-6
     assert report["power_integral_relative_defect"] <= 1e-6
+
+
+def test_semigroup_request_takes_one_schur_form_and_two_solves(
+        tmp_path, monkeypatch):
+    # the resolvent of B, then the discrete Abel average of I + B; the
+    # spectral abscissa of B serves all three quadratures
+    calls = {"eigendecompose": 0, "solve_linear": 0}
+    for name in calls:
+        def counted(*args, _name=name, _func=getattr(linalg, name)):
+            calls[_name] += 1
+            return _func(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    path = write_matrix(tmp_path, "b.json",
+                        [[-1.0, 0.5, 0.0], [0.0, -2.0, 0.3], [0.1, 0.0, -0.5]])
+    assert run_cli(["semigroup", path, "--lambda", "1.0", "--n", "3",
+                    "--out", str(tmp_path / "report.json")]) == 0
+    assert calls == {"eigendecompose": 1, "solve_linear": 2}
 
 
 def test_semigroup_nodes_flag_is_gone(tmp_path):
@@ -312,12 +329,20 @@ def test_console_entry_point_help():
 
 
 def test_cli_reports_are_deterministic(tmp_path):
-    path = write_matrix(tmp_path, "m.json", [[1.0, 1.0], [0.0, 1.0]])
-    out1 = tmp_path / "r1.json"
-    out2 = tmp_path / "r2.json"
-    assert run_cli(["certify", path, "--out", str(out1)]) == 0
-    assert run_cli(["certify", path, "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    # every command, run twice on the same input to the same --out (the
+    # abel-power report names its CSV's path), writes the same bytes
+    m = write_matrix(tmp_path, "m.json", [[1.0, 1.0], [0.0, 1.0]])
+    b = write_matrix(tmp_path, "b.json", [[-1.0, 0.5], [0.0, -2.0]])
+    out = tmp_path / "r.json"
+    for args in (["certify", m], ["abel-power", m], ["cesaro", m, "--n", "50"],
+                 ["semigroup", b, "--lambda", "1.0", "--n", "3"],
+                 ["oscillator"], ["generate", "--seed", "5", "--count", "3"]):
+        outputs = []
+        for _ in range(2):
+            assert run_cli(args + ["--out", str(out)]) == 0
+            outputs.append(sorted((p.name, p.read_bytes())
+                                  for p in tmp_path.glob("r.json*")))
+        assert outputs[0] == outputs[1], args[0]
 
 
 def _certify_digest(path, tmp_path, flags=()):
@@ -338,7 +363,7 @@ def test_certify_inputs_digest_is_pinned(tmp_path):
 
 def write_matrix_plain(tmp_path, name, M):
     """Write M with json.dumps, as perfbench/workloads.py does: -0.0 stays
-    "-0.0", where canonical_json's "-0" parses back as +0.0."""
+    "-0.0", where canonical_json writes "-0"."""
     M = np.asarray(M, dtype=np.complex128)
     path = tmp_path / name
     path.write_text(json.dumps({

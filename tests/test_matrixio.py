@@ -86,6 +86,15 @@ def test_serialize_parse_round_trip_bit_exact():
             matrixio.serialize_matrix(M.T.copy())
 
 
+def test_negative_zero_survives_the_round_trip():
+    # canonical_json writes -0.0 as "-0"; the parser reads that as -0.0
+    text = matrixio.canonical_json(matrixio.serialize_matrix(
+        np.array([[complex(-0.0, 0.0)]])))
+    assert '"data": [[-0, 0]]' in text
+    back = matrixio.parse_matrix(text)[0, 0]
+    assert np.signbit(back.real) and not np.signbit(back.imag)
+
+
 def _generic_pairs_text(data):
     """The generic recursion, pair by pair: the reference for the fast path."""
     return "[" + ", ".join(matrixio._canonical(pair) for pair in data) + "]"

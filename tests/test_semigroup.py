@@ -247,6 +247,26 @@ def test_simpson_cap_raises_quadrature_unstable(monkeypatch):
     assert len(calls) == simpson_expm_calls(m)
 
 
+def test_settle_decides_from_norm_bounds(monkeypatch):
+    # 4x4 differences whose column and Frobenius bounds clear the tolerance
+    # either way: the only SVDs are the scales ||fine||, and the exact
+    # disagreement is taken for the failure message alone
+    svds = []
+    operator_norm = linalg.operator_norm
+    monkeypatch.setattr(linalg, "operator_norm",
+                        lambda A: svds.append(A) or operator_norm(A))
+    E = np.zeros((4, 4))
+    E[0, 0] = 1.0
+    estimates = [np.eye(4) + d * E for d in (1e-2, 1e-4, 1e-4 + 1e-7)]
+    value, m = semigroup._settle(iter(estimates), 64, 1024, "rule")
+    assert m == 128 and value is estimates[2]
+    assert len(svds) == 2
+    with pytest.raises(QuadratureUnstable,
+                       match=r"rule: node counts 64 and 128 disagree by "
+                             r"9\.899e-03 relative"):
+        semigroup._settle(iter(estimates), 64, 64, "rule")
+
+
 def reference_simpson(B, lam, power, panels, u_max):
     """Simpson estimates with one expm per node: the product chain's
     reference."""
@@ -386,9 +406,16 @@ def test_discrete_bridge_is_algebraic_identity():
         n = int(rng.integers(2, 7))
         B = stable_generator(rng, n)
         lam = float(10.0 ** rng.uniform(-1.0, 1.0))
-        rep = semigroup.discrete_bridge(B, lam)
-        assert rep.relative_defect <= 1e-12
-        assert abs(rep.alpha - 1.0 / (1.0 + lam)) <= 1e-15
+        rep = semigroup.check(B, lam, 1)["bridge"]
+        assert rep["relative_defect"] <= 1e-12
+        assert abs(rep["alpha"] - 1.0 / (1.0 + lam)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_check_rejects_powers_below_one(n):
+    # a negative n would reach matrix_power as a power of the inverse
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        semigroup.check(np.array([[-1.0]]), 1.0, n)
 
 
 def test_ergodic_projection_kernel_of_generator():
