@@ -41,11 +41,12 @@ def check_alpha(alpha):
 
 @dataclass(frozen=True)
 class RieszProjection:
-    """Projection E onto Ker(I - T) along Im(I - T), with basis witnesses."""
+    """Projection E onto Ker(I - T) along Im(I - T), with the orthonormal
+    kernel and image bases (columns) it was built from as witnesses."""
 
     matrix: np.ndarray
-    kernel: linalg.SubspaceBasis
-    image: linalg.SubspaceBasis
+    kernel: np.ndarray
+    image: np.ndarray
     idempotency_defect: float
 
 
@@ -189,11 +190,11 @@ def riesz_projection_at_one(T, rank_tol=None):
     M = np.eye(n, dtype=np.complex128) - T
     K = linalg.kernel_basis(M, rank_tol)
     V = linalg.image_basis(M, rank_tol)
-    k, v = K.dim, V.dim
+    k, v = K.shape[1], V.shape[1]
     if k + v != n:
         raise DecompositionFails(
             f"dim Ker(I-T) + dim Im(I-T) = {k} + {v} != {n}")
-    W = np.hstack([K.vectors, V.vectors])
+    W = np.hstack([K, V])
     s = np.linalg.svd(W, compute_uv=False)
     stack_tol = rank_tol if rank_tol is not None else linalg.default_rank_tol(W)
     if s[-1] <= stack_tol * s[0]:

@@ -37,6 +37,9 @@ VERDICT_DECOMPOSITION_FAILS = "decomposition_fails"
 # ~1e-6 relative; 1e-8 sits orders of magnitude away from both populations.
 CERTIFY_RANK_TOL = 1e-8
 
+# Abel parameters the certificates sample (0, 1) at unless told otherwise.
+DEFAULT_ALPHAS = (0.1, 0.5, 0.9)
+
 
 @dataclass
 class AlphaEvidence:
@@ -178,7 +181,7 @@ def check_spectral_condition(T, tol=abel.DEFAULT_TOL, rank_tol=CERTIFY_RANK_TOL)
         VERDICT_HOLDS, witnesses, max_re, rank_first, rank_second)
 
 
-def verify_equivalence(T, alphas=(0.1, 0.5, 0.9), tol=abel.DEFAULT_TOL,
+def verify_equivalence(T, alphas=DEFAULT_ALPHAS, tol=abel.DEFAULT_TOL,
                        rank_tol=CERTIFY_RANK_TOL):
     """Validate every argument, run both certificates, compare verdicts."""
     linalg.check_tolerance("tol", tol)

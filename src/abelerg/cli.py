@@ -65,14 +65,12 @@ def _condition_ii_payload(cii):
 
 def cmd_certify(args):
     T = matrixio.load_matrix(args.matrix)
-    alphas = tuple(args.alpha) if args.alpha else (0.1, 0.5, 0.9)
-    rank_tol = args.rank_tol if args.rank_tol is not None \
-        else certify.CERTIFY_RANK_TOL
+    alphas = tuple(args.alpha) if args.alpha else certify.DEFAULT_ALPHAS
     result = certify.verify_equivalence(
-        T, alphas=alphas, tol=args.tol, rank_tol=rank_tol)
+        T, alphas=alphas, tol=args.tol, rank_tol=args.rank_tol)
     report = _report_skeleton("certify", {
         "matrix": matrixio.matrix_fingerprint(T),
-        "alphas": list(alphas), "tol": args.tol, "rank_tol": rank_tol,
+        "alphas": list(alphas), "tol": args.tol, "rank_tol": args.rank_tol,
     })
     report["condition_i"] = _condition_i_payload(result.condition_i)
     report["condition_ii"] = _condition_ii_payload(result.condition_ii)
@@ -106,8 +104,6 @@ def cmd_abel_power(args):
 
 def cmd_cesaro(args):
     T = matrixio.load_matrix(args.matrix)
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
     C = abel.cesaro_average(T, args.n)
     sweep_cap = min(args.n, 1000)
     report = _report_skeleton("cesaro", {
@@ -118,7 +114,7 @@ def cmd_cesaro(args):
     report["average_norm"] = linalg.operator_norm(C)
     report["sup_cesaro_to_1000"] = certify.cesaro_sup_estimate(T, sweep_cap)
     report["sup_abel_partial_to_1000"] = certify.abel_partial_sup_estimate(
-        T, (0.1, 0.5, 0.9), sweep_cap)
+        T, certify.DEFAULT_ALPHAS, sweep_cap)
     return report
 
 
@@ -158,8 +154,6 @@ def cmd_oscillator(args):
 
 
 def cmd_generate(args):
-    if args.count < 1:
-        raise ValueError("--count must be >= 1")
     instances = certify.generate_instances(args.seed, count=args.count)
     report = _report_skeleton("generate", {
         "seed": args.seed, "count": args.count,
@@ -200,10 +194,11 @@ def build_parser():
                             "criterion")
     _add_matrix_argument(p)
     p.add_argument("--alpha", action="append", type=float, default=None,
-                   help="Abel parameter in (0, 1); repeatable "
-                        "(default 0.1 0.5 0.9)")
+                   help="Abel parameter in (0, 1); repeatable (default "
+                        + " ".join(map(str, certify.DEFAULT_ALPHAS)) + ")")
     p.add_argument("--tol", type=float, default=abel.DEFAULT_TOL)
-    p.add_argument("--rank-tol", type=float, default=None,
+    p.add_argument("--rank-tol", type=float,
+                   default=certify.CERTIFY_RANK_TOL,
                    help="relative rank threshold for the kernel/image "
                         "decomposition")
     _add_common_flags(p)

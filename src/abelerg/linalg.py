@@ -90,22 +90,6 @@ class EigenData:
     backward_error: float
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal basis of a subspace of C^n.
-
-    vectors has shape (dimension_ambient, k) with orthonormal columns;
-    k = 0 is a valid (empty) basis.
-    """
-
-    dimension_ambient: int
-    vectors: np.ndarray
-
-    @property
-    def dim(self):
-        return self.vectors.shape[1]
-
-
 def solve_linear(A, rhs):
     """Solve A X = rhs by pivoted LU factorization.
 
@@ -155,33 +139,32 @@ def numerical_rank(A, threshold):
     return int(np.sum(s > threshold))
 
 
-def kernel_basis(A, rank_tol=None):
-    """Orthonormal basis of the numerical null space of A.
-
-    Right singular vectors whose singular values are <= rank_tol * sigma_max
-    (rank_tol defaults to n * eps).  An empty basis is a valid result.
-    """
+def _rank_split(A, rank_tol):
+    """Full SVD of A and its rank r: the count of singular values above
+    rank_tol * sigma_max (rank_tol defaults to n * eps)."""
     A = as_matrix(A)
     rank_tol = default_rank_tol(A) if rank_tol is None \
         else check_tolerance("rank_tol", rank_tol)
-    m, n = A.shape
-    _, s, Vh = np.linalg.svd(A)
-    # columns n-1 downto len(s) correspond to singular value 0 exactly
-    mask = np.zeros(n, dtype=bool)
-    mask[len(s):] = True
-    mask[: len(s)] = s <= rank_tol * s[0]
-    return SubspaceBasis(dimension_ambient=n, vectors=Vh.conj().T[:, mask])
+    U, s, Vh = np.linalg.svd(A)
+    return U, Vh, int(np.sum(s > rank_tol * s[0]))
+
+
+def kernel_basis(A, rank_tol=None):
+    """Orthonormal basis of the numerical null space of A, as columns.
+
+    Right singular vectors past the rank, including those of the exact
+    zero singular values of a wide A.  An empty basis (no columns) is a
+    valid result.
+    """
+    _, Vh, r = _rank_split(A, rank_tol)
+    return Vh.conj().T[:, r:]
 
 
 def image_basis(A, rank_tol=None):
-    """Orthonormal basis of the numerical column space of A (dual of kernel_basis)."""
-    A = as_matrix(A)
-    rank_tol = default_rank_tol(A) if rank_tol is None \
-        else check_tolerance("rank_tol", rank_tol)
-    U, s, _ = np.linalg.svd(A)
-    mask = np.zeros(U.shape[1], dtype=bool)
-    mask[: len(s)] = s > rank_tol * s[0]
-    return SubspaceBasis(dimension_ambient=A.shape[0], vectors=U[:, mask])
+    """Orthonormal basis of the numerical column space of A, as columns:
+    the left singular vectors up to the rank (dual of kernel_basis)."""
+    U, _, r = _rank_split(A, rank_tol)
+    return U[:, :r]
 
 
 def matrix_exponential(B, t):

@@ -73,13 +73,6 @@ def matrix_from_payload(payload):
     return values.reshape(rows, cols)
 
 
-def _flat_pairs(items):
-    """The components of a list of two-element lists, in order, or None."""
-    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
-        return None
-    return tuple(chain.from_iterable(items))
-
-
 def _bulk_pairs(data):
     """Complex vector of a list of finite [re, im] int/float pairs, or None.
 
@@ -87,8 +80,10 @@ def _bulk_pairs(data):
     else (including subclasses of list, int or float), leaving the
     diagnosis to _entry_to_complex.
     """
-    flat = _flat_pairs(data)
-    if flat is None or not set(map(type, flat)) <= {int, float}:
+    if set(map(type, data)) != {list} or set(map(len, data)) != {2}:
+        return None
+    flat = tuple(chain.from_iterable(data))
+    if not set(map(type, flat)) <= {int, float}:
         return None
     try:
         parts = np.array(flat, dtype=np.float64)
@@ -149,19 +144,6 @@ def _format_float(x):
     return format(x, ".17g")
 
 
-def _float_pairs(obj):
-    """Text of a list of finite [re, im] float pairs, or None.
-
-    One "%.17g" template and one % call format the whole list, giving the
-    bytes the generic _canonical recursion gives.
-    """
-    flat = _flat_pairs(obj)
-    if (flat is None or set(map(type, flat)) != {float}
-            or not all(map(math.isfinite, flat))):
-        return None
-    return ("[" + ", ".join(["[%.17g, %.17g]"] * len(obj)) + "]") % flat
-
-
 def _canonical(obj):
     if obj is None:
         return "null"
@@ -179,10 +161,6 @@ def _canonical(obj):
     if isinstance(obj, np.ndarray):
         return _canonical(obj.tolist())
     if isinstance(obj, (list, tuple)):
-        if type(obj) is list and obj and type(obj[0]) is list:
-            text = _float_pairs(obj)
-            if text is not None:
-                return text
         return "[" + ", ".join(_canonical(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = []

@@ -280,8 +280,9 @@ def check(B, lam, n):
     quad, gl_nodes = _quadrature(B, lam, abscissa, 0.0, SCHEME_GAUSS_LAGUERRE)
     simpson, panels = _quadrature(B, lam, abscissa, 0.0,
                                   SCHEME_TRUNCATED_SIMPSON)
-    power, power_nodes = _quadrature(B, lam, abscissa, float(n - 1),
-                                     SCHEME_GAUSS_LAGUERRE)
+    # at n = 1 the power integral's weight is the average's own
+    power, power_nodes = (quad, gl_nodes) if n == 1 else _quadrature(
+        B, lam, abscissa, float(n - 1), SCHEME_GAUSS_LAGUERRE)
     closed_power = np.linalg.matrix_power(closed, n)
     power_scale = linalg.operator_norm(closed_power)
     if power_scale < tiny:

@@ -251,8 +251,8 @@ def test_power_iterate_reuses_the_deciding_svd(svd_calls):
 def test_riesz_projection_diag_oracle():
     proj = abel.riesz_projection_at_one(convergent_diag())
     assert np.allclose(proj.matrix, np.diag([1.0, 0.0]), atol=1e-12)
-    assert proj.kernel.dim == 1
-    assert proj.image.dim == 1
+    assert proj.kernel.shape[1] == 1
+    assert proj.image.shape[1] == 1
     assert proj.idempotency_defect <= 1e-12
 
 
@@ -260,7 +260,7 @@ def test_riesz_projection_no_eigenvalue_one_gives_zero():
     rng = np.random.default_rng(21)
     T = random_contraction(rng, 5)
     proj = abel.riesz_projection_at_one(T)
-    assert proj.kernel.dim == 0
+    assert proj.kernel.shape[1] == 0
     assert np.linalg.norm(proj.matrix, 2) <= 1e-12
 
 

@@ -140,6 +140,15 @@ def test_size_flags_above_their_caps_are_input_errors(tmp_path):
                     str(oscillator.MAX_TRUNCATION + 1)]) == 2
 
 
+def test_size_flags_below_one_are_input_errors(tmp_path, capsys):
+    # the library functions check these bounds; the CLI adds no check
+    path = write_matrix(tmp_path, "m.json", [[0.5]])
+    assert run_cli(["generate", "--seed", "1", "--count", "0"]) == 2
+    assert "count must lie in [1, " in capsys.readouterr().err
+    assert run_cli(["cesaro", path, "--n", "0"]) == 2
+    assert "N must be >= 1" in capsys.readouterr().err
+
+
 def test_semigroup_settles_truncated_oscillator_generator(tmp_path):
     # diag(-2n), n < 16, at lambda = 1: ||B|| / lambda = 30, which 64
     # against 128 Gauss-Laguerre nodes cannot resolve within the self-check
@@ -169,6 +178,27 @@ def test_semigroup_request_takes_one_schur_form_and_two_solves(
     assert run_cli(["semigroup", path, "--lambda", "1.0", "--n", "3",
                     "--out", str(tmp_path / "report.json")]) == 0
     assert calls == {"eigendecompose": 1, "solve_linear": 2}
+
+
+def test_semigroup_request_at_n_1_runs_gauss_laguerre_once(
+        tmp_path, monkeypatch):
+    # at n = 1 the power integral is the Gauss-Laguerre average itself:
+    # 64 + 128 expm for Gauss-Laguerre and 66 for Simpson's 64 against 128
+    # panels, where integrating the power again took 192 more
+    calls = []
+
+    def counted(*args, _func=linalg.matrix_exponential):
+        calls.append(args)
+        return _func(*args)
+    monkeypatch.setattr(linalg, "matrix_exponential", counted)
+    path = write_matrix(tmp_path, "b.json",
+                        [[-1.0, 0.5, 0.0], [0.0, -2.0, 0.3], [0.1, 0.0, -0.5]])
+    out = tmp_path / "report.json"
+    assert run_cli(["semigroup", path, "--lambda", "1.0", "--n", "1",
+                    "--out", str(out)]) == 0
+    assert len(calls) == 258
+    report = json.loads(out.read_text())
+    assert report["power_integral_nodes"] == report["gauss_laguerre_nodes"]
 
 
 def test_semigroup_nodes_flag_is_gone(tmp_path):

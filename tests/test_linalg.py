@@ -91,9 +91,19 @@ def test_kernel_and_image_of_projection():
     P = np.diag([1.0, 0.0])
     ker = linalg.kernel_basis(P)
     img = linalg.image_basis(P)
-    assert ker.dim == 1 and img.dim == 1
-    assert abs(abs(ker.vectors[1, 0]) - 1.0) <= 1e-14
-    assert abs(abs(img.vectors[0, 0]) - 1.0) <= 1e-14
+    assert ker.shape == (2, 1) and img.shape == (2, 1)
+    assert abs(abs(ker[1, 0]) - 1.0) <= 1e-14
+    assert abs(abs(img[0, 0]) - 1.0) <= 1e-14
+
+
+def test_kernel_of_wide_matrix_includes_exact_zero_directions():
+    # a 2 x 3 matrix has two singular values; the third right singular
+    # vector spans the rest of the kernel
+    W = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    ker = linalg.kernel_basis(W)
+    assert ker.shape == (3, 2)
+    assert np.linalg.norm(W @ ker) <= 1e-15
+    assert linalg.image_basis(W).shape == (2, 1)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-8, float("nan"), float("inf"),
@@ -118,14 +128,14 @@ def test_kernel_image_dims_complement():
             np.linalg.norm(M, 2), np.finfo(float).tiny)
         ker = linalg.kernel_basis(M, tol)
         img = linalg.image_basis(M, tol)
-        assert ker.dim + img.dim == n
-        if ker.dim:
-            assert np.linalg.norm(M @ ker.vectors, 2) <= \
+        assert ker.shape[1] + img.shape[1] == n
+        if ker.shape[1]:
+            assert np.linalg.norm(M @ ker, 2) <= \
                 1e-10 * max(np.linalg.norm(M, 2), 1.0)
         # bases are orthonormal
-        if ker.dim:
-            G = ker.vectors.conj().T @ ker.vectors
-            assert np.allclose(G, np.eye(ker.dim), atol=1e-12)
+        if ker.shape[1]:
+            G = ker.conj().T @ ker
+            assert np.allclose(G, np.eye(ker.shape[1]), atol=1e-12)
 
 
 def test_matrix_exponential_nilpotent_closed_form():
