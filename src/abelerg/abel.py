@@ -11,7 +11,6 @@ with a certificate of what happened, and builds that projection directly
 from kernel/image bases so the two routes can be compared.
 """
 
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -109,9 +108,7 @@ def _power_and_geometric_sum(T, N):
 def cesaro_average(T, N):
     """Arithmetic mean N^{-1} sum_{n=0}^{N-1} T^n."""
     T = linalg.as_matrix(T, square=True)
-    N = int(N)
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N = linalg.check_count("N", N, 1)
     _, S = _power_and_geometric_sum(T, N)
     return S / N
 
@@ -119,31 +116,30 @@ def cesaro_average(T, N):
 def power_iterate(M, tol=DEFAULT_TOL, max_doublings=DEFAULT_MAX_DOUBLINGS):
     """Iterate M, M^2, M^4, ... until the sequence settles or escapes.
 
-    Convergence requires three things at once: the Cauchy increment
-    ||M^(2^(k+1)) - M^(2^k)|| <= tol, idempotency ||L^2 - L|| <= 10 tol of
-    the candidate L, and the fixed-point identity ||M L - L|| <= 10 tol.
-    The last two reject spurious fixed points of squaring (for instance a
-    sign-alternating factor, whose even powers are constant).  Each test
-    is linalg.norm_at_most, which decides as the SVD 2-norm would but
-    mostly from O(n^2) bounds, so an SVD is taken only for the reported
-    final_defect and for the rare test the bounds leave open (every test
-    of a 2x2 or smaller M takes one, as norm_at_most does there).  Divergence
-    is an in-band result: reason "blow_up" when any entry climbs past
-    BLOW_UP_THRESHOLD, "no_cauchy" when the max_doublings budget (an
-    integer >= 1) runs out.
+    Convergence requires four things at once: the Cauchy increment
+    ||M^(2^(k+1)) - M^(2^k)|| <= tol; its bound (the history row) at most
+    half the previous doubling's or at most the roundoff floor
+    8 n eps max(1, ||L||_F), since a small increment that still grows, as
+    k c for [[1, c], [0, 1]], is drift, not a limit; idempotency
+    ||L^2 - L|| <= 10 tol of the candidate L; and the fixed-point identity
+    ||M L - L|| <= 10 tol.  The last two reject spurious fixed points of
+    squaring (for instance a sign-alternating factor, whose even powers
+    are constant).  Each test is linalg.norm_at_most, which decides as the
+    SVD 2-norm would but mostly from O(n^2) bounds, so an SVD is taken only
+    for the reported final_defect and for the rare test the bounds leave
+    open (every test of a 2x2 or smaller M takes one, as norm_at_most does
+    there).  Divergence is an in-band result: reason "blow_up" when any
+    entry climbs past BLOW_UP_THRESHOLD, "no_cauchy" when the max_doublings
+    budget (an integer >= 1) runs out.
     """
     M = linalg.as_matrix(M, square=True)
     tol = linalg.check_tolerance("tol", tol)
-    try:
-        max_doublings = operator.index(max_doublings)
-    except TypeError:
-        raise ValueError(
-            f"max_doublings must be an integer, got {max_doublings!r}") from None
-    if max_doublings < 1:
-        raise ValueError(f"max_doublings must be >= 1, got {max_doublings}")
+    max_doublings = linalg.check_count("max_doublings", max_doublings, 1)
     history = []
     P = M.copy()
     exponent = 1
+    previous = 0.0  # no bound before the first doubling to halve
+    floor = 8.0 * M.shape[0] * linalg.EPS
     for _ in range(max_doublings):
         with np.errstate(over="ignore", invalid="ignore"):
             Q = P @ P
@@ -158,12 +154,15 @@ def power_iterate(M, tol=DEFAULT_TOL, max_doublings=DEFAULT_MAX_DOUBLINGS):
         cauchy = linalg.norm_at_most(increment, tol)
         history.append((exponent, cauchy.upper))
         if (cauchy
+                and (cauchy.upper <= 0.5 * previous or cauchy.upper
+                     <= floor * max(1.0, np.linalg.norm(Q)))
                 and linalg.norm_at_most(Q @ Q - Q, 10.0 * tol)
                 and linalg.norm_at_most(M @ Q - Q, 10.0 * tol)):
             return ConvergenceReport(
                 converged=True, limit=Q, steps=exponent,
                 final_defect=_exact_norm(increment, cauchy), history=history)
         P = Q
+        previous = cauchy.upper
         exponent *= 2
     return ConvergenceReport(
         converged=False, limit=None, steps=exponent,

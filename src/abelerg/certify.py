@@ -242,9 +242,7 @@ def cesaro_sup_estimate(T, N_max):
     diagnostic.  Overflow inside the sweep is reported as +inf.
     """
     T = linalg.as_matrix(T, square=True)
-    N_max = int(N_max)
-    if N_max < 1:
-        raise ValueError("N_max must be >= 1")
+    N_max = linalg.check_count("N_max", N_max, 1)
     return _sweep_sup(T, N_max - 1)
 
 
@@ -255,9 +253,7 @@ def abel_partial_sup_estimate(T, alpha_grid, N_max):
     estimate.
     """
     T = linalg.as_matrix(T, square=True)
-    N_max = int(N_max)
-    if N_max < 0:
-        raise ValueError("N_max must be >= 0")
+    N_max = linalg.check_count("N_max", N_max, 0)
     return max((_sweep_sup(T, N_max, abel.check_alpha(a)) for a in alpha_grid),
                default=0.0)
 
@@ -403,16 +399,14 @@ def generate_instances(seed, count=200, dims=(2, 16), kinds=DEFAULT_KIND_CYCLE):
     returned Instance records carry the expected spectral verdict so tests
     can assert both internal agreement and intent.
     """
-    if not 1 <= int(count) <= MAX_INSTANCE_COUNT:
-        raise ValueError(f"count must lie in [1, {MAX_INSTANCE_COUNT}]")
+    count = linalg.check_count("count", count, 1, MAX_INSTANCE_COUNT)
     rng = np.random.default_rng(seed)
     if not kinds:
         raise ValueError("kinds must be nonempty")
-    lo, hi = int(dims[0]), int(dims[1])
-    if lo < 2 or hi < lo:
-        raise ValueError("dims must satisfy 2 <= lo <= hi")
+    lo = linalg.check_count("dims[0]", dims[0], 2)
+    hi = linalg.check_count("dims[1]", dims[1], lo)
     out = []
-    for i in range(int(count)):
+    for i in range(count):
         kind = kinds[i % len(kinds)]
         n = int(rng.integers(lo, hi + 1))
         blocks, n, cond, expected = _make_blocks(rng, kind, n)

@@ -6,6 +6,7 @@ as ``numpy.ndarray`` with dtype ``complex128``.  All norms are the operator
 """
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -69,6 +70,22 @@ def check_tolerance(name, value):
         raise ValueError(
             f"{name} must be positive and finite, and below 1, got {value}")
     return tol
+
+
+def check_count(name, value, minimum, maximum=None):
+    """Validate an integer in [minimum, maximum] (no upper bound when maximum
+    is None) and return it as int.  A float, string or bool raises
+    ValueError naming the argument: int() would truncate or parse it."""
+    try:
+        count = operator.index(value)
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum or maximum is not None and count > maximum:
+        raise ValueError(f"{name} must be >= {minimum}" if maximum is None
+                         else f"{name} must lie in [{minimum}, {maximum}]")
+    return count
 
 
 def default_rank_tol(A):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import GridTooCoarse, Overflow, PoleHit
 
 DEFAULT_TRUNCATION = 10_000
@@ -30,9 +31,12 @@ DEFAULT_TRUNCATION = 10_000
 # this length (8 MB each at the cap).
 MAX_TRUNCATION = 1_000_000
 # Largest grid of eigen_residual, which holds a few float arrays of this
-# length (8 MB each at the cap); its default grid, which gram_defect also
-# uses, has 24001 points.
+# length (8 MB each at the cap).
 MAX_RESIDUAL_GRID_POINTS = 1_000_000
+# eigen_residual's default grid, which gram_defect also integrates on:
+# 24001 points on [-12, 12].
+GRID_STEP = 1e-3
+GRID_HALF_WIDTH = 12.0
 
 
 @dataclass(frozen=True)
@@ -42,10 +46,8 @@ class DiagonalOscillator:
     truncation: int = DEFAULT_TRUNCATION
 
     def __post_init__(self):
-        if int(self.truncation) != self.truncation \
-                or not 2 <= self.truncation <= MAX_TRUNCATION:
-            raise ValueError(
-                f"truncation must be an integer in [2, {MAX_TRUNCATION}]")
+        object.__setattr__(self, "truncation", linalg.check_count(
+            "truncation", self.truncation, 2, MAX_TRUNCATION))
 
     def eigenvalues(self):
         return 1.0 - 2.0 * np.arange(self.truncation, dtype=np.float64)
@@ -108,9 +110,7 @@ def scaled_resolvent_power_gap(model, lam, m):
     nothing.
     """
     lam = _check_lambda_above_one(model, lam)
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = linalg.check_count("m", m, 1)
     gap = float(np.max(_ratios(model, lam) ** m))
     if gap < np.finfo(np.float64).tiny:
         raise Overflow(f"the gap underflowed: {gap:.3g} at m = {m}, below "
@@ -156,9 +156,7 @@ def hermite_function(n, t):
     polynomials overflow near n = 300.  The pi^(-1/4) prefactor is forced
     by unit L^2 norm of the ground state.
     """
-    n = int(n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = linalg.check_count("n", n, 0)
     t = np.asarray(t, dtype=np.float64)
     x_prev = np.zeros_like(t)
     x = np.pi ** (-0.25) * np.exp(-0.5 * t * t)
@@ -168,7 +166,7 @@ def hermite_function(n, t):
     return x if x.ndim else float(x)
 
 
-def eigen_residual(n, step=1e-3, half_width=12.0):
+def eigen_residual(n, step=GRID_STEP, half_width=GRID_HALF_WIDTH):
     """Residual of (D^2 + 2 - t^2) x_n = (1 - 2n) x_n on a uniform grid.
 
     D^2 is the central second difference; the residual is the maximum over
@@ -176,11 +174,9 @@ def eigen_residual(n, step=1e-3, half_width=12.0):
     fourth derivative of x_n.  Raises GridTooCoarse when it exceeds
     100 * step^2 * (2n + 3)^2.
     """
-    n = int(n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = linalg.check_count("n", n, 0)
     half_width = float(half_width)
-    if half_width < np.sqrt(2.0 * n + 1.0) + 5.0:
+    if not np.sqrt(2.0 * n + 1.0) + 5.0 <= half_width:
         raise ValueError(
             "half_width must reach past the classical turning point: "
             f"need >= sqrt(2n+1) + 5 = {np.sqrt(2.0 * n + 1.0) + 5.0:.2f}")
@@ -216,9 +212,10 @@ def gram_defect(count):
     """max |<x_j, x_k> - delta_jk| over the first count Hermite functions.
 
     The inner products are trapezoidal sums on eigen_residual's default
-    grid, 24001 points on [-12, 12].
+    grid, GRID_STEP apart on [-GRID_HALF_WIDTH, GRID_HALF_WIDTH].
     """
-    t = np.linspace(-12.0, 12.0, 24001)
+    t = np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH,
+                    round(2.0 * GRID_HALF_WIDTH / GRID_STEP) + 1)
     weights = np.full(t.size, t[1] - t[0])
     weights[0] *= 0.5
     weights[-1] *= 0.5

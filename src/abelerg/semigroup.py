@@ -72,12 +72,10 @@ def laguerre_rule(node_count, power=0.0):
     nodes, squared first eigenvector components the weights.  Rules are
     memoized, so both arrays come back read-only.
     """
-    m = int(node_count)
-    if m < 1:
-        raise ValueError("node_count must be >= 1")
+    m = linalg.check_count("node_count", node_count, 1)
     p = float(power)
-    if p <= -1.0:
-        raise ValueError("power must exceed -1")
+    if not -1.0 < p < math.inf:
+        raise ValueError(f"power must be finite and exceed -1, got {power}")
     return _golub_welsch(m, p)
 
 
@@ -237,9 +235,7 @@ def abel_average_quadrature(B, lam, scheme=SCHEME_GAUSS_LAGUERRE):
     SCHEME_GAUSS_LAGUERRE or SCHEME_TRUNCATED_SIMPSON.  Returns (value, m):
     the result at 2m nodes and the m it passed the self-check against.
     """
-    B = linalg.as_matrix(B, square=True)
-    lam = _check_lambda(lam)
-    return _quadrature(B, lam, _abscissa(B, lam), 0.0, scheme)
+    return abel_power_quadrature(B, lam, 1, scheme)
 
 
 def abel_power_quadrature(B, lam, n, scheme=SCHEME_GAUSS_LAGUERRE):
@@ -250,9 +246,7 @@ def abel_power_quadrature(B, lam, n, scheme=SCHEME_GAUSS_LAGUERRE):
     into the weights (see laguerre_rule).  Returns (value, m) as
     abel_average_quadrature does.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = linalg.check_count("n", n, 1)
     B = linalg.as_matrix(B, square=True)
     lam = _check_lambda(lam)
     return _quadrature(B, lam, _abscissa(B, lam), float(n - 1), scheme)
@@ -268,9 +262,7 @@ def check(B, lam, n):
     power below the smallest normal double raises Overflow: its check
     would compare zero with zero.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = linalg.check_count("n", n, 1)
     B = linalg.as_matrix(B, square=True)
     lam = _check_lambda(lam)
     tiny = np.finfo(np.float64).tiny

@@ -139,6 +139,32 @@ def test_power_iterate_rejects_empty_matrix():
         abel.power_iterate(np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize("c", [1e-10, 1e-12, 1e-14])
+def test_tiny_jordan_coupling_is_not_accepted_as_converging(c):
+    # the increment k c of A_alpha^k starts below tol but grows; alphas
+    # used to accept it at step 1 (at c = 1e-12 and 1e-14 all three did:
+    # converged_all against decomposition_fails).  At c = 1e-14,
+    # alpha = 0.1 still accepts, its increment 1.1e-15 being below the
+    # roundoff floor, so there only the verdict is held.
+    report = certify.verify_equivalence(np.array([[1.0, c], [0.0, 1.0]]))
+    assert report.condition_i.verdict == certify.VERDICT_DIVERGED
+    assert report.condition_ii.verdict == \
+        certify.VERDICT_DECOMPOSITION_FAILS
+    assert report.agree
+    if c >= 1e-12:
+        assert all(e.outcome != "converged"
+                   for e in report.condition_i.per_alpha)
+
+
+def test_slowly_decaying_eigenvalue_reaches_its_limit():
+    # the eigenvalue 1 - 1e-11 of A_alpha has powers tending to 0; its
+    # first increment, about 1e-11, used to be accepted with limit diag(1, 1)
+    A = abel.abel_average(np.diag([1.0, 1.0 - 1e-11]), 0.5)
+    rep = abel.power_iterate(A)
+    assert rep.converged and rep.steps == 2 ** 42
+    assert np.abs(rep.limit - np.diag([1.0, 0.0])).max() <= 1e-12
+
+
 def reference_power_iterate(M, tol=abel.DEFAULT_TOL,
                             max_doublings=abel.DEFAULT_MAX_DOUBLINGS):
     """The loop power_iterate replaced: one SVD 2-norm per test.

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from abelerg import linalg
+from abelerg import abel, certify, linalg, oscillator, semigroup
 from abelerg.errors import Overflow, SingularMatrix
 
 
@@ -29,6 +31,64 @@ def test_as_matrix_rejects_nonfinite_and_nonsquare():
     for shape in ((0, 0), (0, 3), (3, 0)):
         with pytest.raises(ValueError, match="nonempty"):
             linalg.as_matrix(np.zeros(shape))
+
+
+def test_check_count_returns_python_int_in_range():
+    for value in (np.int64(3), np.uint8(3), np.array(3), 3):
+        count = linalg.check_count("k", value, 1, 3)
+        assert count == 3 and type(count) is int
+    with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+        linalg.check_count("k", 0, 1)
+    with pytest.raises(ValueError, match=r"^k must lie in \[1, 3\]$"):
+        linalg.check_count("k", 4, 1, 3)
+    for bad in (np.True_, np.float64(3.0), None, [3]):
+        with pytest.raises(ValueError, match=r"^k must be an integer, got "):
+            linalg.check_count("k", bad, 0)
+
+
+# Every count argument of the library, by the name its message gives it.
+COUNT_ARGUMENTS = {
+    "abel.cesaro_average": (
+        "N", lambda v: abel.cesaro_average(np.eye(2), v)),
+    "abel.power_iterate": (
+        "max_doublings", lambda v: abel.power_iterate(np.eye(2),
+                                                      max_doublings=v)),
+    "certify.cesaro_sup_estimate": (
+        "N_max", lambda v: certify.cesaro_sup_estimate(np.eye(2), v)),
+    "certify.abel_partial_sup_estimate": (
+        "N_max", lambda v: certify.abel_partial_sup_estimate(
+            np.eye(2), (0.5,), v)),
+    "certify.generate_instances": (
+        "count", lambda v: certify.generate_instances(1, count=v)),
+    "certify.generate_instances dims": (
+        "dims[1]", lambda v: certify.generate_instances(1, count=1,
+                                                        dims=(2, v))),
+    "semigroup.laguerre_rule": (
+        "node_count", lambda v: semigroup.laguerre_rule(v)),
+    "semigroup.abel_power_quadrature": (
+        "n", lambda v: semigroup.abel_power_quadrature(-np.eye(2), 1.0, v)),
+    "semigroup.check": (
+        "n", lambda v: semigroup.check(-np.eye(2), 1.0, v)),
+    "oscillator.DiagonalOscillator": (
+        "truncation", lambda v: oscillator.DiagonalOscillator(truncation=v)),
+    "oscillator.scaled_resolvent_power_gap": (
+        "m", lambda v: oscillator.scaled_resolvent_power_gap(
+            oscillator.DiagonalOscillator(truncation=8), 2.0, v)),
+    "oscillator.hermite_function": (
+        "n", lambda v: oscillator.hermite_function(v, 0.5)),
+    "oscillator.eigen_residual": (
+        "n", lambda v: oscillator.eigen_residual(v)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 4.0, True, "3"])
+@pytest.mark.parametrize("function", sorted(COUNT_ARGUMENTS))
+def test_count_arguments_reject_non_integers(function, bad):
+    # int() used to truncate 2.5 and 4.0, parse "3" and read True as 1
+    name, call = COUNT_ARGUMENTS[function]
+    with pytest.raises(ValueError,
+                       match=rf"^{re.escape(name)} must be an integer, got "):
+        call(bad)
 
 
 def test_solve_linear_upper_triangular_inverse():

@@ -144,6 +144,12 @@ def test_eigen_residual_scales_with_step():
     assert 8.0 <= coarse / fine <= 32.0
 
 
+def test_eigen_residual_rejects_nan_half_width():
+    # nan used to pass the turning-point check and fail on the grid size
+    with pytest.raises(ValueError, match="classical turning point"):
+        oscillator.eigen_residual(0, half_width=float("nan"))
+
+
 def test_eigen_residual_window_validation():
     with pytest.raises(ValueError):
         oscillator.eigen_residual(30, step=1e-3, half_width=12.0)

@@ -57,6 +57,13 @@ def test_laguerre_rule_matches_scipy_reference():
                            rtol=1e-11, atol=1e-15)
 
 
+@pytest.mark.parametrize("bad", [-1.0, -2.0, float("nan"), float("inf")])
+def test_laguerre_rule_rejects_bad_power(bad):
+    # nan and inf used to pass p <= -1 and fail inside scipy
+    with pytest.raises(ValueError, match="power must be finite and exceed -1"):
+        semigroup.laguerre_rule(4, bad)
+
+
 def test_laguerre_rule_is_memoized_read_only():
     nodes, weights = semigroup.laguerre_rule(48, power=3.0)
     again = semigroup.laguerre_rule(48, power=3)
