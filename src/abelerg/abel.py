@@ -32,10 +32,7 @@ def check_alpha(alpha):
     Both endpoints are degenerate: alpha = 0 gives the identity, alpha = 1
     is the ergodic limit itself and is reachable only as a limit.
     """
-    a = float(alpha)
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    return a
+    return linalg.check_real("alpha", alpha, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from .errors import DecompositionFails, ResolventPole
 
 VERDICT_CONVERGED_ALL = "converged_all"
 VERDICT_DIVERGED = "diverged"
-VERDICT_SKIPPED = "skipped"
 VERDICT_HOLDS = "holds"
 VERDICT_SPECTRUM_ESCAPES = "spectrum_escapes"
 VERDICT_DECOMPOSITION_FAILS = "decomposition_fails"
@@ -184,8 +183,8 @@ def check_spectral_condition(T, tol=abel.DEFAULT_TOL, rank_tol=CERTIFY_RANK_TOL)
 def verify_equivalence(T, alphas=DEFAULT_ALPHAS, tol=abel.DEFAULT_TOL,
                        rank_tol=CERTIFY_RANK_TOL):
     """Validate every argument, run both certificates, compare verdicts."""
-    linalg.check_tolerance("tol", tol)
-    linalg.check_tolerance("rank_tol", rank_tol)
+    tol = linalg.check_tolerance("tol", tol)
+    rank_tol = linalg.check_tolerance("rank_tol", rank_tol)
     alphas = _check_alphas(alphas)
     ci = check_power_convergence(T, alphas, tol=tol)
     cii = check_spectral_condition(T, tol=tol, rank_tol=rank_tol)
@@ -193,7 +192,7 @@ def verify_equivalence(T, alphas=DEFAULT_ALPHAS, tol=abel.DEFAULT_TOL,
     return EquivalenceReport(
         condition_i=ci, condition_ii=cii, agree=agree,
         tolerances_used={"tol": tol, "rank_tol": rank_tol,
-                         "alphas": [float(a) for a in alphas]})
+                         "alphas": alphas})
 
 
 # Bytes of running sums a sweep buffers for one batched SVD call, so the

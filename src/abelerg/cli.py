@@ -241,7 +241,8 @@ def build_parser():
                    help="resolvent parameter lambda > 1")
     p.add_argument("--m", type=int, default=4,
                    help="resolvent power in the gap estimate")
-    p.add_argument("--truncation", type=int, default=10_000,
+    p.add_argument("--truncation", type=int,
+                   default=oscillator.DEFAULT_TRUNCATION,
                    help="number of retained eigenvalues")
     _add_common_flags(p)
     p.set_defaults(func=cmd_oscillator)

@@ -6,6 +6,7 @@ as ``numpy.ndarray`` with dtype ``complex128``.  All norms are the operator
 """
 
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass
@@ -58,18 +59,27 @@ def as_matrix(A, square=False):
 
 
 def check_tolerance(name, value):
-    """Validate a tolerance in (0, 1) and return it as float.
+    """Validate a tolerance strictly in (0, 1) and return it as float: at 1
+    or more every relative rank test and Cauchy step would pass it."""
+    return check_real(name, value, 0.0, 1.0)
 
-    NaN passes no comparison and infinity passes every one, so either would
-    silently decide a convergence or rank test.  So would a tolerance of 1
-    or more: every relative rank test and every Cauchy step of a bounded
-    iteration would pass it.
-    """
-    tol = float(value)
-    if not 0.0 < tol < 1.0:
-        raise ValueError(
-            f"{name} must be positive and finite, and below 1, got {value}")
-    return tol
+
+def check_real(name, value, low=-math.inf, high=math.inf):
+    """Validate a finite real strictly in (low, high) and return it as float.
+    A string, bool or array raises ValueError naming the argument: float()
+    would parse "0.5" and read True as 1.0.  NaN and inf fail the range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    x = float(value)
+    if not low < x < high:
+        if high < math.inf:
+            need = f"lie strictly in ({low:g}, {high:g})"
+        elif low > -math.inf:
+            need = f"be finite and exceed {low:g}"
+        else:
+            need = "be finite"
+        raise ValueError(f"{name} must {need}, got {value}")
+    return x
 
 
 def check_count(name, value, minimum, maximum=None):
@@ -190,9 +200,7 @@ def matrix_exponential(B, t):
     Raises Overflow when entries leave the representable range.
     """
     B = as_matrix(B, square=True)
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
+    t = check_real("t", t)
     with np.errstate(over="ignore", invalid="ignore"):
         E = scipy.linalg.expm(t * B)
     if not np.all(np.isfinite(E)):
@@ -243,9 +251,9 @@ def norm_at_most(A, bound):
     is that norm.
     """
     A = as_matrix(A)
-    bound = float(bound)
-    if not 0.0 <= bound < math.inf:
-        raise ValueError(f"bound must be finite and >= 0, got {bound}")
+    bound = check_real("bound", bound)
+    if bound < 0.0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
     if max(A.shape) <= EXACT_NORM_MAX_DIMENSION:
         norm = operator_norm(A)
         return NormTest(norm <= bound, norm, norm)

@@ -84,9 +84,7 @@ class CConstant:
 
 
 def _check_lambda_above_one(model, lam):
-    lam = float(lam)
-    if not np.isfinite(lam):
-        raise ValueError(f"lambda must be finite, got {lam}")
+    lam = linalg.check_real("lambda", lam)
     if lam > 1.0:
         return lam
     eigs = model.eigenvalues()
@@ -175,14 +173,12 @@ def eigen_residual(n, step=GRID_STEP, half_width=GRID_HALF_WIDTH):
     100 * step^2 * (2n + 3)^2.
     """
     n = linalg.check_count("n", n, 0)
-    half_width = float(half_width)
+    half_width = linalg.check_real("half_width", half_width)
     if not np.sqrt(2.0 * n + 1.0) + 5.0 <= half_width:
         raise ValueError(
             "half_width must reach past the classical turning point: "
             f"need >= sqrt(2n+1) + 5 = {np.sqrt(2.0 * n + 1.0) + 5.0:.2f}")
-    step = float(step)
-    if not step > 0:
-        raise ValueError("step must be positive")
+    step = linalg.check_real("step", step, 0.0)
     intervals = 2.0 * half_width / step
     if not intervals < MAX_RESIDUAL_GRID_POINTS:
         raise ValueError(
@@ -214,6 +210,7 @@ def gram_defect(count):
     The inner products are trapezoidal sums on eigen_residual's default
     grid, GRID_STEP apart on [-GRID_HALF_WIDTH, GRID_HALF_WIDTH].
     """
+    count = linalg.check_count("count", count, 1)
     t = np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH,
                     round(2.0 * GRID_HALF_WIDTH / GRID_STEP) + 1)
     weights = np.full(t.size, t[1] - t[0])

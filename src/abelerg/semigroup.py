@@ -33,7 +33,6 @@ import math
 
 import numpy as np
 from scipy.linalg import eig_banded
-from scipy.special import gammaln, xlogy
 
 from . import abel, linalg
 from .errors import IntegralDiverges, Overflow, QuadratureUnstable, ResolventPole, SingularMatrix
@@ -73,10 +72,7 @@ def laguerre_rule(node_count, power=0.0):
     memoized, so both arrays come back read-only.
     """
     m = linalg.check_count("node_count", node_count, 1)
-    p = float(power)
-    if not -1.0 < p < math.inf:
-        raise ValueError(f"power must be finite and exceed -1, got {power}")
-    return _golub_welsch(m, p)
+    return _golub_welsch(m, linalg.check_real("power", power, -1.0))
 
 
 @functools.lru_cache(maxsize=64)
@@ -93,16 +89,10 @@ def _golub_welsch(m, p):
     return nodes, weights
 
 
-def _check_lambda(lam):
-    lam = float(lam)
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"lambda must be positive and finite, got {lam}")
-    return lam
-
-
 def abel_average_closed(B, lam):
     """lambda (lambda I - B)^{-1}, the resolvent form of the Abel average."""
-    return _resolvent(linalg.as_matrix(B, square=True), _check_lambda(lam))
+    return _resolvent(linalg.as_matrix(B, square=True),
+                      linalg.check_real("lambda", lam, 0.0))
 
 
 def _resolvent(B, lam):
@@ -169,8 +159,11 @@ def _simpson_estimates(B, lam, power, panels, u_max):
     """
     def nodes(indices):
         u = np.asarray(indices, dtype=np.float64) * (u_max / intervals)
-        # normalized weight u^p e^{-u} / Gamma(p+1) in the log domain
-        density = np.exp(xlogy(power, u) - u - gammaln(power + 1.0))
+        # normalized weight u^p e^{-u} / Gamma(p+1) in the log domain; at
+        # p = 0 the weight is e^{-u}, where 0 * log(0) would give nan at u = 0
+        with np.errstate(divide="ignore"):
+            log_weight = power * np.log(u) - u if power else -u
+        density = np.exp(log_weight - math.lgamma(power + 1.0))
         return u, density
 
     def first_node(index):
@@ -248,7 +241,7 @@ def abel_power_quadrature(B, lam, n, scheme=SCHEME_GAUSS_LAGUERRE):
     """
     n = linalg.check_count("n", n, 1)
     B = linalg.as_matrix(B, square=True)
-    lam = _check_lambda(lam)
+    lam = linalg.check_real("lambda", lam, 0.0)
     return _quadrature(B, lam, _abscissa(B, lam), float(n - 1), scheme)
 
 
@@ -264,7 +257,7 @@ def check(B, lam, n):
     """
     n = linalg.check_count("n", n, 1)
     B = linalg.as_matrix(B, square=True)
-    lam = _check_lambda(lam)
+    lam = linalg.check_real("lambda", lam, 0.0)
     tiny = np.finfo(np.float64).tiny
     closed = _resolvent(B, lam)
     scale = max(linalg.operator_norm(closed), tiny)

@@ -231,7 +231,7 @@ def test_semigroup_zero_lambda_is_input_error(tmp_path, capsys):
             code = run_cli(["semigroup", path, "--lambda", lam])
         assert code == 2
         err = capsys.readouterr().err
-        assert "lambda must be positive and finite" in err
+        assert "lambda must be finite and exceed 0" in err
         assert "Warning" not in err
 
 
@@ -319,7 +319,7 @@ def test_nonfinite_tolerance_exit_two(tmp_path, capsys, command, flag, value):
     path = write_matrix(tmp_path, "m.json", np.diag([1.0, 0.5]))
     out = tmp_path / "report.json"
     assert run_cli([command, path, flag, value, "--out", str(out)]) == 2
-    assert "must be positive and finite" in capsys.readouterr().err
+    assert "must lie strictly in (0, 1)" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -356,6 +356,20 @@ def test_console_entry_point_help():
     for name in ("certify", "abel-power", "cesaro", "semigroup",
                  "oscillator", "generate"):
         assert name in proc.stdout
+
+
+def test_cli_import_loads_no_scipy_special():
+    # scipy.special cost about 60 ms of every command's start-up, for two
+    # functions of the Simpson weight
+    src = os.path.dirname(os.path.dirname(abelerg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, abelerg.cli; print(sorted(m for m in sys.modules "
+         "if m == 'scipy.special' or m.startswith('scipy.special.')))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_reports_are_deterministic(tmp_path):

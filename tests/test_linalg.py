@@ -78,6 +78,8 @@ COUNT_ARGUMENTS = {
         "n", lambda v: oscillator.hermite_function(v, 0.5)),
     "oscillator.eigen_residual": (
         "n", lambda v: oscillator.eigen_residual(v)),
+    "oscillator.gram_defect": (
+        "count", lambda v: oscillator.gram_defect(v)),
 }
 
 
@@ -88,6 +90,64 @@ def test_count_arguments_reject_non_integers(function, bad):
     name, call = COUNT_ARGUMENTS[function]
     with pytest.raises(ValueError,
                        match=rf"^{re.escape(name)} must be an integer, got "):
+        call(bad)
+
+
+def test_check_real_returns_float_in_range():
+    for value in (np.float64(0.5), np.float32(0.5), 0.5):
+        x = linalg.check_real("x", value, 0.0, 1.0)
+        assert x == 0.5 and type(x) is float
+    assert type(linalg.check_real("x", np.int64(3))) is float
+    with pytest.raises(ValueError, match=r"^x must be finite, got inf$"):
+        linalg.check_real("x", np.inf)
+    with pytest.raises(ValueError,
+                       match=r"^x must be finite and exceed -1, got nan$"):
+        linalg.check_real("x", np.nan, -1.0)
+    with pytest.raises(ValueError,
+                       match=r"^x must lie strictly in \(0, 1\), got 1$"):
+        linalg.check_real("x", 1, 0.0, 1.0)
+    for bad in (np.True_, 1j, None, [0.5], np.array(0.5)):
+        with pytest.raises(ValueError, match=r"^x must be a real number, got "):
+            linalg.check_real("x", bad)
+
+
+# Every real argument of the library, by the name its message gives it.
+REAL_ARGUMENTS = {
+    "abel.abel_average": (
+        "alpha", lambda v: abel.abel_average(np.eye(2), v)),
+    "abel.power_iterate": (
+        "tol", lambda v: abel.power_iterate(np.eye(2), tol=v)),
+    "certify.verify_equivalence tol": (
+        "tol", lambda v: certify.verify_equivalence(np.eye(2), tol=v)),
+    "certify.verify_equivalence rank_tol": (
+        "rank_tol", lambda v: certify.verify_equivalence(np.eye(2),
+                                                         rank_tol=v)),
+    "linalg.matrix_exponential": (
+        "t", lambda v: linalg.matrix_exponential(np.eye(2), v)),
+    "linalg.norm_at_most": (
+        "bound", lambda v: linalg.norm_at_most(np.eye(2), v)),
+    "semigroup.laguerre_rule": (
+        "power", lambda v: semigroup.laguerre_rule(4, v)),
+    "semigroup.abel_average_closed": (
+        "lambda", lambda v: semigroup.abel_average_closed(-np.eye(2), v)),
+    "oscillator.first_order_gap": (
+        "lambda", lambda v: oscillator.first_order_gap(
+            oscillator.DiagonalOscillator(truncation=8), v)),
+    "oscillator.eigen_residual step": (
+        "step", lambda v: oscillator.eigen_residual(0, step=v)),
+    "oscillator.eigen_residual half_width": (
+        "half_width", lambda v: oscillator.eigen_residual(0, half_width=v)),
+}
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, np.array([0.5])],
+                         ids=["str", "bool", "array"])
+@pytest.mark.parametrize("function", sorted(REAL_ARGUMENTS))
+def test_real_arguments_reject_non_reals(function, bad):
+    # float() used to parse "0.5" and read True as 1.0
+    name, call = REAL_ARGUMENTS[function]
+    with pytest.raises(ValueError,
+                       match=rf"^{re.escape(name)} must be a real number, got "):
         call(bad)
 
 

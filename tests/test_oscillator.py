@@ -146,7 +146,7 @@ def test_eigen_residual_scales_with_step():
 
 def test_eigen_residual_rejects_nan_half_width():
     # nan used to pass the turning-point check and fail on the grid size
-    with pytest.raises(ValueError, match="classical turning point"):
+    with pytest.raises(ValueError, match="^half_width must be finite, got nan$"):
         oscillator.eigen_residual(0, half_width=float("nan"))
 
 
