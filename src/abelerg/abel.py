@@ -226,8 +226,8 @@ def spectral_map(zeta, alpha):
 def in_omega_alpha(zeta, alpha):
     """Strict inequality |alpha zeta - 1| > 1 - alpha.
 
-    The region where the spectral map takes values outside the closed unit
-    disk; boundary points return False.
+    The region where the spectral map takes values inside the open unit
+    disk, |f_alpha(zeta)| < 1; boundary points return False.
     """
     a = check_alpha(alpha)
     z = complex(zeta)

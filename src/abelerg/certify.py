@@ -196,41 +196,48 @@ def verify_equivalence(T, alphas=DEFAULT_ALPHAS, tol=abel.DEFAULT_TOL,
 
 
 # Bytes of running sums a sweep buffers for one batched SVD call, so the
-# sweeps hold O(max(SWEEP_CHUNK_BYTES, n^2)) memory whatever N_max.
+# sweeps hold O(SWEEP_CHUNK_BYTES + len(alphas) n^2) memory whatever N_max.
 SWEEP_CHUNK_BYTES = 1 << 20
 
 
-def _sweep_sup(T, steps, alpha=None):
+def _sweep_sup(T, steps, alphas=None):
     """sup over k <= steps of the weighted norms of the running sums
 
         S_k = P_0 + ... + P_k,   P_0 = I,   P_k = P_(k-1) T (times alpha),
 
-    weighted 1 / (k + 1) without alpha (Cesaro) and 1 - alpha with it
-    (Abel).  The sums fill a buffer of SWEEP_CHUNK_BYTES whose norms one
-    batched SVD call takes; +inf if a sum overflows, since every later sum
-    is then non-finite too.
+    weighted 1 / (k + 1) without alphas (Cesaro) and 1 - alpha with them
+    (Abel, all alphas as one stacked recurrence).  The sums fill a buffer
+    of SWEEP_CHUNK_BYTES, or of one step if more; one batched SVD call
+    takes the norms of those that differ from the sum before, as a repeated
+    sum cannot raise the sup when no weight grows with k.  +inf if a sum
+    overflows, since every later sum is then non-finite too.
     """
     n = T.shape[0]
-    size = min(steps + 1, max(1, SWEEP_CHUNK_BYTES // (16 * n * n)))
-    buffer = np.empty((size, n, n), dtype=np.complex128)
-    P = S = np.eye(n, dtype=np.complex128)
+    m = 1 if alphas is None else len(alphas)
+    size = min(steps + 1, max(1, SWEEP_CHUNK_BYTES // (16 * m * n * n)))
+    # buffer[0] holds the sums before the buffered steps, first S_(-1) = 0
+    buffer = np.zeros((size + 1, m, n, n), dtype=np.complex128)
+    P = np.array([np.eye(n, dtype=np.complex128)] * m)
     sup = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
             if k:
-                P = P @ T if alpha is None else alpha * (P @ T)
-                S = S + P
-            i = k % size
-            buffer[i] = S
-            if i < size - 1 and k < steps:
+                P = P @ T if alphas is None else alphas[:, None, None] * (P @ T)
+            i = k % size + 1
+            np.add(buffer[i - 1], P, out=buffer[i])
+            if i < size and k < steps:
                 continue
-            sums = buffer[:i + 1]
+            sums = buffer[1:i + 1]
             if not np.isfinite(sums).all():
                 return math.inf
-            norms = linalg.operator_norms(sums)
-            weighted = norms / np.arange(k - i + 1, k + 2) if alpha is None \
-                else (1.0 - alpha) * norms
-            sup = max(sup, float(weighted.max()))
+            # != is a bit test on finite sums that never hold -0 (I has
+            # +0, and x + -x rounds to +0)
+            rows, cols = np.nonzero((sums != buffer[:i]).any(axis=(2, 3)))
+            buffer[0] = buffer[i]
+            norms = linalg.operator_norms(sums[rows, cols])
+            weighted = norms / (rows + k - i + 2) if alphas is None \
+                else (1.0 - alphas[cols]) * norms
+            sup = float(weighted.max(initial=sup))
     return sup
 
 
@@ -253,8 +260,8 @@ def abel_partial_sup_estimate(T, alpha_grid, N_max):
     """
     T = linalg.as_matrix(T, square=True)
     N_max = linalg.check_count("N_max", N_max, 0)
-    return max((_sweep_sup(T, N_max, abel.check_alpha(a)) for a in alpha_grid),
-               default=0.0)
+    alphas = np.array([abel.check_alpha(a) for a in alpha_grid])
+    return _sweep_sup(T, N_max, alphas) if alphas.size else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ error; 3 = numerical failure.
 """
 
 import argparse
+import functools
 import sys
 
 from . import abel, certify, linalg, matrixio, oscillator, semigroup
@@ -182,6 +183,7 @@ def _add_common_flags(parser):
                         help="write the report here instead of stdout")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="abelerg",

@@ -165,6 +165,53 @@ def test_sweep_memory_is_bounded():
     assert peak <= 8 * max(certify.SWEEP_CHUNK_BYTES, 16 * n * n)
 
 
+
+def count_normed_matrices(monkeypatch):
+    """Wrap linalg.operator_norms; the list collects the size of each
+    stack it is handed."""
+    sizes = []
+    norms = linalg.operator_norms
+
+    def counted(stack):
+        sizes.append(len(stack))
+        return norms(stack)
+
+    monkeypatch.setattr(linalg, "operator_norms", counted)
+    return sizes
+
+
+def test_abel_sweep_norms_only_changed_sums(monkeypatch):
+    # the sums (1 - 0.5^(k+1)) I settle at I after a few dozen steps
+    N_max = 1000
+    P = S = np.eye(2, dtype=np.complex128)
+    distinct = 1
+    for _ in range(N_max):
+        P = 0.5 * (P @ np.eye(2))
+        distinct += bool((S + P != S).any())
+        S = S + P
+    sizes = count_normed_matrices(monkeypatch)
+    sup = certify.abel_partial_sup_estimate(np.eye(2), (0.5,), N_max)
+    assert sum(sizes) == distinct < 100
+    assert sup == reference_abel_partial_sup(np.eye(2), (0.5,), N_max)
+
+
+def test_zero_matrix_norms_one_sum_per_alpha(monkeypatch):
+    # every sum is I, so each alpha's sweep has one distinct sum
+    T = np.zeros((3, 3))
+    alphas = (0.1, 0.5, 0.9)
+    sizes = count_normed_matrices(monkeypatch)
+    sup = certify.abel_partial_sup_estimate(T, alphas, 1000)
+    assert sum(sizes) == len(alphas)
+    assert sup == reference_abel_partial_sup(T, alphas, 1000)
+
+
+def test_alpha_grid_is_validated_before_any_sweep(monkeypatch):
+    sizes = count_normed_matrices(monkeypatch)
+    with pytest.raises(ValueError):
+        certify.abel_partial_sup_estimate(np.eye(2), (0.5, 1.5), 1000)
+    assert sizes == []
+    assert certify.abel_partial_sup_estimate(np.eye(2), (), 1000) == 0.0
+
 def test_abel_partial_sup_matches_norm_bound():
     # for T = I the partial sums are (1 - alpha^N) I, always below 1
     sup = certify.abel_partial_sup_estimate(np.eye(2), (0.1, 0.5, 0.9), 200)
