@@ -165,7 +165,6 @@ def test_sweep_memory_is_bounded():
     assert peak <= 8 * max(certify.SWEEP_CHUNK_BYTES, 16 * n * n)
 
 
-
 def count_normed_matrices(monkeypatch):
     """Wrap linalg.operator_norms; the list collects the size of each
     stack it is handed."""
@@ -181,7 +180,7 @@ def count_normed_matrices(monkeypatch):
 
 
 def test_abel_sweep_norms_only_changed_sums(monkeypatch):
-    # the sums (1 - 0.5^(k+1)) I settle at I after a few dozen steps
+    # the sums (2 - 0.5^k) I settle at 2 I after a few dozen steps
     N_max = 1000
     P = S = np.eye(2, dtype=np.complex128)
     distinct = 1
@@ -211,6 +210,7 @@ def test_alpha_grid_is_validated_before_any_sweep(monkeypatch):
         certify.abel_partial_sup_estimate(np.eye(2), (0.5, 1.5), 1000)
     assert sizes == []
     assert certify.abel_partial_sup_estimate(np.eye(2), (), 1000) == 0.0
+
 
 def test_abel_partial_sup_matches_norm_bound():
     # for T = I the partial sums are (1 - alpha^N) I, always below 1

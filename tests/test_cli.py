@@ -57,7 +57,6 @@ def test_certify_custom_alphas(tmp_path):
     assert alphas == [0.25, 0.75]
 
 
-
 def test_parser_state_does_not_leak_between_requests(tmp_path):
     # main reuses one parser per process; an earlier --alpha must not
     # become a later request's default
@@ -69,6 +68,7 @@ def test_parser_state_does_not_leak_between_requests(tmp_path):
     assert cli.build_parser() is cli.build_parser()
     report = json.loads(second.read_text())
     assert report["tolerances_used"]["alphas"] == list(certify.DEFAULT_ALPHAS)
+
 
 def test_abel_power_writes_history(tmp_path):
     path = write_matrix(tmp_path, "m.json", np.diag([1.0, 2.0 / 3.0]))
