@@ -195,11 +195,6 @@ def verify_equivalence(T, alphas=DEFAULT_ALPHAS, tol=abel.DEFAULT_TOL,
                          "alphas": alphas})
 
 
-# Bytes of running sums a sweep buffers for one batched SVD call, so the
-# sweeps hold O(SWEEP_CHUNK_BYTES + len(alphas) n^2) memory whatever N_max.
-SWEEP_CHUNK_BYTES = 1 << 20
-
-
 def _sweep_sup(T, steps, alphas=None):
     """sup over k <= steps of the weighted norms of the running sums
 
@@ -207,14 +202,15 @@ def _sweep_sup(T, steps, alphas=None):
 
     weighted 1 / (k + 1) without alphas (Cesaro) and 1 - alpha with them
     (Abel, all alphas as one stacked recurrence).  The sums fill a buffer
-    of SWEEP_CHUNK_BYTES, or of one step if more; one batched SVD call
-    takes the norms of those that differ from the sum before, as a repeated
-    sum cannot raise the sup when no weight grows with k.  +inf if a sum
-    overflows, since every later sum is then non-finite too.
+    of linalg.STACK_CHUNK_BYTES, or of one step if more; one batched SVD
+    call takes the norms of those that differ from the sum before, as a
+    repeated sum cannot raise the sup when no weight grows with k.  +inf
+    if a sum overflows, since every later sum is then non-finite too.
     """
     n = T.shape[0]
     m = 1 if alphas is None else len(alphas)
-    size = min(steps + 1, max(1, SWEEP_CHUNK_BYTES // (16 * m * n * n)))
+    size = min(steps + 1,
+               max(1, linalg.STACK_CHUNK_BYTES // (16 * m * n * n)))
     # buffer[0] holds the sums before the buffered steps, first S_(-1) = 0
     buffer = np.zeros((size + 1, m, n, n), dtype=np.complex128)
     P = np.array([np.eye(n, dtype=np.complex128)] * m)

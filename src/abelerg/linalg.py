@@ -36,6 +36,12 @@ NORM_BOUND_MARGIN = 1e-8
 # self-test counts on a 2x2 certify (perfbench/test_spans.py).
 EXACT_NORM_MAX_DIMENSION = 2
 
+# Bytes of a stack of matrices that one batched call takes: the sweeps'
+# running sums for operator_norms, the Gauss-Laguerre nodes for
+# matrix_exponentials.  Such loops hold O(STACK_CHUNK_BYTES + n^2) memory
+# however many matrices they go through.
+STACK_CHUNK_BYTES = 1 << 20
+
 
 def as_matrix(A, square=False):
     """Validate and return ``A`` as a finite complex128 matrix.
@@ -195,16 +201,34 @@ def image_basis(A, rank_tol=None):
 
 
 def matrix_exponential(B, t):
-    """exp(t B) by scaling and squaring.
+    """exp(t B) by scaling and squaring: matrix_exponentials at one t.
 
     Raises Overflow when entries leave the representable range.
     """
+    return matrix_exponentials(B, np.array([check_real("t", t)]))[0]
+
+
+def matrix_exponentials(B, ts):
+    """exp(t B) for each t of a 1-d float array ts, as a (len(ts), n, n)
+    stack, by one scipy expm call.  scipy runs the same Pade code on each
+    slice of a stack, so slice i is bit for bit expm(ts[i] * B).
+
+    Raises Overflow naming the first t whose exponential leaves the
+    representable range.
+    """
     B = as_matrix(B, square=True)
-    t = check_real("t", t)
+    ts = np.asarray(ts)
+    if ts.ndim != 1 or ts.dtype.kind != "f":
+        raise ValueError(f"ts must be a 1-d array of floats, got shape "
+                         f"{ts.shape} and dtype {ts.dtype}")
+    if not np.isfinite(ts).all():
+        raise ValueError("ts must be finite")
+    ts = ts.astype(np.float64, copy=False)
     with np.errstate(over="ignore", invalid="ignore"):
-        E = scipy.linalg.expm(t * B)
-    if not np.all(np.isfinite(E)):
-        raise Overflow(f"exp({t} * B) overflowed")
+        E = scipy.linalg.expm(ts[:, None, None] * B)
+    finite = np.isfinite(E).all(axis=(1, 2))
+    if not finite.all():
+        raise Overflow(f"exp({float(ts[finite.argmin()])} * B) overflowed")
     return E
 
 

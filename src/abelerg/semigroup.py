@@ -18,7 +18,9 @@ which reuses every node) it raises QuadratureUnstable.  The self-check
 cannot see what Simpson drops past its horizon, so the horizon follows the
 decay of the integrand: u = (SIMPSON_HORIZON + p + 8 sqrt(p)) / (1 - w/lambda),
 with p the weight power (its mass sits near u = p) and w the spectral
-abscissa of B clipped at 0.  Simpson nodes lie on uniform grids, so most
+abscissa of B clipped at 0.  A Gauss-Laguerre rule exponentiates its nodes
+as stacks of up to linalg.STACK_CHUNK_BYTES, one expm call each: a single
+call per rule at small n.  Simpson nodes lie on uniform grids, so most
 are matrix products exp((u + 2h) B / lambda) = exp(u B / lambda)
 exp(2h B / lambda), with a direct expm every EXPM_ANCHOR_EVERY nodes.
 The closed resolvent form is available as an independent reference.
@@ -115,10 +117,17 @@ def _abscissa(B, lam):
 
 
 def _weighted_sum(B, lam, nodes, weights):
-    """sum_i w_i exp(u_i B / lambda): one expm per node, O(n^2) memory."""
+    """sum_i w_i exp(u_i B / lambda), added in node order.  The nodes go to
+    linalg.matrix_exponentials in stacks of up to linalg.STACK_CHUNK_BYTES
+    (at least one node each): one expm call per rule at small n, and
+    O(STACK_CHUNK_BYTES + n^2) memory at any n."""
     total = np.zeros(B.shape, dtype=np.complex128)
-    for u_i, w_i in zip(nodes, weights):
-        total += w_i * linalg.matrix_exponential(B, u_i / lam)
+    chunk = max(1, linalg.STACK_CHUNK_BYTES // (16 * B.size))
+    for start in range(0, len(nodes), chunk):
+        stop = start + chunk
+        stack = linalg.matrix_exponentials(B, nodes[start:stop] / lam)
+        for w_i, E_i in zip(weights[start:stop], stack):
+            total += w_i * E_i
     return total
 
 

@@ -146,12 +146,12 @@ def test_sweeps_match_per_prefix_reference():
             assert_sweeps_match_reference(inst.matrix, N_max)
     # n = 64 buffers 16 sums: N_max = 100 takes 7 buffers, the last partial
     T = certify.generate_instances(7, count=1, dims=(64, 64))[0].matrix
-    assert certify.SWEEP_CHUNK_BYTES // (16 * 64 * 64) == 16
+    assert linalg.STACK_CHUNK_BYTES // (16 * 64 * 64) == 16
     assert_sweeps_match_reference(T, 100)
 
 
 def test_sweep_memory_is_bounded():
-    # one buffer of SWEEP_CHUNK_BYTES (here a single 1 MiB sum) and a few
+    # one buffer of STACK_CHUNK_BYTES (here a single 1 MiB sum) and a few
     # n x n matrices whatever N_max; keeping every sum would take 50
     n = 256
     T = certify.generate_instances(3, count=1, dims=(n, n))[0].matrix
@@ -162,7 +162,7 @@ def test_sweep_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * max(certify.SWEEP_CHUNK_BYTES, 16 * n * n)
+    assert peak <= 8 * max(linalg.STACK_CHUNK_BYTES, 16 * n * n)
 
 
 def count_normed_matrices(monkeypatch):

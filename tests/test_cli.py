@@ -200,10 +200,10 @@ def test_semigroup_request_at_n_1_runs_gauss_laguerre_once(
     # panels, where integrating the power again took 192 more
     calls = []
 
-    def counted(*args, _func=linalg.matrix_exponential):
-        calls.append(args)
-        return _func(*args)
-    monkeypatch.setattr(linalg, "matrix_exponential", counted)
+    def counted(B, ts, _func=linalg.matrix_exponentials):
+        calls.extend(ts)
+        return _func(B, ts)
+    monkeypatch.setattr(linalg, "matrix_exponentials", counted)
     path = write_matrix(tmp_path, "b.json",
                         [[-1.0, 0.5, 0.0], [0.0, -2.0, 0.3], [0.1, 0.0, -0.5]])
     out = tmp_path / "report.json"

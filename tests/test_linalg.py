@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from abelerg import abel, certify, linalg, oscillator, semigroup
 from abelerg.errors import Overflow, SingularMatrix
@@ -270,6 +271,62 @@ def test_matrix_exponential_overflow():
     B = np.array([[500.0]])
     with pytest.raises(Overflow):
         linalg.matrix_exponential(B, 10.0)
+
+
+def _expm_cases():
+    # scipy's expm branches on 1x1, diagonal, upper- and lower-triangular
+    # and dense input
+    rng = np.random.default_rng(17)
+    dense = random_matrix(rng, 5)
+    yield dense
+    yield np.diag(np.diag(dense))
+    yield np.triu(dense)
+    yield np.tril(dense)
+    yield dense[:1, :1]
+    yield -np.eye(3)
+
+
+def test_matrix_exponentials_match_one_expm_per_t():
+    ts = np.concatenate(([0.0], np.geomspace(1e-3, 30.0, 40)))
+    for B in _expm_cases():
+        stack = linalg.matrix_exponentials(B, ts)
+        assert stack.shape == (len(ts),) + B.shape
+        for t, E in zip(ts, stack):
+            assert np.array_equal(E, linalg.matrix_exponential(B, float(t)))
+            assert np.array_equal(
+                E, scipy.linalg.expm(float(t) * B.astype(np.complex128)))
+
+
+def test_weighted_sum_chunks_match_one_expm_per_node(monkeypatch):
+    # 3 nodes per stack: 10 nodes take four calls, the last one partial;
+    # the sum adds in node order, so it equals the per-node loop bit for bit
+    nodes, weights = semigroup.laguerre_rule(10)
+    for B in _expm_cases():
+        B = B.astype(np.complex128)
+        n = B.shape[0]
+        monkeypatch.setattr(linalg, "STACK_CHUNK_BYTES", 3 * 16 * n * n + 1)
+        chunked = semigroup._weighted_sum(B, 2.0, nodes, weights)
+        reference = np.zeros_like(B)
+        for u_i, w_i in zip(nodes, weights):
+            reference += w_i * linalg.matrix_exponential(B, u_i / 2.0)
+        assert np.array_equal(chunked, reference)
+
+
+def test_matrix_exponentials_overflow_names_first_t():
+    B = np.array([[500.0]])
+    with pytest.raises(Overflow, match=r"^exp\(2\.0 \* B\) overflowed$"):
+        linalg.matrix_exponentials(B, np.array([0.5, 1.0, 2.0, 10.0]))
+
+
+@pytest.mark.parametrize("ts", [np.array([0.5, np.nan]),
+                                np.array([1.0, np.inf]),
+                                np.array([[0.5, 1.0]]), np.array(0.5),
+                                np.array([1, 2]), np.array([True]),
+                                np.array(["0.5"])],
+                         ids=["nan", "inf", "2d", "0d", "int", "bool", "str"])
+def test_matrix_exponentials_rejects_bad_ts(ts):
+    with pytest.raises(ValueError, match=r"^ts must be "):
+        linalg.matrix_exponentials(np.eye(2), ts)
 
 
 def test_operator_norm_matches_largest_singular_value():

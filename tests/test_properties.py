@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abelerg import certify
+from abelerg import certify, linalg
 from test_certify import assert_sweeps_match_reference
 
 
@@ -22,6 +22,6 @@ def test_batched_sweeps_equal_per_prefix_reference(n, N_max, buffered, seed,
     T = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     T *= radius / np.sqrt(2.0 * n)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(certify, "SWEEP_CHUNK_BYTES",
+        mp.setattr(linalg, "STACK_CHUNK_BYTES",
                    buffered * 16 * n * n + n * n)
         assert_sweeps_match_reference(T, N_max, alphas)

@@ -167,14 +167,16 @@ def test_simpson_horizon_on_stable_generators_is_forty():
 
 
 def count_expm_calls(monkeypatch):
+    """Wrap the one expm kernel, linalg.matrix_exponentials, which
+    matrix_exponential also calls; the list collects every t it receives."""
     calls = []
-    original = linalg.matrix_exponential
+    original = linalg.matrix_exponentials
 
-    def counted(B, t):
-        calls.append(t)
-        return original(B, t)
+    def counted(B, ts):
+        calls.extend(ts)
+        return original(B, ts)
 
-    monkeypatch.setattr(linalg, "matrix_exponential", counted)
+    monkeypatch.setattr(linalg, "matrix_exponentials", counted)
     return calls
 
 
@@ -338,9 +340,9 @@ def test_simpson_product_overflow_raises(monkeypatch):
     # every direct expm is huge but finite, so the first product of the
     # even nodes overflows; the sum must raise quietly, as expm does, not
     # come back as inf or nan
-    original = linalg.matrix_exponential
-    monkeypatch.setattr(linalg, "matrix_exponential",
-                        lambda B, t: 1e160 * original(B, t))
+    original = linalg.matrix_exponentials
+    monkeypatch.setattr(linalg, "matrix_exponentials",
+                        lambda B, ts: 1e160 * original(B, ts))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(Overflow):
@@ -360,6 +362,21 @@ def test_simpson_memory_does_not_grow_with_panel_count():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * n * n * 16
+
+
+def test_gauss_laguerre_memory_is_bounded():
+    # at n = 64 a stack of STACK_CHUNK_BYTES holds 16 nodes; one stack for
+    # the whole 128-node rule would take 8 MiB, and its input t B as much
+    rng = np.random.default_rng(131)
+    n = 64
+    B = stable_generator(rng, n)
+    tracemalloc.start()
+    try:
+        semigroup.abel_average_quadrature(B, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * max(linalg.STACK_CHUNK_BYTES, 16 * n * n)
 
 
 def test_quadrature_unstable_generator_rejected():
