@@ -172,14 +172,15 @@ def _exact_norm(X, test):
     return test.norm if test.norm is not None else linalg.operator_norm(X)
 
 
-def riesz_projection_at_one(T, rank_tol=None):
+def riesz_projection_at_one(T, rank_tol):
     """Projection onto Ker(I - T) along Im(I - T) from rank-revealing bases.
 
     Built by stacking orthonormal bases K of the kernel and V of the image
-    of I - T and conjugating diag(I_k, 0) by [K V].  Fails loudly, with
-    DecompositionFails, exactly when the two subspaces do not decompose the
-    space: dimensions short of n, a singular stacked basis, or a projection
-    whose idempotency defect exceeds 1e-8.
+    of I - T, both at the relative rank threshold rank_tol, and conjugating
+    diag(I_k, 0) by [K V].  Fails loudly, with DecompositionFails, exactly
+    when the two subspaces do not decompose the space: dimensions short of
+    n, a stacked basis with sigma_min <= rank_tol * sigma_max, or a
+    projection whose idempotency defect exceeds 1e-8.
     """
     T = linalg.as_matrix(T, square=True)
     n = T.shape[0]
@@ -192,8 +193,7 @@ def riesz_projection_at_one(T, rank_tol=None):
             f"dim Ker(I-T) + dim Im(I-T) = {k} + {v} != {n}")
     W = np.hstack([K, V])
     s = np.linalg.svd(W, compute_uv=False)
-    stack_tol = rank_tol if rank_tol is not None else linalg.default_rank_tol(W)
-    if s[-1] <= stack_tol * s[0]:
+    if s[-1] <= rank_tol * s[0]:
         raise DecompositionFails(
             f"stacked kernel/image basis is numerically singular "
             f"(sigma_min/sigma_max = {s[-1] / s[0]:.3e})")

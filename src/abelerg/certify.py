@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import abel, linalg
-from .errors import DecompositionFails, ResolventPole
+from .errors import DecompositionFails, Overflow, ResolventPole
 
 VERDICT_CONVERGED_ALL = "converged_all"
 VERDICT_DIVERGED = "diverged"
@@ -133,13 +133,16 @@ def _rank_pair(T, zeta, rank_tol):
 
     The second threshold is rank_tol * sigma_max(M)^2, the natural scale of
     a squared matrix, so a roundoff-sized M^2 does not read as full rank.
+    Raises Overflow when M^2 leaves the representable range.
     """
     M = zeta * np.eye(T.shape[0], dtype=np.complex128) - T
     smax = linalg.operator_norm(M)
-    if smax == 0.0:
-        return 0, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        M2 = M @ M
+    if not np.isfinite(M2).all():
+        raise Overflow(f"({zeta} I - T)^2 overflowed")
     return (linalg.numerical_rank(M, rank_tol * smax),
-            linalg.numerical_rank(M @ M, rank_tol * smax * smax))
+            linalg.numerical_rank(M2, rank_tol * smax * smax))
 
 
 def check_spectral_condition(T, tol=abel.DEFAULT_TOL, rank_tol=CERTIFY_RANK_TOL):
@@ -155,11 +158,12 @@ def check_spectral_condition(T, tol=abel.DEFAULT_TOL, rank_tol=CERTIFY_RANK_TOL)
     rank_tol = linalg.check_tolerance("rank_tol", rank_tol)
     eig = linalg.eigendecompose(T)
     norm_T = linalg.operator_norm(T)
-    max_re = float(np.max(eig.values.real)) if eig.values.size else 0.0
+    # eigendecompose sorts by descending real part, so the first leads
+    max_re = float(eig.values[0].real)
     witnesses = []
     if max_re > 1.0 + tol * norm_T:
-        worst = eig.values[int(np.argmax(eig.values.real))]
-        witnesses.append({"kind": "offending_eigenvalue", "value": complex(worst)})
+        witnesses.append(
+            {"kind": "offending_eigenvalue", "value": complex(eig.values[0])})
         return ConditionIICertificate(
             VERDICT_SPECTRUM_ESCAPES, witnesses, max_re, None, None)
     rank_first, rank_second = _rank_pair(T, 1.0, rank_tol)

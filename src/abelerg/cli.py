@@ -9,6 +9,7 @@ error; 3 = numerical failure.
 """
 
 import argparse
+import dataclasses
 import functools
 import sys
 
@@ -54,16 +55,6 @@ def _condition_i_payload(ci):
     }
 
 
-def _condition_ii_payload(cii):
-    return {
-        "verdict": cii.verdict,
-        "witnesses": cii.witnesses,
-        "max_real_part": cii.max_real_part,
-        "rank_first": cii.rank_first,
-        "rank_second": cii.rank_second,
-    }
-
-
 def cmd_certify(args):
     T = matrixio.load_matrix(args.matrix)
     alphas = tuple(args.alpha) if args.alpha else certify.DEFAULT_ALPHAS
@@ -74,7 +65,7 @@ def cmd_certify(args):
         "alphas": list(alphas), "tol": args.tol, "rank_tol": args.rank_tol,
     })
     report["condition_i"] = _condition_i_payload(result.condition_i)
-    report["condition_ii"] = _condition_ii_payload(result.condition_ii)
+    report["condition_ii"] = dataclasses.asdict(result.condition_ii)
     report["agree"] = result.agree
     report["tolerances_used"] = result.tolerances_used
     return report

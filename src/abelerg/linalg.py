@@ -104,11 +104,6 @@ def check_count(name, value, minimum, maximum=None):
     return count
 
 
-def default_rank_tol(A):
-    """Relative rank threshold n * eps for an n x m matrix."""
-    return max(A.shape) * EPS
-
-
 @dataclass(frozen=True)
 class EigenData:
     """Spectrum of a square matrix.
@@ -140,7 +135,10 @@ def solve_linear(A, rhs):
         # exact singularity is detected below and raised as SingularMatrix
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    threshold = n * EPS * np.linalg.norm(A, np.inf)
+    # a row sum beyond the double range makes the threshold infinite, so
+    # every pivot reads as singular
+    with np.errstate(over="ignore"):
+        threshold = n * EPS * np.linalg.norm(A, np.inf)
     pivots = np.abs(np.diag(lu))
     if np.min(pivots) <= threshold:
         raise SingularMatrix(
@@ -153,7 +151,8 @@ def eigendecompose(A):
 
     The Schur route gives a computable backward-error certificate:
     A + E = Z T Z* exactly with ||E|| reported, at the usual
-    O(n * eps * ||A||) size for a converged QR iteration.
+    O(n * eps * ||A||) size for a converged QR iteration.  Raises Overflow
+    when A - Z T Z* leaves the representable range.
     """
     A = as_matrix(A, square=True)
     try:
@@ -162,7 +161,11 @@ def eigendecompose(A):
         raise NoConvergence(str(exc)) from exc
     values = np.diag(T).astype(np.complex128)
     order = np.lexsort((-np.angle(values), -np.abs(values), -values.real))
-    backward = operator_norm(A - Z @ T @ Z.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = A - Z @ T @ Z.conj().T
+    if not np.isfinite(residual).all():
+        raise Overflow("the Schur factorization left the representable range")
+    backward = operator_norm(residual)
     return EigenData(values=values[order], backward_error=float(backward))
 
 
@@ -174,15 +177,14 @@ def numerical_rank(A, threshold):
 
 def _rank_split(A, rank_tol):
     """Full SVD of A and its rank r: the count of singular values above
-    rank_tol * sigma_max (rank_tol defaults to n * eps)."""
+    rank_tol * sigma_max."""
     A = as_matrix(A)
-    rank_tol = default_rank_tol(A) if rank_tol is None \
-        else check_tolerance("rank_tol", rank_tol)
+    rank_tol = check_tolerance("rank_tol", rank_tol)
     U, s, Vh = np.linalg.svd(A)
     return U, Vh, int(np.sum(s > rank_tol * s[0]))
 
 
-def kernel_basis(A, rank_tol=None):
+def kernel_basis(A, rank_tol):
     """Orthonormal basis of the numerical null space of A, as columns.
 
     Right singular vectors past the rank, including those of the exact
@@ -193,7 +195,7 @@ def kernel_basis(A, rank_tol=None):
     return Vh.conj().T[:, r:]
 
 
-def image_basis(A, rank_tol=None):
+def image_basis(A, rank_tol):
     """Orthonormal basis of the numerical column space of A, as columns:
     the left singular vectors up to the rank (dual of kernel_basis)."""
     U, _, r = _rank_split(A, rank_tol)

@@ -275,7 +275,7 @@ def test_power_iterate_reuses_the_deciding_svd(svd_calls):
 
 
 def test_riesz_projection_diag_oracle():
-    proj = abel.riesz_projection_at_one(convergent_diag())
+    proj = abel.riesz_projection_at_one(convergent_diag(), 2 * linalg.EPS)
     assert np.allclose(proj.matrix, np.diag([1.0, 0.0]), atol=1e-12)
     assert proj.kernel.shape[1] == 1
     assert proj.image.shape[1] == 1
@@ -285,14 +285,14 @@ def test_riesz_projection_diag_oracle():
 def test_riesz_projection_no_eigenvalue_one_gives_zero():
     rng = np.random.default_rng(21)
     T = random_contraction(rng, 5)
-    proj = abel.riesz_projection_at_one(T)
+    proj = abel.riesz_projection_at_one(T, 5 * linalg.EPS)
     assert proj.kernel.shape[1] == 0
     assert np.linalg.norm(proj.matrix, 2) <= 1e-12
 
 
 def test_riesz_projection_jordan_fails():
     with pytest.raises(DecompositionFails):
-        abel.riesz_projection_at_one(jordan_block())
+        abel.riesz_projection_at_one(jordan_block(), 2 * linalg.EPS)
 
 
 def test_riesz_projection_commutes_and_projects():
@@ -306,7 +306,7 @@ def test_riesz_projection_commutes_and_projects():
         W = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         Q, _ = np.linalg.qr(W)
         T = Q @ T @ Q.conj().T
-        proj = abel.riesz_projection_at_one(T)
+        proj = abel.riesz_projection_at_one(T, n * linalg.EPS)
         E = proj.matrix
         assert np.linalg.norm(E @ E - E, 2) <= 1e-9
         assert np.linalg.norm(T @ E - E, 2) <= 1e-9

@@ -83,7 +83,8 @@ def test_limit_identity(equivalence_suite):
         if rep.condition_i.verdict != certify.VERDICT_CONVERGED_ALL:
             continue
         checked += 1
-        E = abel.riesz_projection_at_one(inst.matrix).matrix
+        E = abel.riesz_projection_at_one(
+            inst.matrix, inst.dim * linalg.EPS).matrix
         for ev in rep.condition_i.per_alpha:
             gap = linalg.operator_norm(ev.report.limit - E)
             worst_vs_projection = max(worst_vs_projection, gap)
@@ -111,7 +112,8 @@ def test_cesaro_agreement():
                 and cii.verdict == certify.VERDICT_HOLDS):
             continue
         checked += 1
-        E = abel.riesz_projection_at_one(inst.matrix).matrix
+        E = abel.riesz_projection_at_one(
+            inst.matrix, inst.dim * linalg.EPS).matrix
         C = abel.cesaro_average(inst.matrix, 100_000)
         worst = max(worst, linalg.operator_norm(C - E))
     assert checked >= 30
@@ -129,7 +131,7 @@ def test_jordan_counterexample():
     assert not rep.converged
     assert rep.divergence_reason in ("blow_up", "no_cauchy")
     with pytest.raises(DecompositionFails):
-        abel.riesz_projection_at_one(T)
+        abel.riesz_projection_at_one(T, 2 * linalg.EPS)
     cii = certify.check_spectral_condition(T)
     assert (cii.rank_first, cii.rank_second) == (1, 0)
     assert cii.verdict == certify.VERDICT_DECOMPOSITION_FAILS

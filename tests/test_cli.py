@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -44,6 +45,45 @@ def test_certify_jordan_negative_verdict_still_exit_zero(tmp_path):
     assert report["condition_i"]["verdict"] == "diverged"
     assert report["condition_ii"]["verdict"] == "decomposition_fails"
     assert report["agree"] is True
+
+
+def test_certify_condition_ii_is_its_certificate(tmp_path):
+    path = write_matrix(tmp_path, "m.json", [[1.0, 1.0], [0.0, 1.0]])
+    out = tmp_path / "report.json"
+    assert run_cli(["certify", path, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert set(report["condition_ii"]) == {
+        f.name for f in dataclasses.fields(certify.ConditionIICertificate)}
+
+
+@pytest.mark.parametrize("M", [
+    [[0.5, 1e200, 0.0], [0.0, 0.5, 1e200], [0.0, 0.0, 0.5]],
+    [[-1e308, 1e308], [-1e308, -1e308]],
+    [[1e308, 1e308], [1e308, 1e308]],
+])
+def test_certify_products_leaving_double_range_exit_three(tmp_path, capsys,
+                                                          M):
+    # finite entries whose (I - T)^2 or Schur residual overflows used to
+    # exit 2 as "matrix entries must be finite", after numpy warnings
+    path = write_matrix(tmp_path, "m.json", M)
+    out = tmp_path / "report.json"
+    assert run_cli(["certify", path, "--out", str(out)]) == 3
+    assert "Overflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["certify"], 0), (["semigroup", "--lambda", "1"], 3)])
+def test_pivot_threshold_overflow_prints_no_warning(tmp_path, capsys, argv,
+                                                     code):
+    # ||A||_inf of this matrix overflows in solve_linear; the infinite
+    # threshold reads every pivot as singular, without a numpy warning
+    path = write_matrix(tmp_path, "m.json", [[1e308, 1e308], [0.0, 0.5]])
+    out = tmp_path / "report.json"
+    assert run_cli([argv[0], path] + argv[1:] + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Warning" not in err
+    assert out.exists() == (code == 0)
 
 
 def test_certify_custom_alphas(tmp_path):

@@ -18,9 +18,10 @@ against two checkouts' src/ (chosen by PYTHONPATH) compare with
 
 The corpus covers certify, abel-power, cesaro, semigroup (several lambda
 and n, dimensions 1 to 64, and the numerical failures: overflow, a
-divergent integral and a resolvent pole), oscillator, generate, and the
-input errors.  Exits 0 when every request exits with the code the corpus
-expects (0, 2 or 3), and 1 when any exits otherwise or raises.
+divergent integral and a resolvent pole), oscillator, generate, the
+input errors, and finite matrices whose products overflow.  Exits 0 when
+every request exits with the code the corpus expects (0, 2 or 3), and 1
+when any exits otherwise or raises.
 """
 
 import contextlib
@@ -99,6 +100,16 @@ def corpus():
     for k, z in enumerate((1 + 1e-5j, 1 + 1e-7j, 1 + 1e-10j, 1 + 1e-11)):
         add(f"certify-near-boundary-{k}",
             ["certify", write_matrix(f"near-boundary-{k}", np.diag([z, 0.3]))])
+
+    # finite entries whose intermediate products leave the double range
+    for name, M, expected in (
+            ("shift-1e200", [[0.5, 1e200, 0], [0, 0.5, 1e200], [0, 0, 0.5]], 3),
+            ("square-nan", [[-1e308, 1e308], [-1e308, -1e308]], 3),
+            ("schur-nan", [[1e308, 1e308], [1e308, 1e308]], 3),
+            ("row-sum-inf", [[1e308, 1e308], [0, 0.5]], 0)):
+        add(f"certify-{name}", ["certify", write_matrix(name, M)], expected)
+    add("semigroup-row-sum-inf",
+        ["semigroup", "inputs/row-sum-inf.json", "--lambda", "1"], 3)
 
     small = write_matrix("small-generator", [[-1.0, 0.5], [0.0, -2.0]])
     add("semigroup-small-lambda-0.1-n4",
