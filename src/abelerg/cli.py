@@ -123,25 +123,11 @@ def cmd_semigroup(args):
 
 
 def cmd_oscillator(args):
-    model = oscillator.DiagonalOscillator(truncation=args.truncation)
-    gap = oscillator.scaled_resolvent_power_gap(model, args.lam, args.m)
-    c_val = oscillator.c_constant(model, args.lam)
+    fields = oscillator.check(args.lam, args.m, args.truncation)
     report = _report_skeleton("oscillator", {
         "lambda": args.lam, "m": args.m, "truncation": args.truncation,
     })
-    report["lambda"] = args.lam
-    report["m"] = args.m
-    report["truncation"] = args.truncation
-    report["gap"] = gap.gap
-    report["gap_bound"] = gap.bound
-    report["first_order_gap"] = oscillator.first_order_gap(model, args.lam)
-    report["c_constant"] = {
-        "value": c_val.value, "tail_bound": c_val.tail_bound,
-        "estimate": c_val.estimate,
-    }
-    report["eigen_residuals"] = {
-        str(n): oscillator.eigen_residual(n) for n in range(7)}
-    report["gram_defect"] = oscillator.gram_defect(10)
+    report.update(fields)
     return report
 
 

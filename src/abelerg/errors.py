@@ -18,7 +18,7 @@ class ResolventPole(AbelergError):
 
 
 class PoleHit(AbelergError):
-    """A scalar map or diagonal resolvent was evaluated at one of its poles."""
+    """A scalar map was evaluated at one of its poles."""
 
 
 class DecompositionFails(AbelergError):

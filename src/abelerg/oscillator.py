@@ -24,17 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import GridTooCoarse, Overflow, PoleHit
+from .errors import GridTooCoarse, Overflow
 
 DEFAULT_TRUNCATION = 10_000
 # Largest truncation: every model quantity allocates a few float arrays of
 # this length (8 MB each at the cap).
 MAX_TRUNCATION = 1_000_000
-# Largest grid of eigen_residual, which holds a few float arrays of this
-# length (8 MB each at the cap).
-MAX_RESIDUAL_GRID_POINTS = 1_000_000
-# eigen_residual's default grid, which gram_defect also integrates on:
-# 24001 points on [-12, 12].
+# The grid of eigen_residual and gram_defect: 24001 points on [-12, 12].
 GRID_STEP = 1e-3
 GRID_HALF_WIDTH = 12.0
 
@@ -83,17 +79,6 @@ class CConstant:
         return self.value + self.tail_bound
 
 
-def _check_lambda_above_one(model, lam):
-    lam = linalg.check_real("lambda", lam)
-    if lam > 1.0:
-        return lam
-    eigs = model.eigenvalues()
-    nearest = float(np.min(np.abs(lam - eigs)))
-    if nearest <= 1e-12:
-        raise PoleHit(f"lambda = {lam:.17g} hits an eigenvalue 1 - 2n")
-    raise ValueError("the resolvent formulas require lambda > 1")
-
-
 def _ratios(model, lam):
     n = np.arange(1, model.truncation, dtype=np.float64)
     return (lam - 1.0) / (lam - 1.0 + 2.0 * n)
@@ -107,7 +92,7 @@ def scaled_resolvent_power_gap(model, lam, m):
     raises Overflow: comparing an underflowed gap with its bound says
     nothing.
     """
-    lam = _check_lambda_above_one(model, lam)
+    lam = linalg.check_real("lambda", lam, 1.0)
     m = linalg.check_count("m", m, 1)
     gap = float(np.max(_ratios(model, lam) ** m))
     if gap < np.finfo(np.float64).tiny:
@@ -126,13 +111,13 @@ def first_order_gap(model, lam):
     Always below the coarse bound lambda - 1, and tending to zero as
     lambda decreases to 1.
     """
-    lam = _check_lambda_above_one(model, lam)
+    lam = linalg.check_real("lambda", lam, 1.0)
     return float(np.max(_ratios(model, lam)))
 
 
 def c_constant(model, lam):
     """Truncated series C(lambda) with a certified integral tail bound."""
-    lam = _check_lambda_above_one(model, lam)
+    lam = linalg.check_real("lambda", lam, 1.0)
     value = float(np.sum(_ratios(model, lam) ** 2))
     # sum_{n >= N} f(n) <= integral_{N-1}^inf f(u) du for decreasing f
     try:
@@ -164,32 +149,28 @@ def hermite_function(n, t):
     return x if x.ndim else float(x)
 
 
-def eigen_residual(n, step=GRID_STEP, half_width=GRID_HALF_WIDTH):
-    """Residual of (D^2 + 2 - t^2) x_n = (1 - 2n) x_n on a uniform grid.
+def _grid():
+    return np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH,
+                       round(2.0 * GRID_HALF_WIDTH / GRID_STEP) + 1)
 
-    D^2 is the central second difference; the residual is the maximum over
-    interior grid points and is expected to scale like step^2 times the
-    fourth derivative of x_n.  Raises GridTooCoarse when it exceeds
-    100 * step^2 * (2n + 3)^2.
+
+def eigen_residual(n):
+    """Residual of (D^2 + 2 - t^2) x_n = (1 - 2n) x_n on the fixed grid.
+
+    D^2 is the central second difference on GRID_STEP-spaced points of
+    [-GRID_HALF_WIDTH, GRID_HALF_WIDTH], which must reach 5 past the
+    classical turning point sqrt(2n + 1): n <= 24.  The residual is the
+    maximum over interior grid points and is expected to scale like
+    step^2 times the fourth derivative of x_n.  Raises GridTooCoarse when
+    it exceeds 100 * step^2 * (2n + 3)^2.
     """
     n = linalg.check_count("n", n, 0)
-    half_width = linalg.check_real("half_width", half_width)
-    if not np.sqrt(2.0 * n + 1.0) + 5.0 <= half_width:
+    reach = np.sqrt(2.0 * n + 1.0) + 5.0
+    if not reach <= GRID_HALF_WIDTH:
         raise ValueError(
-            "half_width must reach past the classical turning point: "
-            f"need >= sqrt(2n+1) + 5 = {np.sqrt(2.0 * n + 1.0) + 5.0:.2f}")
-    step = linalg.check_real("step", step, 0.0)
-    intervals = 2.0 * half_width / step
-    if not intervals < MAX_RESIDUAL_GRID_POINTS:
-        raise ValueError(
-            f"step {step} needs more than MAX_RESIDUAL_GRID_POINTS = "
-            f"{MAX_RESIDUAL_GRID_POINTS} grid points")
-    points = int(round(intervals)) + 1
-    if points < 3:
-        raise ValueError(
-            f"step {step} leaves {points} grid points; the second "
-            "difference needs at least 3")
-    t = np.linspace(-half_width, half_width, points)
+            f"n = {n} needs the grid to reach past the classical turning "
+            f"point: sqrt(2n+1) + 5 = {reach:.2f} > {GRID_HALF_WIDTH:g}")
+    t = _grid()
     h = float(t[1] - t[0])
     x = hermite_function(n, t)
     second = (x[:-2] - 2.0 * x[1:-1] + x[2:]) / (h * h)
@@ -207,15 +188,38 @@ def eigen_residual(n, step=GRID_STEP, half_width=GRID_HALF_WIDTH):
 def gram_defect(count):
     """max |<x_j, x_k> - delta_jk| over the first count Hermite functions.
 
-    The inner products are trapezoidal sums on eigen_residual's default
-    grid, GRID_STEP apart on [-GRID_HALF_WIDTH, GRID_HALF_WIDTH].
+    The inner products are trapezoidal sums on eigen_residual's grid,
+    GRID_STEP apart on [-GRID_HALF_WIDTH, GRID_HALF_WIDTH].
     """
     count = linalg.check_count("count", count, 1)
-    t = np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH,
-                    round(2.0 * GRID_HALF_WIDTH / GRID_STEP) + 1)
+    t = _grid()
     weights = np.full(t.size, t[1] - t[0])
     weights[0] *= 0.5
     weights[-1] *= 0.5
     rows = np.stack([hermite_function(n, t) for n in range(count)])
     gram = (rows * weights) @ rows.T
     return float(np.max(np.abs(gram - np.eye(count))))
+
+
+def check(lam, m, truncation):
+    """The oscillator report's fields under its keys.
+
+    The gaps and C(lambda) on DiagonalOscillator(truncation), the
+    finite-difference residuals of Hermite modes 0 to 6 and the Gram
+    defect of the first ten.  Arguments are validated in the order
+    truncation, lambda, m.
+    """
+    model = DiagonalOscillator(truncation=truncation)
+    lam = linalg.check_real("lambda", lam, 1.0)
+    m = linalg.check_count("m", m, 1)
+    gap = scaled_resolvent_power_gap(model, lam, m)
+    c_val = c_constant(model, lam)
+    return {
+        "lambda": lam, "m": m, "truncation": model.truncation,
+        "gap": gap.gap, "gap_bound": gap.bound,
+        "first_order_gap": first_order_gap(model, lam),
+        "c_constant": {"value": c_val.value, "tail_bound": c_val.tail_bound,
+                       "estimate": c_val.estimate},
+        "eigen_residuals": {str(n): eigen_residual(n) for n in range(7)},
+        "gram_defect": gram_defect(10),
+    }

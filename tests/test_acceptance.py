@@ -222,9 +222,7 @@ def test_oscillator_constants():
 def test_hermite():
     worst_residual = 0.0
     for n in range(11):
-        worst_residual = max(
-            worst_residual,
-            oscillator.eigen_residual(n, step=1e-3, half_width=12.0))
+        worst_residual = max(worst_residual, oscillator.eigen_residual(n))
     assert worst_residual <= 1e-4
 
     t = np.linspace(-12.0, 12.0, 24001)

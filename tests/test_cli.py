@@ -306,6 +306,25 @@ def test_oscillator_report(tmp_path):
     assert all(v <= 1e-4 for v in report["eigen_residuals"].values())
 
 
+def test_oscillator_report_is_its_check(tmp_path):
+    out = tmp_path / "report.json"
+    assert run_cli(["oscillator", "--truncation", "2000",
+                    "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert set(report) == {"command", "inputs_digest"} | set(
+        oscillator.check(2.0, 4, 2000))
+
+
+@pytest.mark.parametrize("lam", ["1", "-1", "0.9999999999995", "0.5"])
+def test_oscillator_lambda_at_most_one_is_input_error(tmp_path, capsys, lam):
+    # 1, -1 and 1 - 5e-13 lie within 1e-12 of an eigenvalue 1 - 2n and
+    # used to exit 3 as PoleHit, while 0.5 exited 2
+    out = tmp_path / "report.json"
+    assert run_cli(["oscillator", "--lambda", lam, "--out", str(out)]) == 2
+    assert "lambda must be finite and exceed 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lam,code,message", [
     ("inf", 2, "lambda must be finite"),
     ("1e200", 3, "Overflow"),

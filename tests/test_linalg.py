@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +82,8 @@ COUNT_ARGUMENTS = {
         "n", lambda v: oscillator.eigen_residual(v)),
     "oscillator.gram_defect": (
         "count", lambda v: oscillator.gram_defect(v)),
+    "oscillator.check": (
+        "m", lambda v: oscillator.check(2.0, v, 8)),
 }
 
 
@@ -134,10 +137,8 @@ REAL_ARGUMENTS = {
     "oscillator.first_order_gap": (
         "lambda", lambda v: oscillator.first_order_gap(
             oscillator.DiagonalOscillator(truncation=8), v)),
-    "oscillator.eigen_residual step": (
-        "step", lambda v: oscillator.eigen_residual(0, step=v)),
-    "oscillator.eigen_residual half_width": (
-        "half_width", lambda v: oscillator.eigen_residual(0, half_width=v)),
+    "oscillator.check": (
+        "lambda", lambda v: oscillator.check(v, 4, 8)),
 }
 
 
@@ -150,6 +151,17 @@ def test_real_arguments_reject_non_reals(function, bad):
     with pytest.raises(ValueError,
                        match=rf"^{re.escape(name)} must be a real number, got "):
         call(bad)
+
+
+def test_readme_argument_lists_match_tables():
+    # README's "Integer arguments (...)" and "Real arguments (...)" name
+    # exactly the arguments of COUNT_ARGUMENTS and REAL_ARGUMENTS
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    for kind, table in (("Integer", COUNT_ARGUMENTS), ("Real", REAL_ARGUMENTS)):
+        listed = re.search(rf"^{kind} arguments \(([^)]*)\)", readme,
+                           re.MULTILINE).group(1)
+        names = {name.split("[")[0] for name, _ in table.values()}
+        assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(names), kind
 
 
 def test_solve_linear_upper_triangular_inverse():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from abelerg import oscillator
-from abelerg.errors import PoleHit
 
 
 def small_model():
@@ -20,12 +19,12 @@ def test_model_validation_and_eigenvalues():
 
 
 def test_first_order_gap_rejects_poles_and_bad_lambda():
+    # every lambda <= 1 is outside the resolvent formulas' domain; the
+    # eigenvalues 1, -1, -3 used to raise PoleHit instead
     model = oscillator.DiagonalOscillator(truncation=8)
-    for pole in (1.0, -1.0, -3.0):
-        with pytest.raises(PoleHit):
-            oscillator.first_order_gap(model, pole)
-    for bad in (0.5, float("inf"), float("nan")):
-        with pytest.raises(ValueError):
+    for bad in (1.0, -1.0, -3.0, 0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="^lambda must be finite and "
+                                             "exceed 1, got "):
             oscillator.first_order_gap(model, bad)
 
 
@@ -128,34 +127,51 @@ def test_hermite_large_n_stays_finite():
 
 def test_eigen_residual_small_for_low_modes():
     for n in range(7):
-        r = oscillator.eigen_residual(n, step=1e-3, half_width=12.0)
-        assert r <= 1e-4
+        assert oscillator.eigen_residual(n) <= 1e-4
 
 
 def test_eigen_residual_ground_state_tight():
-    r = oscillator.eigen_residual(0, step=1e-3, half_width=8.0)
-    assert r <= 1e-5
+    assert oscillator.eigen_residual(0) <= 1e-5
 
 
 def test_eigen_residual_scales_with_step():
-    fine = oscillator.eigen_residual(2, step=1e-3)
-    coarse = oscillator.eigen_residual(2, step=4e-3)
+    # the same residual on a grid 4x coarser than eigen_residual's; the
+    # eigenvalue of mode 2 is 1 - 2n = -3
+    t = np.linspace(-12.0, 12.0, 6001)
+    h = t[1] - t[0]
+    x = oscillator.hermite_function(2, t)
+    second = (x[:-2] - 2.0 * x[1:-1] + x[2:]) / (h * h)
+    coarse = np.max(np.abs(second + (2.0 - t[1:-1] ** 2) * x[1:-1]
+                           + 3.0 * x[1:-1]))
     # central differences are second order: 4x step, about 16x residual
-    assert 8.0 <= coarse / fine <= 32.0
-
-
-def test_eigen_residual_rejects_nan_half_width():
-    # nan used to pass the turning-point check and fail on the grid size
-    with pytest.raises(ValueError, match="^half_width must be finite, got nan$"):
-        oscillator.eigen_residual(0, half_width=float("nan"))
+    assert 8.0 <= coarse / oscillator.eigen_residual(2) <= 32.0
 
 
 def test_eigen_residual_window_validation():
-    with pytest.raises(ValueError):
-        oscillator.eigen_residual(30, step=1e-3, half_width=12.0)
-    # 100 and 30 leave 1 and 2 grid points (a bare IndexError once); the
-    # last step asks for one point past MAX_RESIDUAL_GRID_POINTS
-    cap_step = 24.0 / (oscillator.MAX_RESIDUAL_GRID_POINTS + 1)
-    for step in (0.0, -1e-3, float("nan"), 100.0, 30.0, cap_step):
-        with pytest.raises(ValueError):
-            oscillator.eigen_residual(0, step=step)
+    # the fixed grid on [-12, 12] reaches 5 past the turning point
+    # sqrt(2n + 1) up to n = 24
+    assert oscillator.eigen_residual(24) <= 1e-4
+    for n in (25, 30):
+        with pytest.raises(ValueError, match="turning point"):
+            oscillator.eigen_residual(n)
+
+
+def test_check_is_the_model_quantities():
+    fields = oscillator.check(2.0, 4, 2000)
+    model = small_model()
+    gap = oscillator.scaled_resolvent_power_gap(model, 2.0, 4)
+    assert (fields["gap"], fields["gap_bound"]) == (gap.gap, gap.bound)
+    assert fields["c_constant"]["estimate"] == \
+        oscillator.c_constant(model, 2.0).estimate
+    assert fields["eigen_residuals"] == {
+        str(n): oscillator.eigen_residual(n) for n in range(7)}
+    assert fields["gram_defect"] == oscillator.gram_defect(10)
+
+
+def test_check_validates_truncation_then_lambda_then_m():
+    with pytest.raises(ValueError, match="^truncation "):
+        oscillator.check(0.5, 0, 1)
+    with pytest.raises(ValueError, match="^lambda "):
+        oscillator.check(0.5, 0, 2)
+    with pytest.raises(ValueError, match="^m "):
+        oscillator.check(2.0, 0, 2)
