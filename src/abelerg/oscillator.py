@@ -94,14 +94,22 @@ def scaled_resolvent_power_gap(model, lam, m):
     """
     lam = linalg.check_real("lambda", lam, 1.0)
     m = linalg.check_count("m", m, 1)
-    gap = float(np.max(_ratios(model, lam) ** m))
+    ratios = _ratios(model, lam)
+    c_val = _c_constant(model, lam, ratios) if m >= 4 else None
+    return _power_gap(ratios, lam, m, c_val)
+
+
+def _power_gap(ratios, lam, m, c_val):
+    """scaled_resolvent_power_gap from _ratios(model, lam) and, for m >= 4,
+    the model's C(lambda)."""
+    gap = float(np.max(ratios ** m))
     if gap < np.finfo(np.float64).tiny:
         raise Overflow(f"the gap underflowed: {gap:.3g} at m = {m}, below "
                        f"the smallest normal double")
     bound = None
     if m >= 4:
         ratio = (lam - 1.0) / (lam + 1.0)
-        bound = ratio ** (m - 2) * c_constant(model, lam).estimate
+        bound = ratio ** (m - 2) * c_val.estimate
     return GapReport(gap=gap, bound=bound)
 
 
@@ -118,7 +126,12 @@ def first_order_gap(model, lam):
 def c_constant(model, lam):
     """Truncated series C(lambda) with a certified integral tail bound."""
     lam = linalg.check_real("lambda", lam, 1.0)
-    value = float(np.sum(_ratios(model, lam) ** 2))
+    return _c_constant(model, lam, _ratios(model, lam))
+
+
+def _c_constant(model, lam, ratios):
+    """c_constant from _ratios(model, lam)."""
+    value = float(np.sum(ratios ** 2))
     # sum_{n >= N} f(n) <= integral_{N-1}^inf f(u) du for decreasing f
     try:
         tail = (lam - 1.0) ** 2 / (2.0 * (lam - 3.0 + 2.0 * model.truncation))
@@ -207,17 +220,18 @@ def check(lam, m, truncation):
     The gaps and C(lambda) on DiagonalOscillator(truncation), the
     finite-difference residuals of Hermite modes 0 to 6 and the Gram
     defect of the first ten.  Arguments are validated in the order
-    truncation, lambda, m.
+    truncation, lambda, m.  The model's ratio array is built once.
     """
     model = DiagonalOscillator(truncation=truncation)
     lam = linalg.check_real("lambda", lam, 1.0)
     m = linalg.check_count("m", m, 1)
-    gap = scaled_resolvent_power_gap(model, lam, m)
-    c_val = c_constant(model, lam)
+    ratios = _ratios(model, lam)
+    c_val = _c_constant(model, lam, ratios)
+    gap = _power_gap(ratios, lam, m, c_val)
     return {
         "lambda": lam, "m": m, "truncation": model.truncation,
         "gap": gap.gap, "gap_bound": gap.bound,
-        "first_order_gap": first_order_gap(model, lam),
+        "first_order_gap": float(np.max(ratios)),
         "c_constant": {"value": c_val.value, "tail_bound": c_val.tail_bound,
                        "estimate": c_val.estimate},
         "eigen_residuals": {str(n): eigen_residual(n) for n in range(7)},

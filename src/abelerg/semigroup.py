@@ -22,7 +22,10 @@ abscissa of B clipped at 0.  A Gauss-Laguerre rule exponentiates its nodes
 as stacks of up to linalg.STACK_CHUNK_BYTES, one expm call each: a single
 call per rule at small n.  Simpson nodes lie on uniform grids, so most
 are matrix products exp((u + 2h) B / lambda) = exp(u B / lambda)
-exp(2h B / lambda), with a direct expm every EXPM_ANCHOR_EVERY nodes.
+exp(2h B / lambda), with a direct expm every EXPM_ANCHOR_EVERY nodes.  The
+chains between these anchors advance in lockstep, one batched product per
+step for as many as a stack holds, and their partial sums are added in
+chain order.
 The closed resolvent form is available as an independent reference.
 The substitution alpha = 1/(1 + lambda), T = I + B turns A~_lambda into
 the discrete Abel average of T exactly, an algebraic identity whose
@@ -135,20 +138,39 @@ def _grid_sum(B, lam, u, density, first, step):
     """sum_k density_k exp(u_k B / lambda) over an arithmetic progression u.
 
     first is exp(u_0 B / lambda) and step is exp((u_1 - u_0) B / lambda).
-    Each later node is the one before times step, one n x n product, except
-    every EXPM_ANCHOR_EVERY-th, a direct expm that restarts the chain, so
-    rounding accumulates over fewer than EXPM_ANCHOR_EVERY products.  Raises
+    The progression splits into segments of EXPM_ANCHOR_EVERY nodes: an
+    anchor, a direct expm (first, for the first segment), and the anchor's
+    products with step, so rounding accumulates over fewer than
+    EXPM_ANCHOR_EVERY products.  A pass takes the anchors of as many
+    segments as one stack of linalg.STACK_CHUNK_BYTES holds nodes of, by
+    one expm call, and advances their chains in lockstep: one batched
+    product per step, which a short last segment leaves when it ends.  Each
+    segment's weighted partial sum is added to the total in segment order,
+    so the value does not depend on how many segments a pass holds.  Raises
     Overflow when the sum is not finite.
     """
-    node = first
-    total = density[0] * first
+    every = EXPM_ANCHOR_EVERY
+    per_pass = every * max(1, linalg.STACK_CHUNK_BYTES
+                           // (16 * B.size * every))
+    total = np.zeros(B.shape, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, len(u)):
-            if k % EXPM_ANCHOR_EVERY:
-                node = node @ step
-            else:
-                node = linalg.matrix_exponential(B, u[k] / lam)
-            total += density[k] * node
+        for start in range(0, len(u), per_pass):
+            anchors = np.arange(start, min(start + per_pass, len(u)), every)
+            direct = anchors if start else anchors[1:]
+            node = linalg.matrix_exponentials(B, u[direct] / lam)
+            if not start:
+                node = np.concatenate(([first], node))
+            partial = density[anchors, None, None] * node
+            last = len(u) - anchors[-1]  # nodes from the last anchor on
+            for j in range(1, every):
+                active = len(anchors) - (j >= last)
+                if not active:
+                    break
+                node = node[:active] @ step
+                partial[:active] += density[anchors[:active] + j, None,
+                                            None] * node
+            for segment in partial:
+                total += segment
     if not np.isfinite(total).all():
         raise Overflow(f"exp(u B / {lam}) overflowed on the Simpson grid")
     return total

@@ -225,12 +225,7 @@ def test_hermite():
         worst_residual = max(worst_residual, oscillator.eigen_residual(n))
     assert worst_residual <= 1e-4
 
-    t = np.linspace(-12.0, 12.0, 24001)
-    w = np.full(t.size, t[1] - t[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    rows = np.stack([oscillator.hermite_function(n, t) for n in range(10)])
-    gram_defect = float(np.max(np.abs((rows * w) @ rows.T - np.eye(10))))
+    gram_defect = oscillator.gram_defect(10)
     assert gram_defect <= 1e-6
     print(f"\nPASS Hermite functions satisfy the eigenvalue equation to "
           f"{worst_residual:.1e} for n = 0..10 and are orthonormal to "

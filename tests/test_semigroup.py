@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -347,6 +348,93 @@ def test_simpson_product_overflow_raises(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(Overflow):
             semigroup.abel_average_quadrature(STIFF, 1.0, SIMPSON)
+
+
+def reference_grid_sum(B, lam, u, density, first, step):
+    """_grid_sum as a per-node loop: each node is the one before times step,
+    except every EXPM_ANCHOR_EVERY-th, a direct expm, and the weighted nodes
+    are added to one running sum in node order."""
+    node = first
+    total = density[0] * first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, len(u)):
+            if k % semigroup.EXPM_ANCHOR_EVERY:
+                node = node @ step
+            else:
+                node = linalg.matrix_exponential(B, u[k] / lam)
+            total += density[k] * node
+    if not np.isfinite(total).all():
+        raise Overflow(f"exp(u B / {lam}) overflowed on the Simpson grid")
+    return total
+
+
+def progression(B, lam, length, h):
+    """(u, density, first, step) of the odd Simpson nodes u_k = (2k + 1) h."""
+    u = (2.0 * np.arange(length) + 1.0) * h
+    return (u, np.exp(-u), linalg.matrix_exponential(B, h / lam),
+            linalg.matrix_exponential(B, 2.0 * h / lam))
+
+
+def segments_per_pass(monkeypatch, n, segments):
+    """Set the stack budget so that a _grid_sum pass holds segments."""
+    monkeypatch.setattr(linalg, "STACK_CHUNK_BYTES",
+                        segments * 16 * n * n * semigroup.EXPM_ANCHOR_EVERY)
+
+
+def _grid_sum_cases():
+    # a normal generator and one with eigenvector condition 1e4, spectral
+    # radius / lambda 2 as the semigroup benchmark draws it at its stiffest
+    rng = np.random.default_rng(149)
+    n = 4
+    for cond in (1.0, 1e4):
+        values = rng.uniform(-1.0, -0.1, n) + 1j * rng.uniform(-0.4, 0.4, n)
+        values *= 2.0 / np.max(np.abs(values))
+        Q1, Q2 = (np.linalg.qr(rng.normal(size=(n, n))
+                               + 1j * rng.normal(size=(n, n)))[0]
+                  for _ in range(2))
+        S = (Q1 * np.logspace(0.0, np.log10(cond), n)) @ Q2
+        yield S @ np.diag(values) @ np.linalg.inv(S)
+
+
+@pytest.mark.parametrize("length", [1, 2, 31, 32, 33, 63, 64, 65, 1025])
+def test_grid_sum_matches_per_node_loop(monkeypatch, length):
+    # the lockstep chains take the same products as the per-node loop; only
+    # the order of the sum changes, to segment partials added in order
+    for B in _grid_sum_cases():
+        args = (B, 1.0) + progression(B, 1.0, length, 40.0 / 2048)
+        ref = reference_grid_sum(*args)
+        value = semigroup._grid_sum(*args)
+        assert (np.linalg.norm(value - ref, 2)
+                <= 1e-14 * np.linalg.norm(ref, 2))
+        if length == 1:
+            assert np.array_equal(value, ref)
+        # the value does not depend on how many segments a pass holds
+        segments_per_pass(monkeypatch, B.shape[0], -(-length // 32))
+        one_pass = semigroup._grid_sum(*args)
+        for segments in (1, 2, 3):
+            segments_per_pass(monkeypatch, B.shape[0], segments)
+            assert np.array_equal(semigroup._grid_sum(*args), one_pass)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("segments", [1, 2, None])
+def test_grid_sum_anchor_overflow_names_its_t(monkeypatch, segments):
+    # a Jordan generator -I + c N whose expm overflows past t = 7.09: the
+    # anchors at nodes 0 and 32 are finite, the one at node 64 is not; the
+    # lockstep sum raises the per-node loop's message, naming the same t,
+    # whether node 64 sits in the third pass, the second or the first
+    n, lam = 3, 0.5
+    B = -np.eye(n) + 1e150 * np.diag(np.ones(n - 1), 1)
+    args = (B, lam) + progression(B, lam, 70, 0.5 * 7.09 / 96)
+    if segments:
+        segments_per_pass(monkeypatch, n, segments)
+    message = f"exp({args[2][64] / lam} * B) overflowed"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow, match=re.escape(message)):
+            reference_grid_sum(*args)
+        with pytest.raises(Overflow, match=re.escape(message)):
+            semigroup._grid_sum(*args)
 
 
 def test_simpson_memory_does_not_grow_with_panel_count():
