@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import DecompositionFails, Overflow, PoleHit, ResolventPole, SingularMatrix
+from .errors import DecompositionFails, PoleHit, ResolventPole, SingularMatrix
 
 # Power growth past this norm is treated as divergence, not roundoff.
 BLOW_UP_THRESHOLD = 1e8
@@ -85,28 +85,11 @@ def abel_average(T, alpha):
             f"1/alpha = {1.0 / a:.17g} lies in the numerical spectrum") from exc
 
 
-def _power_and_geometric_sum(T, N):
-    """Return (T^N, sum_{k=0}^{N-1} T^k) using O(log N) multiplications."""
-    n = T.shape[0]
-    P = np.eye(n, dtype=np.complex128)
-    S = np.zeros((n, n), dtype=np.complex128)
-    for bit in bin(N)[2:]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            S = S + P @ S
-            P = P @ P
-            if bit == "1":
-                S = S + P
-                P = P @ T
-        if not (np.all(np.isfinite(S)) and np.all(np.isfinite(P))):
-            raise Overflow("geometric sum left the representable range")
-    return P, S
-
-
 def cesaro_average(T, N):
     """Arithmetic mean N^{-1} sum_{n=0}^{N-1} T^n."""
     T = linalg.as_matrix(T, square=True)
     N = linalg.check_count("N", N, 1)
-    _, S = _power_and_geometric_sum(T, N)
+    _, S = linalg.power_and_geometric_sum(T, N)
     return S / N
 
 

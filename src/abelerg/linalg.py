@@ -215,7 +215,7 @@ def matrix_exponentials(B, ts):
     stack, by one scipy expm call.  scipy runs the same Pade code on each
     slice of a stack, so slice i is bit for bit expm(ts[i] * B).
 
-    Raises Overflow naming the first t whose exponential leaves the
+    Raises Overflow naming the first t whose expm computation leaves the
     representable range.
     """
     B = as_matrix(B, square=True)
@@ -230,8 +230,32 @@ def matrix_exponentials(B, ts):
         E = scipy.linalg.expm(ts[:, None, None] * B)
     finite = np.isfinite(E).all(axis=(1, 2))
     if not finite.all():
-        raise Overflow(f"exp({float(ts[finite.argmin()])} * B) overflowed")
+        # scaling and squaring can overflow inside on an exp(tB) that is
+        # itself representable, so the message blames the computation
+        raise Overflow(f"the expm computation of exp("
+                       f"{float(ts[finite.argmin()])} * B) overflowed")
     return E
+
+
+def power_and_geometric_sum(T, N):
+    """(T^N, I + T + ... + T^(N-1)) of a validated square T and N >= 1, by
+    O(log N) products: binary powering from the leading bit of N.
+
+    Raises Overflow when either leaves the representable range; the
+    products run under np.errstate, so no numpy warning escapes.
+    """
+    P = np.eye(T.shape[0], dtype=np.complex128)
+    S = np.zeros_like(P)
+    for bit in bin(N)[2:]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = S + P @ S
+            P = P @ P
+            if bit == "1":
+                S = S + P
+                P = P @ T
+        if not (np.all(np.isfinite(S)) and np.all(np.isfinite(P))):
+            raise Overflow("geometric sum left the representable range")
+    return P, S
 
 
 def operator_norm(A):

@@ -10,22 +10,20 @@ and its n-th power has the closed integral form
     A~_lambda^n = lambda^n / (n-1)! * integral_0^inf exp(-lambda t) t^(n-1) T_t dt.
 
 Both integrals are evaluated after the substitution u = lambda s, which
-turns the weight into the (generalized) Laguerre weight u^(n-1) exp(-u).
-Quadrature results are never trusted blindly: every rule compares m with
-2m nodes from m = START_NODE_COUNT and doubles m until they agree; past
-MAX_NODE_COUNT (Gauss-Laguerre) or SIMPSON_MAX_PANELS (truncated Simpson,
-which reuses every node) it raises QuadratureUnstable.  The self-check
-cannot see what Simpson drops past its horizon, so the horizon follows the
-decay of the integrand: u = (SIMPSON_HORIZON + p + 8 sqrt(p)) / (1 - w/lambda),
-with p the weight power (its mass sits near u = p) and w the spectral
-abscissa of B clipped at 0.  A Gauss-Laguerre rule exponentiates its nodes
-as stacks of up to linalg.STACK_CHUNK_BYTES, one expm call each: a single
-call per rule at small n.  Simpson nodes lie on uniform grids, so most
-are matrix products exp((u + 2h) B / lambda) = exp(u B / lambda)
-exp(2h B / lambda), with a direct expm every EXPM_ANCHOR_EVERY nodes.  The
-chains between these anchors advance in lockstep, one batched product per
-step for as many as a stack holds, and their partial sums are added in
-chain order.
+turns the weight into the (generalized) Laguerre weight u^(n-1) exp(-u),
+by Gauss-Laguerre quadrature; check() also takes the average by truncated
+Simpson as a cross-check.  Quadrature results are never trusted blindly:
+every rule compares m with 2m nodes from m = START_NODE_COUNT and doubles
+m until they agree; past MAX_NODE_COUNT (Gauss-Laguerre) or
+SIMPSON_MAX_PANELS (Simpson) it raises QuadratureUnstable.  The
+self-check cannot see what Simpson drops past its horizon, so the horizon
+follows the decay of the integrand: u = SIMPSON_HORIZON / (1 - w/lambda),
+with w the spectral abscissa of B clipped at 0.  A Gauss-Laguerre rule
+exponentiates its nodes as stacks of up to linalg.STACK_CHUNK_BYTES, one
+expm call each: a single call per rule at small n.  Simpson's nodes lie
+on uniform grids, where the integrand e^-u exp(u B / lambda) is a
+geometric progression, so each grid is summed in closed form by O(log m)
+products from one expm.
 The closed resolvent form is available as an independent reference.
 The substitution alpha = 1/(1 + lambda), T = I + B turns A~_lambda into
 the discrete Abel average of T exactly, an algebraic identity whose
@@ -34,16 +32,12 @@ defect check() reports next to the quadratures.
 
 import functools
 import itertools
-import math
 
 import numpy as np
 from scipy.linalg import eig_banded
 
 from . import abel, linalg
 from .errors import IntegralDiverges, Overflow, QuadratureUnstable, ResolventPole, SingularMatrix
-
-SCHEME_GAUSS_LAGUERRE = "gauss_laguerre"
-SCHEME_TRUNCATED_SIMPSON = "truncated_simpson"
 
 # Relative disagreement between the two node counts beyond which the
 # quadrature result is not returned.
@@ -57,12 +51,8 @@ MAX_NODE_COUNT = 1024
 # Largest Simpson panel count m checked against 2m (32769 nodes).
 SIMPSON_MAX_PANELS = 8192
 # At Simpson's horizon the weight e^-u times the growth e^(u w / lambda) of
-# exp(u B / lambda) has fallen to e^-SIMPSON_HORIZON; a weight u^p e^-u, which
-# peaks at u = p with width sqrt(p), moves the horizon out by p + 8 sqrt(p).
+# exp(u B / lambda) has fallen to e^-SIMPSON_HORIZON.
 SIMPSON_HORIZON = 40.0
-# Simpson takes every EXPM_ANCHOR_EVERY-th node of a progression by a direct
-# expm and the nodes between as products with the stride factor.
-EXPM_ANCHOR_EVERY = 32
 
 
 def laguerre_rule(node_count, power=0.0):
@@ -134,84 +124,31 @@ def _weighted_sum(B, lam, nodes, weights):
     return total
 
 
-def _grid_sum(B, lam, u, density, first, step):
-    """sum_k density_k exp(u_k B / lambda) over an arithmetic progression u.
+def _simpson_estimates(B, lam, panels, u_max):
+    """Composite Simpson of integral_0^u_max e^-u exp(u B / lambda) du at
+    panels, 2 panels, 4 panels, ...
 
-    first is exp(u_0 B / lambda) and step is exp((u_1 - u_0) B / lambda).
-    The progression splits into segments of EXPM_ANCHOR_EVERY nodes: an
-    anchor, a direct expm (first, for the first segment), and the anchor's
-    products with step, so rounding accumulates over fewer than
-    EXPM_ANCHOR_EVERY products.  A pass takes the anchors of as many
-    segments as one stack of linalg.STACK_CHUNK_BYTES holds nodes of, by
-    one expm call, and advances their chains in lockstep: one batched
-    product per step, which a short last segment leaves when it ends.  Each
-    segment's weighted partial sum is added to the total in segment order,
-    so the value does not depend on how many segments a pass holds.  Raises
-    Overflow when the sum is not finite.
+    With C = B / lambda - I the integrand is exp(uC), so on a grid of
+    step h = u_max / (2m) the nodes form geometric progressions in
+    S = exp(2hC): the odd nodes sum to exp(hC) (I + S + ... + S^(m-1)),
+    the interior even nodes to that sum less I, and the last node is S^m,
+    all from one linalg.power_and_geometric_sum.  Halving h makes this
+    grid's exp(hC) the next grid's S, so each grid takes one expm.
     """
-    every = EXPM_ANCHOR_EVERY
-    per_pass = every * max(1, linalg.STACK_CHUNK_BYTES
-                           // (16 * B.size * every))
-    total = np.zeros(B.shape, dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(u), per_pass):
-            anchors = np.arange(start, min(start + per_pass, len(u)), every)
-            direct = anchors if start else anchors[1:]
-            node = linalg.matrix_exponentials(B, u[direct] / lam)
-            if not start:
-                node = np.concatenate(([first], node))
-            partial = density[anchors, None, None] * node
-            last = len(u) - anchors[-1]  # nodes from the last anchor on
-            for j in range(1, every):
-                active = len(anchors) - (j >= last)
-                if not active:
-                    break
-                node = node[:active] @ step
-                partial[:active] += density[anchors[:active] + j, None,
-                                            None] * node
-            for segment in partial:
-                total += segment
-    if not np.isfinite(total).all():
-        raise Overflow(f"exp(u B / {lam}) overflowed on the Simpson grid")
-    return total
-
-
-def _simpson_estimates(B, lam, power, panels, u_max):
-    """Composite Simpson on [0, u_max] at panels, 2 panels, 4 panels, ...
-
-    m panels have the nodes j * u_max / (2m); doubling m keeps them all and
-    adds the midpoints as the new odd nodes.  Carrying density-weighted
-    sums over the end, even and odd nodes evaluates each exp(uB/lambda)
-    once.  The even and odd nodes of a grid are arithmetic progressions of
-    stride 2h, summed by _grid_sum: one direct expm per EXPM_ANCHOR_EVERY
-    nodes, and an n x n product for each other node.  The stride factor
-    exp(2hB/lambda) is a node already taken directly: the first even node,
-    then the first odd node of the grid before.
-    """
-    def nodes(indices):
-        u = np.asarray(indices, dtype=np.float64) * (u_max / intervals)
-        # normalized weight u^p e^{-u} / Gamma(p+1) in the log domain; at
-        # p = 0 the weight is e^{-u}, where 0 * log(0) would give nan at u = 0
-        with np.errstate(divide="ignore"):
-            log_weight = power * np.log(u) - u if power else -u
-        density = np.exp(log_weight - math.lgamma(power + 1.0))
-        return u, density
-
-    def first_node(index):
-        return linalg.matrix_exponential(B, index * (u_max / intervals) / lam)
-
-    intervals = 2 * panels
-    ends = _weighted_sum(B, lam, *nodes([0, intervals]))
-    stride = first_node(2)
-    even = _grid_sum(B, lam, *nodes(range(2, intervals, 2)), stride, stride)
+    eye = np.eye(B.shape[0], dtype=np.complex128)
+    C = B / lam - eye
+    h = u_max / (2 * panels)
+    stride = linalg.matrix_exponential(C, 2.0 * h)
     while True:
-        first_odd = first_node(1)
-        odd = _grid_sum(B, lam, *nodes(range(1, intervals, 2)), first_odd,
-                        stride)
-        yield (u_max / intervals / 3.0) * (ends + 4.0 * odd + 2.0 * even)
-        even += odd
-        intervals *= 2
-        stride = first_odd
+        half = linalg.matrix_exponential(C, h)
+        last, grid = linalg.power_and_geometric_sum(stride, panels)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = (h / 3.0) * (eye + last + 4.0 * (half @ grid)
+                                 + 2.0 * (grid - eye))
+        if not np.isfinite(value).all():
+            raise Overflow("the Simpson sum left the representable range")
+        yield value
+        stride, h, panels = half, h / 2.0, 2 * panels
 
 
 def _settle(estimates, m, max_m, rule):
@@ -233,36 +170,37 @@ def _settle(estimates, m, max_m, rule):
         coarse = fine
 
 
-def _quadrature(B, lam, abscissa, power, scheme):
-    """(value, m) of the scheme on a validated B and lambda, with abscissa
-    from _abscissa(B, lam)."""
-    if scheme not in (SCHEME_GAUSS_LAGUERRE, SCHEME_TRUNCATED_SIMPSON):
-        raise ValueError(f"unknown quadrature scheme: {scheme}")
+def _gauss_laguerre(B, lam, power):
+    """(value, m) of Gauss-Laguerre with weight u^power e^-u on a validated
+    B and lambda."""
     m = START_NODE_COUNT
-    rule = f"{scheme} with weight u^{power:g} e^-u"
-    if scheme == SCHEME_GAUSS_LAGUERRE:
-        rules = (_weighted_sum(B, lam, *laguerre_rule(m << k, power=power))
-                 for k in itertools.count())
-        return _settle(rules, m, MAX_NODE_COUNT, rule)
-    # exactly SIMPSON_HORIZON whenever p = 0 and w = 0
-    u_max = (SIMPSON_HORIZON + power + 8.0 * math.sqrt(power)) \
-        / (1.0 - max(abscissa, 0.0) / lam)
-    return _settle(_simpson_estimates(B, lam, power, m, u_max),
-                   m, SIMPSON_MAX_PANELS, rule)
+    rules = (_weighted_sum(B, lam, *laguerre_rule(m << k, power=power))
+             for k in itertools.count())
+    return _settle(rules, m, MAX_NODE_COUNT,
+                   f"gauss_laguerre with weight u^{power:g} e^-u")
 
 
-def abel_average_quadrature(B, lam, scheme=SCHEME_GAUSS_LAGUERRE):
-    """Abel average by numerical integration of lambda e^(-lambda s) T_s.
+def _simpson(B, lam, abscissa):
+    """(value, panels) of truncated Simpson on a validated B and lambda,
+    with abscissa from _abscissa(B, lam)."""
+    # exactly SIMPSON_HORIZON whenever w <= 0
+    u_max = SIMPSON_HORIZON / (1.0 - max(abscissa, 0.0) / lam)
+    m = START_NODE_COUNT
+    return _settle(_simpson_estimates(B, lam, m, u_max), m,
+                   SIMPSON_MAX_PANELS, "truncated_simpson with weight u^0 e^-u")
+
+
+def abel_average_quadrature(B, lam):
+    """Abel average by Gauss-Laguerre quadrature of lambda e^(-lambda s) T_s.
 
     Requires max Re sigma(B) < lambda, otherwise the improper integral
-    diverges and IntegralDiverges is raised up front.  scheme is
-    SCHEME_GAUSS_LAGUERRE or SCHEME_TRUNCATED_SIMPSON.  Returns (value, m):
+    diverges and IntegralDiverges is raised up front.  Returns (value, m):
     the result at 2m nodes and the m it passed the self-check against.
     """
-    return abel_power_quadrature(B, lam, 1, scheme)
+    return abel_power_quadrature(B, lam, 1)
 
 
-def abel_power_quadrature(B, lam, n, scheme=SCHEME_GAUSS_LAGUERRE):
+def abel_power_quadrature(B, lam, n):
     """n-th power of the Abel average by a single weighted integral.
 
     Uses the generalized Laguerre weight u^(n-1) exp(-u) after the
@@ -273,7 +211,8 @@ def abel_power_quadrature(B, lam, n, scheme=SCHEME_GAUSS_LAGUERRE):
     n = linalg.check_count("n", n, 1)
     B = linalg.as_matrix(B, square=True)
     lam = linalg.check_real("lambda", lam, 0.0)
-    return _quadrature(B, lam, _abscissa(B, lam), float(n - 1), scheme)
+    _abscissa(B, lam)  # IntegralDiverges unless max Re sigma(B) < lambda
+    return _gauss_laguerre(B, lam, float(n - 1))
 
 
 def check(B, lam, n):
@@ -293,12 +232,11 @@ def check(B, lam, n):
     closed = _resolvent(B, lam)
     scale = max(linalg.operator_norm(closed), tiny)
     abscissa = _abscissa(B, lam)
-    quad, gl_nodes = _quadrature(B, lam, abscissa, 0.0, SCHEME_GAUSS_LAGUERRE)
-    simpson, panels = _quadrature(B, lam, abscissa, 0.0,
-                                  SCHEME_TRUNCATED_SIMPSON)
+    quad, gl_nodes = _gauss_laguerre(B, lam, 0.0)
+    simpson, panels = _simpson(B, lam, abscissa)
     # at n = 1 the power integral's weight is the average's own
-    power, power_nodes = (quad, gl_nodes) if n == 1 else _quadrature(
-        B, lam, abscissa, float(n - 1), SCHEME_GAUSS_LAGUERRE)
+    power, power_nodes = (quad, gl_nodes) if n == 1 else _gauss_laguerre(
+        B, lam, float(n - 1))
     closed_power = np.linalg.matrix_power(closed, n)
     power_scale = linalg.operator_norm(closed_power)
     if power_scale < tiny:

@@ -236,8 +236,10 @@ def test_semigroup_request_takes_one_schur_form_and_two_solves(
 def test_semigroup_request_at_n_1_runs_gauss_laguerre_once(
         tmp_path, monkeypatch):
     # at n = 1 the power integral is the Gauss-Laguerre average itself:
-    # 64 + 128 expm for Gauss-Laguerre and 66 for Simpson's 64 against 128
-    # panels, where integrating the power again took 192 more
+    # settling at m takes m0 + 2 m0 + ... + 2m expm for Gauss-Laguerre, and
+    # Simpson one for its first stride and one per grid, from m0 panels up
+    # to twice where it settled; integrating the power again took as many
+    # as Gauss-Laguerre once more
     calls = []
 
     def counted(B, ts, _func=linalg.matrix_exponentials):
@@ -249,9 +251,12 @@ def test_semigroup_request_at_n_1_runs_gauss_laguerre_once(
     out = tmp_path / "report.json"
     assert run_cli(["semigroup", path, "--lambda", "1.0", "--n", "1",
                     "--out", str(out)]) == 0
-    assert len(calls) == 258
     report = json.loads(out.read_text())
     assert report["power_integral_nodes"] == report["gauss_laguerre_nodes"]
+    m0 = semigroup.START_NODE_COUNT
+    gauss_laguerre = 4 * report["gauss_laguerre_nodes"] - m0
+    simpson = 1 + (2 * report["simpson_panels"] // m0).bit_length()
+    assert len(calls) == gauss_laguerre + simpson
 
 
 def test_semigroup_nodes_flag_is_gone(tmp_path):

@@ -326,7 +326,8 @@ def test_weighted_sum_chunks_match_one_expm_per_node(monkeypatch):
 
 def test_matrix_exponentials_overflow_names_first_t():
     B = np.array([[500.0]])
-    with pytest.raises(Overflow, match=r"^exp\(2\.0 \* B\) overflowed$"):
+    with pytest.raises(Overflow, match=r"^the expm computation of "
+                                       r"exp\(2\.0 \* B\) overflowed$"):
         linalg.matrix_exponentials(B, np.array([0.5, 1.0, 2.0, 10.0]))
 
 

@@ -1,5 +1,3 @@
-import math
-import re
 import tracemalloc
 import warnings
 
@@ -11,7 +9,6 @@ from abelerg import abel, linalg, semigroup
 from abelerg.errors import (IntegralDiverges, Overflow, PoleHit,
                             QuadratureUnstable, ResolventPole)
 
-SIMPSON = semigroup.SCHEME_TRUNCATED_SIMPSON
 # ||B|| / lambda is about 2 at lambda = 1: Simpson settles past 64 panels
 STIFF = np.array([[-1.0, 0.5], [0.0, -2.0]])
 
@@ -30,15 +27,22 @@ def stable_generator(rng, n, lam=1.0):
     return S @ np.diag(re + 1j * im) @ np.linalg.inv(S)
 
 
+def simpson(B, lam):
+    """(value, panels) of truncated Simpson on B, as check() takes it."""
+    B = linalg.as_matrix(B, square=True)
+    return semigroup._simpson(B, lam, semigroup._abscissa(B, lam))
+
+
 def test_unknown_quadrature_scheme_rejected():
-    # the node count is the self-check's to choose, not the caller's
+    # Gauss-Laguerre is the library's one rule, and the node count is the
+    # self-check's to choose: neither is the caller's
     B = np.array([[-1.0]])
     with pytest.raises(TypeError):
         semigroup.abel_average_quadrature(B, 1.0, node_count=64)
-    with pytest.raises(ValueError, match="unknown quadrature scheme"):
-        semigroup.abel_average_quadrature(B, 1.0, "monte_carlo")
-    with pytest.raises(ValueError, match="unknown quadrature scheme"):
-        semigroup.abel_power_quadrature(B, 1.0, 2, "monte_carlo")
+    with pytest.raises(TypeError):
+        semigroup.abel_average_quadrature(B, 1.0, "truncated_simpson")
+    with pytest.raises(TypeError):
+        semigroup.abel_power_quadrature(B, 1.0, 2, "truncated_simpson")
 
 
 def test_laguerre_rule_weights_sum_to_one():
@@ -115,7 +119,7 @@ def test_quadrature_simpson_scheme_agrees():
     rng = np.random.default_rng(103)
     B = stable_generator(rng, 3)
     closed = semigroup.abel_average_closed(B, 1.0)
-    quad, _ = semigroup.abel_average_quadrature(B, 1.0, SIMPSON)
+    quad, _ = simpson(B, 1.0)
     rel = np.linalg.norm(quad - closed, 2) / np.linalg.norm(closed, 2)
     assert rel <= 1e-6
 
@@ -128,28 +132,36 @@ def test_simpson_horizon_covers_growing_semigroups(B):
     # self-check cannot see the tail it dropped (1.8e-2 relative there)
     B = np.array(B)
     closed = semigroup.abel_average_closed(B, 1.0)
-    quad, _ = semigroup.abel_average_quadrature(B, 1.0, SIMPSON)
+    quad, _ = simpson(B, 1.0)
     rel = np.linalg.norm(quad - closed, 2) / np.linalg.norm(closed, 2)
     assert rel <= 1e-6
 
 
 @pytest.mark.parametrize("n", [30, 40, 60, 100])
-@pytest.mark.parametrize("B", [[[-0.5]], [[-0.01]], [[0.5]],
-                               [[-1.0, 2.0], [0.0, -0.2]]])
+@pytest.mark.parametrize("B", [[[-0.5]], [[-0.01]],
+                               [[-1.0, 2.0], [0.0, -0.2]]],
+                         ids=["B0", "B1", "B3"])
 def test_simpson_horizon_covers_the_power_weight(B, n):
-    # the weight u^(n-1) e^-u peaks near u = n - 1; a horizon of 40 cut it
-    # off unseen by the self-check (0.48 relative on [[-0.5]] at n = 60)
+    # the weight u^(n-1) e^-u peaks near u = n - 1, where a truncated rule
+    # once cut it off unseen by the self-check; Gauss-Laguerre integrates
+    # against the weight itself and settles at the starting node count
     B = np.array(B, dtype=np.complex128)
     exact = np.linalg.matrix_power(semigroup.abel_average_closed(B, 1.0), n)
-    quad, _ = semigroup.abel_power_quadrature(B, 1.0, n, SIMPSON)
+    quad, nodes = semigroup.abel_power_quadrature(B, 1.0, n)
+    assert nodes == semigroup.START_NODE_COUNT
     rel = np.linalg.norm(quad - exact, 2) / np.linalg.norm(exact, 2)
-    assert rel <= 1e-6
+    assert rel <= 1e-12
 
 
-def test_simpson_horizon_past_expm_range_overflows():
-    # the horizon 40 / (1 - 0.99) = 4000 puts e^3960 on the grid
+def test_simpson_horizon_past_expm_range_settles():
+    # the horizon 40 / (1 - 0.99) = 4000 would put e^3960 on the grid, but
+    # Simpson sums e^-u exp(0.99 u) = e^(-0.01 u), which decays; only
+    # Gauss-Laguerre overflows here, at its 256-node rule
+    B = np.array([[0.99]])
+    value, _ = simpson(B, 1.0)
+    assert abs(value[0, 0] - 100.0) <= 1e-7 * 100.0
     with pytest.raises(Overflow):
-        semigroup.abel_average_quadrature(np.array([[0.99]]), 1.0, SIMPSON)
+        semigroup.abel_average_quadrature(B, 1.0)
 
 
 def test_simpson_horizon_on_stable_generators_is_forty():
@@ -158,10 +170,10 @@ def test_simpson_horizon_on_stable_generators_is_forty():
     rng = np.random.default_rng(137)
     for lam in (0.1, 1.0, 10.0, 1.8389906439653343):
         B = stable_generator(rng, 3, lam)
-        value, panels = semigroup.abel_average_quadrature(B, lam, SIMPSON)
+        value, panels = simpson(B, lam)
         ref, ref_panels = semigroup._settle(
-            semigroup._simpson_estimates(B, lam, 0.0,
-                                         semigroup.START_NODE_COUNT, 40.0),
+            semigroup._simpson_estimates(B, lam, semigroup.START_NODE_COUNT,
+                                         40.0),
             semigroup.START_NODE_COUNT, semigroup.SIMPSON_MAX_PANELS, "ref")
         assert panels == ref_panels
         assert np.array_equal(value, ref)
@@ -183,7 +195,7 @@ def count_expm_calls(monkeypatch):
 
 def test_simpson_doubles_until_self_check_passes():
     closed = semigroup.abel_average_closed(STIFF, 1.0)
-    quad, panels = semigroup.abel_average_quadrature(STIFF, 1.0, SIMPSON)
+    quad, panels = simpson(STIFF, 1.0)
     assert panels in [semigroup.START_NODE_COUNT * 2 ** k
                       for k in range(1, 8)]
     rel = np.linalg.norm(quad - closed, 2) / np.linalg.norm(closed, 2)
@@ -191,25 +203,19 @@ def test_simpson_doubles_until_self_check_passes():
 
 
 def simpson_expm_calls(panels):
-    """Direct expm calls of Simpson runs from START_NODE_COUNT panels up to
-    the estimate at 2 * panels: the two ends, then one per
-    EXPM_ANCHOR_EVERY nodes of the first grid's even nodes and of each
-    grid's odd nodes (m0, 2 m0, ..., 2 * panels of them)."""
-    m0 = semigroup.START_NODE_COUNT
-    progressions = [m0 - 1]
-    while progressions[-1] < 2 * panels:
-        progressions.append(m0 * 2 ** (len(progressions) - 1))
-    return 2 + sum(-(-count // semigroup.EXPM_ANCHOR_EVERY)
-                   for count in progressions)
+    """expm calls of a Simpson run from START_NODE_COUNT panels up to the
+    estimate at 2 * panels: the first grid's stride exp(2hC), then one
+    exp(hC) per grid (m0, 2 m0, ..., 2 * panels panels)."""
+    return 1 + (2 * panels // semigroup.START_NODE_COUNT).bit_length()
 
 
 def test_simpson_evaluates_each_node_once(monkeypatch):
     # settling at m panels means checking against 2m: 4m + 1 nodes in all,
-    # each an expm or a product; no t is exponentiated twice
+    # summed by products from one expm per grid; no t is exponentiated twice
     calls = count_expm_calls(monkeypatch)
-    for B, power in ((STIFF, 1), (np.array([[-1.0]]), 3)):
+    for B in (STIFF, np.array([[-1.0]])):
         calls.clear()
-        _, panels = semigroup.abel_power_quadrature(B, 1.0, power, SIMPSON)
+        _, panels = simpson(B, 1.0)
         assert len(calls) == simpson_expm_calls(panels)
         assert len(set(calls)) == len(calls)
 
@@ -253,7 +259,7 @@ def test_simpson_cap_raises_quadrature_unstable(monkeypatch):
     monkeypatch.setattr(semigroup, "SIMPSON_MAX_PANELS", m)
     with pytest.raises(QuadratureUnstable,
                        match=r"truncated_simpson with weight u\^0 "):
-        semigroup.abel_average_quadrature(STIFF, 1.0, SIMPSON)
+        simpson(STIFF, 1.0)
     assert len(calls) == simpson_expm_calls(m)
 
 
@@ -277,16 +283,14 @@ def test_settle_decides_from_norm_bounds(monkeypatch):
         semigroup._settle(iter(estimates), 64, 64, "rule")
 
 
-def reference_simpson(B, lam, power, panels, u_max):
-    """Simpson estimates with one expm per node: the product chain's
+def reference_simpson(B, lam, panels, u_max):
+    """Simpson estimates with one expm per node: the geometric sums'
     reference."""
     def node_sum(indices):
         u = np.asarray(indices, dtype=np.float64) * (u_max / intervals)
-        density = np.exp(scipy.special.xlogy(power, u) - u
-                         - scipy.special.gammaln(power + 1.0))
         total = np.zeros(B.shape, dtype=np.complex128)
-        for u_i, w_i in zip(u, density):
-            total += w_i * linalg.matrix_exponential(B, u_i / lam)
+        for u_i in u:
+            total += np.exp(-u_i) * linalg.matrix_exponential(B, u_i / lam)
         return total
 
     intervals = 2 * panels
@@ -319,66 +323,30 @@ def _product_chain_cases():
 def test_simpson_products_match_one_expm_per_node(monkeypatch):
     for B, lam, cond in _product_chain_cases():
         # at condition 1e4, ||exp(tB)|| climbs to about 1e3 before it decays,
-        # and the stride factor's rounding, carried through up to 31
-        # products, moves the sum by up to a few 1e-7 (one case here is
-        # 1.0e-7 from the rule with exact nodes, where one expm per node is
-        # 4.3e-8 from it); still well inside SELF_CHECK_TOL
+        # and the stride factor's rounding, carried through the squarings of
+        # the geometric sums, moves the sum by up to 7.0e-9 in these cases
+        # (6.1e-12 below condition 1e4); still well inside SELF_CHECK_TOL
         bound = 1e-7 if cond < 1e4 else 5e-7
-        for n in (1, 4):
-            value, panels = semigroup.abel_power_quadrature(B, lam, n,
-                                                            SIMPSON)
-            with monkeypatch.context() as patch:
-                patch.setattr(semigroup, "_simpson_estimates",
-                              reference_simpson)
-                ref, ref_panels = semigroup.abel_power_quadrature(
-                    B, lam, n, SIMPSON)
-            assert panels == ref_panels
-            gap = np.linalg.norm(value - ref, 2) / np.linalg.norm(ref, 2)
-            assert gap <= bound
+        value, panels = simpson(B, lam)
+        with monkeypatch.context() as patch:
+            patch.setattr(semigroup, "_simpson_estimates", reference_simpson)
+            ref, ref_panels = simpson(B, lam)
+        assert panels == ref_panels
+        gap = np.linalg.norm(value - ref, 2) / np.linalg.norm(ref, 2)
+        assert gap <= bound
 
 
 def test_simpson_product_overflow_raises(monkeypatch):
-    # every direct expm is huge but finite, so the first product of the
-    # even nodes overflows; the sum must raise quietly, as expm does, not
-    # come back as inf or nan
+    # every direct expm is huge but finite, so the first squaring of the
+    # stride factor overflows; the sum must raise quietly, as expm does,
+    # not come back as inf or nan
     original = linalg.matrix_exponentials
     monkeypatch.setattr(linalg, "matrix_exponentials",
                         lambda B, ts: 1e160 * original(B, ts))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(Overflow):
-            semigroup.abel_average_quadrature(STIFF, 1.0, SIMPSON)
-
-
-def reference_grid_sum(B, lam, u, density, first, step):
-    """_grid_sum as a per-node loop: each node is the one before times step,
-    except every EXPM_ANCHOR_EVERY-th, a direct expm, and the weighted nodes
-    are added to one running sum in node order."""
-    node = first
-    total = density[0] * first
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, len(u)):
-            if k % semigroup.EXPM_ANCHOR_EVERY:
-                node = node @ step
-            else:
-                node = linalg.matrix_exponential(B, u[k] / lam)
-            total += density[k] * node
-    if not np.isfinite(total).all():
-        raise Overflow(f"exp(u B / {lam}) overflowed on the Simpson grid")
-    return total
-
-
-def progression(B, lam, length, h):
-    """(u, density, first, step) of the odd Simpson nodes u_k = (2k + 1) h."""
-    u = (2.0 * np.arange(length) + 1.0) * h
-    return (u, np.exp(-u), linalg.matrix_exponential(B, h / lam),
-            linalg.matrix_exponential(B, 2.0 * h / lam))
-
-
-def segments_per_pass(monkeypatch, n, segments):
-    """Set the stack budget so that a _grid_sum pass holds segments."""
-    monkeypatch.setattr(linalg, "STACK_CHUNK_BYTES",
-                        segments * 16 * n * n * semigroup.EXPM_ANCHOR_EVERY)
+            simpson(STIFF, 1.0)
 
 
 def _grid_sum_cases():
@@ -393,47 +361,32 @@ def _grid_sum_cases():
                                + 1j * rng.normal(size=(n, n)))[0]
                   for _ in range(2))
         S = (Q1 * np.logspace(0.0, np.log10(cond), n)) @ Q2
-        yield S @ np.diag(values) @ np.linalg.inv(S)
+        yield S @ np.diag(values) @ np.linalg.inv(S), cond
 
 
 @pytest.mark.parametrize("length", [1, 2, 31, 32, 33, 63, 64, 65, 1025])
-def test_grid_sum_matches_per_node_loop(monkeypatch, length):
-    # the lockstep chains take the same products as the per-node loop; only
-    # the order of the sum changes, to segment partials added in order
-    for B in _grid_sum_cases():
-        args = (B, 1.0) + progression(B, 1.0, length, 40.0 / 2048)
-        ref = reference_grid_sum(*args)
-        value = semigroup._grid_sum(*args)
-        assert (np.linalg.norm(value - ref, 2)
-                <= 1e-14 * np.linalg.norm(ref, 2))
-        # the value does not depend on how many segments a pass holds
-        segments_per_pass(monkeypatch, B.shape[0],
-                          -(-length // semigroup.EXPM_ANCHOR_EVERY))
-        one_pass = semigroup._grid_sum(*args)
-        for segments in (1, 2, 3):
-            segments_per_pass(monkeypatch, B.shape[0], segments)
-            assert np.array_equal(semigroup._grid_sum(*args), one_pass)
-        monkeypatch.undo()
-
-
-@pytest.mark.parametrize("segments", [1, 2, None])
-def test_grid_sum_anchor_overflow_names_its_t(monkeypatch, segments):
-    # a Jordan generator -I + c N whose scipy expm overflows from t = 7.09
-    # on: the anchors at nodes 0 and 32 are finite, the one at node 64 is
-    # not; the lockstep sum raises the per-node loop's message, naming the
-    # same t, whether node 64 sits in the third pass, the second or the first
-    n, lam = 3, 0.5
-    B = -np.eye(n) + 1e150 * np.diag(np.ones(n - 1), 1)
-    args = (B, lam) + progression(B, lam, 70, 0.5 * 7.09 / 96)
-    if segments:
-        segments_per_pass(monkeypatch, n, segments)
-    message = f"exp({args[2][64] / lam} * B) overflowed"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(Overflow, match=re.escape(message)):
-            reference_grid_sum(*args)
-        with pytest.raises(Overflow, match=re.escape(message)):
-            semigroup._grid_sum(*args)
+def test_grid_sum_matches_per_node_loop(length):
+    # the odd Simpson nodes u_k = (2k + 1) h, k < length, summed as exp(hC)
+    # times the geometric sum of exp(2hC), C = B - I, and the node past
+    # them as the power, against one expm per node; Simpson's panel counts
+    # are powers of two, and the other lengths take the doubling's other
+    # bit patterns.  At condition 1e4 the stride factor's rounding grows
+    # with the transient of exp(uB) to about 1e-9, as it does in a chain
+    # of one product per node
+    h = 40.0 / 2048
+    u = (2.0 * np.arange(length) + 1.0) * h
+    for B, cond in _grid_sum_cases():
+        bound = 1e-14 if cond == 1.0 else 5e-9
+        C = B - np.eye(B.shape[0])
+        last, grid = linalg.power_and_geometric_sum(
+            linalg.matrix_exponential(C, 2.0 * h), length)
+        value = linalg.matrix_exponential(C, h) @ grid
+        ref = sum(np.exp(-u_k) * linalg.matrix_exponential(B, u_k)
+                  for u_k in u)
+        scale = bound * np.linalg.norm(ref, 2)
+        assert np.linalg.norm(value - ref, 2) <= scale
+        end = linalg.matrix_exponential(C, 2.0 * h * length)
+        assert np.linalg.norm(last - end, 2) <= scale
 
 
 def test_simpson_memory_does_not_grow_with_panel_count():
@@ -444,7 +397,7 @@ def test_simpson_memory_does_not_grow_with_panel_count():
     B = stable_generator(rng, n)
     tracemalloc.start()
     try:
-        semigroup.abel_average_quadrature(B, 1.0, SIMPSON)
+        simpson(B, 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

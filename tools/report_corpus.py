@@ -125,7 +125,9 @@ def corpus():
         path = write_matrix(f"jordan-{c}", jordan_generator(21, float(c)))
         add(f"semigroup-overflow-{c}",
             ["semigroup", path, "--lambda", "1e6"], 3)
-    add("semigroup-simpson-overflow",
+    # Gauss-Laguerre's 256-node rule reaches u = 718.9, where e^(0.99 u)
+    # overflows; Simpson's geometric sums decay there and settle
+    add("semigroup-gauss-laguerre-overflow",
         ["semigroup", write_matrix("growing", [[0.99]]), "--lambda", "1"], 3)
     add("semigroup-diverges",
         ["semigroup", write_matrix("half", [[0.5]]), "--lambda", "0.25"], 3)
