@@ -24,11 +24,8 @@ from .certify import (
 )
 from .oscillator import (
     DiagonalOscillator,
-    c_constant,
     eigen_residual,
-    first_order_gap,
     hermite_function,
-    scaled_resolvent_power_gap,
 )
 from .semigroup import (
     abel_average_closed,
@@ -45,19 +42,16 @@ __all__ = [
     "abel_average_closed",
     "abel_average_quadrature",
     "abel_power_quadrature",
-    "c_constant",
     "cesaro_average",
     "check_power_convergence",
     "check_spectral_condition",
     "eigen_residual",
-    "first_order_gap",
     "generate_instances",
     "hermite_function",
     "in_omega_alpha",
     "laguerre_rule",
     "power_iterate",
     "riesz_projection_at_one",
-    "scaled_resolvent_power_gap",
     "spectral_map",
     "verify_equivalence",
 ]

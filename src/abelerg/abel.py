@@ -93,7 +93,7 @@ def cesaro_average(T, N):
     return S / N
 
 
-def power_iterate(M, tol=DEFAULT_TOL, max_doublings=DEFAULT_MAX_DOUBLINGS):
+def power_iterate(M, tol=DEFAULT_TOL):
     """Iterate M, M^2, M^4, ... until the sequence settles or escapes.
 
     Convergence requires four things at once: the Cauchy increment
@@ -109,18 +109,17 @@ def power_iterate(M, tol=DEFAULT_TOL, max_doublings=DEFAULT_MAX_DOUBLINGS):
     for the reported final_defect and for the rare test the bounds leave
     open (every test of a 2x2 or smaller M takes one, as norm_at_most does
     there).  Divergence is an in-band result: reason "blow_up" when any
-    entry climbs past BLOW_UP_THRESHOLD, "no_cauchy" when the max_doublings
-    budget (an integer >= 1) runs out.
+    entry climbs past BLOW_UP_THRESHOLD, "no_cauchy" when
+    DEFAULT_MAX_DOUBLINGS doublings do not settle it.
     """
     M = linalg.as_matrix(M, square=True)
     tol = linalg.check_tolerance("tol", tol)
-    max_doublings = linalg.check_count("max_doublings", max_doublings, 1)
     history = []
     P = M.copy()
     exponent = 1
     previous = 0.0  # no bound before the first doubling to halve
     floor = 8.0 * M.shape[0] * linalg.EPS
-    for _ in range(max_doublings):
+    for _ in range(DEFAULT_MAX_DOUBLINGS):
         with np.errstate(over="ignore", invalid="ignore"):
             Q = P @ P
         # the max is nan when any entry is, so this also catches nan and inf

@@ -14,9 +14,10 @@ arithmetic:
     (lambda - 1) R(lambda, T)  has diagonal entries  (lambda-1)/(lambda-1+2n),
 
 and the distance of its m-th power from P_0 is the largest such ratio to
-the m-th power.  The finite-difference residual below verifies,
-independently of the diagonal model, that the Hermite functions really
-are eigenfunctions of the differential operator.
+the m-th power.  check builds the oscillator report from one array of
+these ratios, n = 1 .. truncation - 1.  The finite-difference residuals
+and the Gram defect verify, independently of the diagonal model, that
+the Hermite functions are orthonormal eigenfunctions of the operator.
 """
 
 from dataclasses import dataclass
@@ -49,97 +50,6 @@ class DiagonalOscillator:
         return 1.0 - 2.0 * np.arange(self.truncation, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class GapReport:
-    """Operator-norm distance of the scaled resolvent power from P_0.
-
-    bound is the comparison value ((lambda-1)/(lambda+1))^(m-2) * C(lambda),
-    available for m >= 4 (None below); the gap itself is exact on the
-    truncated model.
-    """
-
-    gap: float
-    bound: float
-
-
-@dataclass(frozen=True)
-class CConstant:
-    """Truncated value of C(lambda) = sum_{n>=1} ((lambda-1)/(lambda-1+2n))^2.
-
-    value is the sum over 1 <= n < truncation; tail_bound is the integral
-    upper bound on the dropped remainder, so value <= C(lambda) <=
-    value + tail_bound.
-    """
-
-    value: float
-    tail_bound: float
-
-    @property
-    def estimate(self):
-        return self.value + self.tail_bound
-
-
-def _ratios(model, lam):
-    n = np.arange(1, model.truncation, dtype=np.float64)
-    return (lam - 1.0) / (lam - 1.0 + 2.0 * n)
-
-
-def scaled_resolvent_power_gap(model, lam, m):
-    """|| [(lambda - 1) R(lambda, T)]^m - P_0 || on the truncated model.
-
-    Exact by diagonality: the supremum of ((lambda-1)/(lambda-1+2n))^m
-    over n >= 1, attained at n = 1.  A gap below the smallest normal double
-    raises Overflow: comparing an underflowed gap with its bound says
-    nothing.
-    """
-    lam = linalg.check_real("lambda", lam, 1.0)
-    m = linalg.check_count("m", m, 1)
-    ratios = _ratios(model, lam)
-    c_val = _c_constant(model, lam, ratios) if m >= 4 else None
-    return _power_gap(ratios, lam, m, c_val)
-
-
-def _power_gap(ratios, lam, m, c_val):
-    """scaled_resolvent_power_gap from _ratios(model, lam) and, for m >= 4,
-    the model's C(lambda)."""
-    gap = float(np.max(ratios ** m))
-    if gap < np.finfo(np.float64).tiny:
-        raise Overflow(f"the gap underflowed: {gap:.3g} at m = {m}, below "
-                       f"the smallest normal double")
-    bound = None
-    if m >= 4:
-        ratio = (lam - 1.0) / (lam + 1.0)
-        bound = ratio ** (m - 2) * c_val.estimate
-    return GapReport(gap=gap, bound=bound)
-
-
-def first_order_gap(model, lam):
-    """|| (lambda - 1) R(lambda, T) - P_0 || = (lambda-1)/(lambda+1).
-
-    Always below the coarse bound lambda - 1, and tending to zero as
-    lambda decreases to 1.
-    """
-    lam = linalg.check_real("lambda", lam, 1.0)
-    return float(np.max(_ratios(model, lam)))
-
-
-def c_constant(model, lam):
-    """Truncated series C(lambda) with a certified integral tail bound."""
-    lam = linalg.check_real("lambda", lam, 1.0)
-    return _c_constant(model, lam, _ratios(model, lam))
-
-
-def _c_constant(model, lam, ratios):
-    """c_constant from _ratios(model, lam)."""
-    value = float(np.sum(ratios ** 2))
-    # sum_{n >= N} f(n) <= integral_{N-1}^inf f(u) du for decreasing f
-    try:
-        tail = (lam - 1.0) ** 2 / (2.0 * (lam - 3.0 + 2.0 * model.truncation))
-    except OverflowError:
-        raise Overflow(f"the tail bound of C({lam}) overflows") from None
-    return CConstant(value=value, tail_bound=float(tail))
-
-
 def hermite_function(n, t):
     """Orthonormal Hermite function x_n(t), stable for large n.
 
@@ -167,6 +77,16 @@ def _grid():
                        round(2.0 * GRID_HALF_WIDTH / GRID_STEP) + 1)
 
 
+def _check_reach(n):
+    """Raise ValueError unless the grid reaches 5 past mode n's classical
+    turning point sqrt(2n + 1), as it does for n <= 24."""
+    reach = np.sqrt(2.0 * n + 1.0) + 5.0
+    if not reach <= GRID_HALF_WIDTH:
+        raise ValueError(
+            f"mode {n} needs the grid to reach past the classical turning "
+            f"point: sqrt(2n+1) + 5 = {reach:.2f} > {GRID_HALF_WIDTH:g}")
+
+
 def eigen_residual(n):
     """Residual of (D^2 + 2 - t^2) x_n = (1 - 2n) x_n on the fixed grid.
 
@@ -178,11 +98,7 @@ def eigen_residual(n):
     it exceeds 100 * step^2 * (2n + 3)^2.
     """
     n = linalg.check_count("n", n, 0)
-    reach = np.sqrt(2.0 * n + 1.0) + 5.0
-    if not reach <= GRID_HALF_WIDTH:
-        raise ValueError(
-            f"n = {n} needs the grid to reach past the classical turning "
-            f"point: sqrt(2n+1) + 5 = {reach:.2f} > {GRID_HALF_WIDTH:g}")
+    _check_reach(n)
     t = _grid()
     h = float(t[1] - t[0])
     x = hermite_function(n, t)
@@ -202,9 +118,11 @@ def gram_defect(count):
     """max |<x_j, x_k> - delta_jk| over the first count Hermite functions.
 
     The inner products are trapezoidal sums on eigen_residual's grid,
-    GRID_STEP apart on [-GRID_HALF_WIDTH, GRID_HALF_WIDTH].
+    GRID_STEP apart on [-GRID_HALF_WIDTH, GRID_HALF_WIDTH], under the same
+    reach rule for the top mode count - 1: count <= 25.
     """
     count = linalg.check_count("count", count, 1)
+    _check_reach(count - 1)
     t = _grid()
     weights = np.full(t.size, t[1] - t[0])
     weights[0] *= 0.5
@@ -217,23 +135,39 @@ def gram_defect(count):
 def check(lam, m, truncation):
     """The oscillator report's fields under its keys.
 
-    The gaps and C(lambda) on DiagonalOscillator(truncation), the
-    finite-difference residuals of Hermite modes 0 to 6 and the Gram
-    defect of the first ten.  Arguments are validated in the order
-    truncation, lambda, m.  The model's ratio array is built once.
+    From one array of the ratios r_n = (lambda-1)/(lambda-1+2n), 1 <= n <
+    truncation: the gap max r_n^m, the first-order gap max r_n, C(lambda)
+    as the sum of r_n^2 with an integral tail bound, and for m >= 4 the
+    bound ((lambda-1)/(lambda+1))^(m-2) (value + tail_bound) (None below).
+    Then the residuals of Hermite modes 0 to 6 and the Gram defect of the
+    first ten.  Arguments are validated in the order truncation, lambda,
+    m.  Raises Overflow when the tail bound overflows or the gap falls
+    below the smallest normal double (an underflowed gap checks nothing).
     """
     model = DiagonalOscillator(truncation=truncation)
     lam = linalg.check_real("lambda", lam, 1.0)
     m = linalg.check_count("m", m, 1)
-    ratios = _ratios(model, lam)
-    c_val = _c_constant(model, lam, ratios)
-    gap = _power_gap(ratios, lam, m, c_val)
+    n = np.arange(1, model.truncation, dtype=np.float64)
+    ratios = (lam - 1.0) / (lam - 1.0 + 2.0 * n)
+    value = float(np.sum(ratios ** 2))
+    # sum_{n >= N} f(n) <= integral_{N-1}^inf f(u) du for decreasing f
+    try:
+        tail = (lam - 1.0) ** 2 / (2.0 * (lam - 3.0 + 2.0 * model.truncation))
+    except OverflowError:
+        raise Overflow(f"the tail bound of C({lam}) overflows") from None
+    gap = float(np.max(ratios ** m))
+    if gap < np.finfo(np.float64).tiny:
+        raise Overflow(f"the gap underflowed: {gap:.3g} at m = {m}, below "
+                       f"the smallest normal double")
+    bound = None
+    if m >= 4:
+        bound = ((lam - 1.0) / (lam + 1.0)) ** (m - 2) * (value + tail)
     return {
         "lambda": lam, "m": m, "truncation": model.truncation,
-        "gap": gap.gap, "gap_bound": gap.bound,
+        "gap": gap, "gap_bound": bound,
         "first_order_gap": float(np.max(ratios)),
-        "c_constant": {"value": c_val.value, "tail_bound": c_val.tail_bound,
-                       "estimate": c_val.estimate},
+        "c_constant": {"value": value, "tail_bound": tail,
+                       "estimate": value + tail},
         "eigen_residuals": {str(n): eigen_residual(n) for n in range(7)},
         "gram_defect": gram_defect(10),
     }

@@ -197,22 +197,22 @@ def test_semigroup_quadrature():
 
 
 def test_oscillator_constants():
-    model = oscillator.DiagonalOscillator(truncation=10_000)
     worst_c = 0.0
     for lam, target in ((2.0, np.pi ** 2 / 8.0 - 1.0),
                         (3.0, np.pi ** 2 / 6.0 - 1.0)):
-        c = oscillator.c_constant(model, lam)
-        assert c.value <= target <= c.value + c.tail_bound
-        worst_c = max(worst_c, abs(c.estimate - target))
+        c = oscillator.check(lam, 1, 10_000)["c_constant"]
+        assert c["value"] <= target <= c["value"] + c["tail_bound"]
+        worst_c = max(worst_c, abs(c["estimate"] - target))
     assert worst_c <= 1e-4
 
-    gap = oscillator.scaled_resolvent_power_gap(model, 2.0, 4)
-    assert abs(gap.gap - (1.0 / 3.0) ** 4) <= 1e-12
-    assert gap.gap <= gap.bound
+    fields = oscillator.check(2.0, 4, 10_000)
+    assert abs(fields["gap"] - (1.0 / 3.0) ** 4) <= 1e-12
+    assert fields["gap"] <= fields["gap_bound"]
 
     rng = np.random.default_rng(747)
     for lam in 1.0 + rng.uniform(1e-9, 1.0, 100):
-        assert oscillator.first_order_gap(model, float(lam)) <= lam - 1.0
+        assert oscillator.check(float(lam), 1, 10_000)["first_order_gap"] \
+            <= lam - 1.0
     print(f"\nPASS series constants bracket pi^2/8 - 1 and pi^2/6 - 1 "
           f"within {worst_c:.1e}, the fourth-power resolvent gap equals "
           f"(1/3)^4 under its bound, and the first-order gap stays below "

@@ -52,9 +52,6 @@ def test_check_count_returns_python_int_in_range():
 COUNT_ARGUMENTS = {
     "abel.cesaro_average": (
         "N", lambda v: abel.cesaro_average(np.eye(2), v)),
-    "abel.power_iterate": (
-        "max_doublings", lambda v: abel.power_iterate(np.eye(2),
-                                                      max_doublings=v)),
     "certify.cesaro_sup_estimate": (
         "N_max", lambda v: certify.cesaro_sup_estimate(np.eye(2), v)),
     "certify.abel_partial_sup_estimate": (
@@ -73,9 +70,6 @@ COUNT_ARGUMENTS = {
         "n", lambda v: semigroup.check(-np.eye(2), 1.0, v)),
     "oscillator.DiagonalOscillator": (
         "truncation", lambda v: oscillator.DiagonalOscillator(truncation=v)),
-    "oscillator.scaled_resolvent_power_gap": (
-        "m", lambda v: oscillator.scaled_resolvent_power_gap(
-            oscillator.DiagonalOscillator(truncation=8), 2.0, v)),
     "oscillator.hermite_function": (
         "n", lambda v: oscillator.hermite_function(v, 0.5)),
     "oscillator.eigen_residual": (
@@ -134,9 +128,6 @@ REAL_ARGUMENTS = {
         "power", lambda v: semigroup.laguerre_rule(4, v)),
     "semigroup.abel_average_closed": (
         "lambda", lambda v: semigroup.abel_average_closed(-np.eye(2), v)),
-    "oscillator.first_order_gap": (
-        "lambda", lambda v: oscillator.first_order_gap(
-            oscillator.DiagonalOscillator(truncation=8), v)),
     "oscillator.check": (
         "lambda", lambda v: oscillator.check(v, 4, 8)),
 }

@@ -115,7 +115,7 @@ def test_quadrature_matches_closed_form():
             assert rel <= 1e-8
 
 
-def test_quadrature_simpson_scheme_agrees():
+def test_simpson_agrees_with_closed_form():
     rng = np.random.default_rng(103)
     B = stable_generator(rng, 3)
     closed = semigroup.abel_average_closed(B, 1.0)
@@ -349,7 +349,7 @@ def test_simpson_product_overflow_raises(monkeypatch):
             simpson(STIFF, 1.0)
 
 
-def _grid_sum_cases():
+def _geometric_grid_cases():
     # a normal generator and one with eigenvector condition 1e4, spectral
     # radius / lambda 2 as the semigroup benchmark draws it at its stiffest
     rng = np.random.default_rng(149)
@@ -365,7 +365,7 @@ def _grid_sum_cases():
 
 
 @pytest.mark.parametrize("length", [1, 2, 31, 32, 33, 63, 64, 65, 1025])
-def test_grid_sum_matches_per_node_loop(length):
+def test_geometric_grid_sum_matches_per_node_loop(length):
     # the odd Simpson nodes u_k = (2k + 1) h, k < length, summed as exp(hC)
     # times the geometric sum of exp(2hC), C = B - I, and the node past
     # them as the power, against one expm per node; Simpson's panel counts
@@ -375,7 +375,7 @@ def test_grid_sum_matches_per_node_loop(length):
     # of one product per node
     h = 40.0 / 2048
     u = (2.0 * np.arange(length) + 1.0) * h
-    for B, cond in _grid_sum_cases():
+    for B, cond in _geometric_grid_cases():
         bound = 1e-14 if cond == 1.0 else 5e-9
         C = B - np.eye(B.shape[0])
         last, grid = linalg.power_and_geometric_sum(
