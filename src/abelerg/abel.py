@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import DecompositionFails, PoleHit, ResolventPole, SingularMatrix
+from .errors import DecompositionFails, ResolventPole, SingularMatrix
 
 # Power growth past this norm is treated as divergence, not roundoff.
 BLOW_UP_THRESHOLD = 1e8
@@ -194,14 +194,14 @@ def spectral_map(zeta, alpha):
 
     Sends the spectrum of T to the spectrum of its Abel average; maps the
     half-plane Re zeta <= 1 onto the closed disk |w - 1/2| <= 1/2 with the
-    fixed point f_alpha(1) = 1.  Raises PoleHit within 1e-14 relative
+    fixed point f_alpha(1) = 1.  Raises ResolventPole within 1e-14 relative
     distance of the pole zeta = 1/alpha.
     """
     a = check_alpha(alpha)
     z = complex(zeta)
     pole = 1.0 / a
     if abs(z - pole) <= 1e-14 * abs(pole):
-        raise PoleHit(f"zeta = {z} is the pole 1/alpha of the spectral map")
+        raise ResolventPole(f"zeta = {z} is the pole 1/alpha of the spectral map")
     return (1.0 - a) / (1.0 - a * z)
 
 

@@ -5,7 +5,7 @@ JSON report to stdout or --out.  Reports are canonically serialized
 (sorted keys, 17 significant digits) so identical inputs give
 byte-identical output.  Exit codes: 0 = computed, even when the verdict
 itself is negative (a divergence is an answer, not a failure); 2 = input
-error; 3 = numerical failure.
+error (ValueError, OSError); 3 = numerical failure (AbelergError).
 """
 
 import argparse
@@ -14,7 +14,7 @@ import functools
 import sys
 
 from . import abel, certify, linalg, matrixio, oscillator, semigroup
-from .errors import AbelergError, DimensionMismatch, ParseError
+from .errors import AbelergError
 
 EXIT_COMPUTED = 0
 EXIT_INPUT_ERROR = 2
@@ -138,16 +138,9 @@ def cmd_generate(args):
     })
     report["seed"] = args.seed
     report["count"] = args.count
-    report["instances"] = [
-        {
-            "kind": inst.kind,
-            "expected": inst.expected,
-            "dim": inst.dim,
-            "similarity_cond": inst.similarity_cond,
-            "matrix": matrixio.serialize_matrix(inst.matrix),
-        }
-        for inst in instances
-    ]
+    report["instances"] = [{**dataclasses.asdict(inst), "matrix":
+                            matrixio.serialize_matrix(inst.matrix)}
+                           for inst in instances]
     return report
 
 
@@ -242,7 +235,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except (ParseError, DimensionMismatch, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"abelerg: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except AbelergError as exc:

@@ -1,8 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Bad input raises ValueError (ParseError for a malformed matrix file), and
+the CLI exits 2; numerical trouble raises AbelergError, and it exits 3.
+"""
 
 
 class AbelergError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class of the numerical failures raised by this package."""
 
 
 class SingularMatrix(AbelergError):
@@ -14,11 +18,7 @@ class NoConvergence(AbelergError):
 
 
 class ResolventPole(AbelergError):
-    """The requested resolvent point lies in (or too close to) the spectrum."""
-
-
-class PoleHit(AbelergError):
-    """A scalar map was evaluated at one of its poles."""
+    """A resolvent or the spectral map was evaluated at or near a pole."""
 
 
 class DecompositionFails(AbelergError):
@@ -41,9 +41,5 @@ class GridTooCoarse(AbelergError):
     """A finite-difference residual exceeded its step-size error budget."""
 
 
-class ParseError(AbelergError):
-    """A matrix file violates the expected JSON schema."""
-
-
-class DimensionMismatch(AbelergError):
-    """Declared matrix dimensions disagree with the supplied data length."""
+class ParseError(ValueError):
+    """A matrix file violates the strict JSON schema: an input error."""

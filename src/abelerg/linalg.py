@@ -259,8 +259,11 @@ def power_and_geometric_sum(T, N):
 
 
 def operator_norm(A):
-    """Largest singular value of A."""
-    return float(np.linalg.norm(as_matrix(A), 2))
+    """Largest singular value of A; raises Overflow past the double range."""
+    norm = float(np.linalg.norm(as_matrix(A), 2))
+    if not math.isfinite(norm):
+        raise Overflow("the 2-norm left the representable range")
+    return norm
 
 
 def operator_norms(stack):

@@ -19,7 +19,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError
+from .errors import ParseError
 
 
 def _reject_constant(token):
@@ -60,7 +60,7 @@ def matrix_from_payload(payload):
     if not isinstance(data, list):
         raise ParseError('"data" must be a list of [re, im] pairs')
     if len(data) != rows * cols:
-        raise DimensionMismatch(
+        raise ParseError(
             f"data has {len(data)} entries, expected rows * cols = "
             f"{rows * cols}")
     values = _bulk_pairs(data)
@@ -100,6 +100,8 @@ def parse_matrix(text):
         # canonical_json writes -0.0 as "-0", which int() reads as +0
         payload = json.loads(text, parse_constant=_reject_constant,
                              parse_int=lambda s: -0.0 if s == "-0" else int(s))
+    except ParseError:          # a non-finite token, already named
+        raise
     except ValueError as exc:   # JSONDecodeError, or an over-long integer
         raise ParseError(f"invalid JSON: {exc}") from exc
     return matrix_from_payload(payload)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from abelerg import abel, certify, linalg
+from abelerg.errors import Overflow
 
 
 def jordan_block():
@@ -66,6 +67,25 @@ def test_condition_ii_rejects_bad_tolerances(bad):
         certify.check_spectral_condition(T, tol=bad)
     with pytest.raises(ValueError, match="rank_tol"):
         certify.check_spectral_condition(T, rank_tol=bad)
+
+
+def norm_overflow_matrices():
+    """Finite matrices whose 2-norm passes the double range; the second
+    has a finite infinity norm."""
+    four = np.diag([2.0, 0.5, 0.5, 0.5])
+    four[:3, 3] = 1.2e308
+    return [np.array([[2.0, 1.7e308, 1.7e308], [0.0, 0.5, 0.0],
+                      [0.0, 0.0, 0.5]]), four]
+
+
+@pytest.mark.parametrize("T", norm_overflow_matrices(), ids=["3x3", "4x4"])
+def test_condition_ii_norm_overflow_raises(T):
+    # the infinite ||T|| once scaled the escape test and the rank
+    # thresholds, so every rank read 0 and (ii) read "holds"
+    with pytest.raises(Overflow, match="2-norm"):
+        linalg.operator_norm(T)
+    with pytest.raises(Overflow, match="2-norm"):
+        certify.check_spectral_condition(T)
 
 
 def test_verify_equivalence_agrees_both_ways():

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import abelerg
-from abelerg import certify, cli, linalg, matrixio, oscillator, semigroup
+from abelerg import (certify, cli, errors, linalg, matrixio, oscillator,
+                     semigroup)
+from test_certify import norm_overflow_matrices
 
 
 def write_matrix(tmp_path, name, M):
@@ -60,16 +62,29 @@ def test_certify_condition_ii_is_its_certificate(tmp_path):
     [[0.5, 1e200, 0.0], [0.0, 0.5, 1e200], [0.0, 0.0, 0.5]],
     [[-1e308, 1e308], [-1e308, -1e308]],
     [[1e308, 1e308], [1e308, 1e308]],
-])
+] + norm_overflow_matrices())
 def test_certify_products_leaving_double_range_exit_three(tmp_path, capsys,
                                                           M):
     # finite entries whose (I - T)^2 or Schur residual overflows used to
-    # exit 2 as "matrix entries must be finite", after numpy warnings
+    # exit 2 as "matrix entries must be finite", after numpy warnings; the
+    # last two, whose 2-norm overflows, exited 0 with (ii) "holds"
     path = write_matrix(tmp_path, "m.json", M)
     out = tmp_path / "report.json"
     assert run_cli(["certify", path, "--out", str(out)]) == 3
     assert "Overflow" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_exit_code_follows_the_error_base():
+    # main maps ValueError to exit 2 and AbelergError to exit 3, so a
+    # malformed file must be a ValueError and every other error numerical
+    assert issubclass(errors.ParseError, ValueError)
+    assert not issubclass(errors.ParseError, errors.AbelergError)
+    classes = [value for value in vars(errors).values()
+               if isinstance(value, type) and issubclass(value, Exception)
+               and value is not errors.ParseError]
+    for cls in classes:
+        assert issubclass(cls, errors.AbelergError), cls
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from abelerg import matrixio
-from abelerg.errors import DimensionMismatch, ParseError
+from abelerg.errors import ParseError
 
 
 def test_parse_matrix_scalar_identity():
@@ -22,7 +22,8 @@ def test_parse_matrix_jordan_block():
 
 def test_parse_matrix_rejects_wrong_length():
     text = '{"rows":2,"cols":2,"data":[[1,0],[0,0],[0,0]]}'
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ParseError, match=re.escape(
+            "data has 3 entries, expected rows * cols = 4")):
         matrixio.parse_matrix(text)
 
 
@@ -38,10 +39,13 @@ def test_parse_matrix_rejects_unknown_or_missing_fields():
 
 
 def test_parse_matrix_rejects_nonfinite_tokens():
-    with pytest.raises(ParseError):
-        matrixio.parse_matrix('{"rows":1,"cols":1,"data":[[NaN,0]]}')
-    with pytest.raises(ParseError):
-        matrixio.parse_matrix('{"rows":1,"cols":1,"data":[[Infinity,0]]}')
+    # the token's ParseError passes through parse_matrix's handler for
+    # JSON errors, which would prefix it with "invalid JSON: "
+    for token in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(ParseError, match="^" + re.escape(
+                f"non-finite JSON token not allowed: {token}") + "$"):
+            matrixio.parse_matrix(
+                f'{{"rows":1,"cols":1,"data":[[{token},0]]}}')
 
 
 def test_parse_matrix_rejects_malformed_entries():

@@ -6,8 +6,8 @@ import pytest
 import scipy.special
 
 from abelerg import abel, linalg, semigroup
-from abelerg.errors import (IntegralDiverges, Overflow, PoleHit,
-                            QuadratureUnstable, ResolventPole)
+from abelerg.errors import (IntegralDiverges, Overflow, QuadratureUnstable,
+                            ResolventPole)
 
 # ||B|| / lambda is about 2 at lambda = 1: Simpson settles past 64 panels
 STIFF = np.array([[-1.0, 0.5], [0.0, -2.0]])
@@ -141,10 +141,9 @@ def test_simpson_horizon_covers_growing_semigroups(B):
 @pytest.mark.parametrize("B", [[[-0.5]], [[-0.01]],
                                [[-1.0, 2.0], [0.0, -0.2]]],
                          ids=["B0", "B1", "B3"])
-def test_simpson_horizon_covers_the_power_weight(B, n):
-    # the weight u^(n-1) e^-u peaks near u = n - 1, where a truncated rule
-    # once cut it off unseen by the self-check; Gauss-Laguerre integrates
-    # against the weight itself and settles at the starting node count
+def test_power_quadrature_settles_on_peaked_weights(B, n):
+    # Gauss-Laguerre integrates against the weight u^(n-1) e^-u itself,
+    # however far out it peaks, so it settles at the starting node count
     B = np.array(B, dtype=np.complex128)
     exact = np.linalg.matrix_power(semigroup.abel_average_closed(B, 1.0), n)
     quad, nodes = semigroup.abel_power_quadrature(B, 1.0, n)

@@ -18,8 +18,11 @@ against two checkouts' src/ (chosen by PYTHONPATH) compare with
 
 The corpus covers certify, abel-power, cesaro, semigroup (several lambda
 and n, dimensions 1 to 64, and the numerical failures: overflow, a
-divergent integral and a resolvent pole), oscillator, generate, the
-input errors, and finite matrices whose products overflow.  Exits 0 when
+divergent integral, a resolvent pole, an unsettled Simpson rule and an
+underflowed power), oscillator (with its gap underflow and tail-bound
+overflow), generate, the input errors (malformed matrix files among
+them), and finite matrices whose products or 2-norm overflow, so every
+failure message the CLI prints shows in stderr.txt.  Exits 0 when
 every request exits with the code the corpus expects (0, 2 or 3), and 1
 when any exits otherwise or raises.
 """
@@ -106,7 +109,9 @@ def corpus():
             ("shift-1e200", [[0.5, 1e200, 0], [0, 0.5, 1e200], [0, 0, 0.5]], 3),
             ("square-nan", [[-1e308, 1e308], [-1e308, -1e308]], 3),
             ("schur-nan", [[1e308, 1e308], [1e308, 1e308]], 3),
-            ("row-sum-inf", [[1e308, 1e308], [0, 0.5]], 0)):
+            ("row-sum-inf", [[1e308, 1e308], [0, 0.5]], 0),
+            ("norm-inf", [[2, 1.7e308, 1.7e308], [0, 0.5, 0], [0, 0, 0.5]],
+             3)):
         add(f"certify-{name}", ["certify", write_matrix(name, M)], expected)
     add("semigroup-row-sum-inf",
         ["semigroup", "inputs/row-sum-inf.json", "--lambda", "1"], 3)
@@ -133,13 +138,26 @@ def corpus():
         ["semigroup", write_matrix("half", [[0.5]]), "--lambda", "0.25"], 3)
     add("semigroup-pole",
         ["semigroup", write_matrix("one", [[1.0]]), "--lambda", "1"], 3)
+    add("semigroup-simpson-unstable",
+        ["semigroup", write_matrix("stiff-3000", np.diag([-1.0, -3000.0])),
+         "--lambda", "1"], 3)
+    add("semigroup-power-underflow",
+        ["semigroup", write_matrix("minus-one", [[-1.0]]), "--lambda", "1",
+         "--n", "2000"], 3)
 
     add("oscillator-default", ["oscillator"])
     add("oscillator-truncation-2000-m6",
         ["oscillator", "--truncation", "2000", "--m", "6"])
     add("oscillator-lambda-3.5-m2", ["oscillator", "--lambda", "3.5",
                                      "--m", "2"])
+    add("oscillator-gap-underflow", ["oscillator", "--lambda", "2",
+                                     "--m", "700"], 3)
+    add("oscillator-tail-overflow", ["oscillator", "--lambda", "1e155"], 3)
     add("generate-3-40", ["generate", "--seed", "3", "--count", "40"])
+
+    short = os.path.join("inputs", "short-data.json")
+    with open(short, "w") as fh:
+        json.dump({"rows": 2, "cols": 2, "data": [[1, 0]] * 3}, fh)
 
     bad = [("certify-alpha-1.5", ["certify", first, "--alpha", "1.5"]),
            ("certify-alpha-0", ["certify", first, "--alpha", "0"]),
@@ -162,7 +180,11 @@ def corpus():
            ("oscillator-truncation-1", ["oscillator", "--truncation", "1"]),
            ("oscillator-m-0", ["oscillator", "--m", "0"]),
            ("oscillator-lambda-inf", ["oscillator", "--lambda", "inf"]),
-           ("missing-matrix", ["certify", "inputs/missing.json"])]
+           ("missing-matrix", ["certify", "inputs/missing.json"]),
+           ("nan-token", ["certify", write_matrix("nan", [[np.nan]])]),
+           ("short-data", ["certify", short]),
+           ("abel-power-two-alphas", ["abel-power", first, "--alpha", "0.3",
+                                      "--alpha", "0.7"])]
     for lam in ("0", "nan", "inf"):
         bad.append((f"semigroup-lambda-{lam}",
                     ["semigroup", small, "--lambda", lam]))
