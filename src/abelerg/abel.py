@@ -174,7 +174,8 @@ def riesz_projection_at_one(T, rank_tol):
         raise DecompositionFails(
             f"dim Ker(I-T) + dim Im(I-T) = {k} + {v} != {n}")
     W = np.hstack([K, V])
-    s = np.linalg.svd(W, compute_uv=False)
+    with linalg.lapack_errors:
+        s = np.linalg.svd(W, compute_uv=False)
     if s[-1] <= rank_tol * s[0]:
         raise DecompositionFails(
             f"stacked kernel/image basis is numerically singular "

@@ -14,7 +14,8 @@ class SingularMatrix(AbelergError):
 
 
 class NoConvergence(AbelergError):
-    """An eigenvalue iteration exhausted its sweep budget."""
+    """A LAPACK routine failed: an iteration did not converge, or a
+    factorization broke down."""
 
 
 class ResolventPole(AbelergError):

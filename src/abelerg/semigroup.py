@@ -19,11 +19,12 @@ SIMPSON_MAX_PANELS (Simpson) it raises QuadratureUnstable.  The
 self-check cannot see what Simpson drops past its horizon, so the horizon
 follows the decay of the integrand: u = SIMPSON_HORIZON / (1 - w/lambda),
 with w the spectral abscissa of B clipped at 0.  A Gauss-Laguerre rule
-exponentiates its nodes as stacks of up to linalg.STACK_CHUNK_BYTES, one
-expm call each: a single call per rule at small n.  Simpson's nodes lie
-on uniform grids, where the integrand e^-u exp(u B / lambda) is a
-geometric progression, so each grid is summed in closed form by O(log m)
-products from one expm.
+exponentiates its nodes as stacks of up to linalg.STACK_CHUNK_BYTES, each
+in one batched scaling-and-squaring pass of linalg.matrix_exponentials: a
+single pass per rule at small n.  Simpson's nodes lie on uniform grids,
+where the integrand e^-u exp(u B / lambda) is a geometric progression, so
+each grid is summed in closed form by O(log m) products from one matrix
+exponential.
 The closed resolvent form is available as an independent reference.
 The substitution alpha = 1/(1 + lambda), T = I + B turns A~_lambda into
 the discrete Abel average of T exactly, an algebraic identity whose
@@ -112,7 +113,7 @@ def _abscissa(B, lam):
 def _weighted_sum(B, lam, nodes, weights):
     """sum_i w_i exp(u_i B / lambda), added in node order.  The nodes go to
     linalg.matrix_exponentials in stacks of up to linalg.STACK_CHUNK_BYTES
-    (at least one node each): one expm call per rule at small n, and
+    (at least one node each): one call per rule at small n, and
     O(STACK_CHUNK_BYTES + n^2) memory at any n."""
     total = np.zeros(B.shape, dtype=np.complex128)
     chunk = max(1, linalg.STACK_CHUNK_BYTES // (16 * B.size))
@@ -223,11 +224,16 @@ def check(B, lam, n):
     A_alpha(I + B), alpha = 1/(1 + lambda), with the closed form (the
     bridge), all from one resolvent solve and one Schur form.  A closed
     power below the smallest normal double raises Overflow: its check
-    would compare zero with zero.
+    would compare zero with zero.  A lambda so small that alpha rounds to
+    1 raises ValueError before any quadrature.
     """
     n = linalg.check_count("n", n, 1)
     B = linalg.as_matrix(B, square=True)
     lam = linalg.check_real("lambda", lam, 0.0)
+    alpha = 1.0 / (1.0 + lam)
+    if alpha == 1.0:
+        raise ValueError(f"lambda = {lam:g} is too small for the bridge: "
+                         f"alpha = 1/(1 + lambda) rounds to 1")
     tiny = np.finfo(np.float64).tiny
     closed = _resolvent(B, lam)
     scale = max(linalg.operator_norm(closed), tiny)
@@ -242,7 +248,6 @@ def check(B, lam, n):
     if power_scale < tiny:
         raise Overflow(f"the power underflowed: ||closed form^{n}|| = "
                        f"{power_scale:.3g}, below the smallest normal double")
-    alpha = 1.0 / (1.0 + lam)
     bridge = linalg.operator_norm(
         closed - abel.abel_average(np.eye(B.shape[0]) + B, alpha))
     return {

@@ -87,6 +87,20 @@ def test_exit_code_follows_the_error_base():
         assert issubclass(cls, errors.AbelergError), cls
 
 
+@pytest.mark.parametrize("routine,argv", [
+    ("svd", ["certify"]), ("solve", ["semigroup", "--lambda", "1"])])
+def test_lapack_failure_exits_three(tmp_path, capsys, monkeypatch, routine,
+                                    argv):
+    # numpy's LinAlgError is a ValueError, which alone would exit 2
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced failure")
+
+    path = write_matrix(tmp_path, "m.json", [[-1.0, 0.5], [0.0, -2.0]])
+    monkeypatch.setattr(np.linalg, routine, fail)
+    assert run_cli([argv[0], path] + argv[1:]) == 3
+    assert "NoConvergence: forced failure" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,code", [
     (["certify"], 0), (["semigroup", "--lambda", "1"], 3)])
 def test_pivot_threshold_overflow_prints_no_warning(tmp_path, capsys, argv,
@@ -306,6 +320,18 @@ def test_semigroup_zero_lambda_is_input_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "lambda must be finite and exceed 0" in err
         assert "Warning" not in err
+
+
+@pytest.mark.parametrize("entry,lam", [("-1e-300", "1e-300"),
+                                       ("-1", "1e-17")])
+def test_semigroup_lambda_too_small_for_bridge_is_input_error(
+        tmp_path, capsys, entry, lam):
+    # alpha = 1/(1 + lambda) rounds to 1; the check comes before any
+    # quadrature, so [[-1]] at 1e-17 no longer exits 3 with Simpson unsettled
+    path = write_matrix(tmp_path, "b.json", [[float(entry)]])
+    assert run_cli(["semigroup", path, "--lambda", lam]) == 2
+    assert (f"lambda = {float(lam):g} is too small for the bridge: "
+            f"alpha = 1/(1 + lambda) rounds to 1") in capsys.readouterr().err
 
 
 def test_semigroup_unstable_generator_exit_three(tmp_path):

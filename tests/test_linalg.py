@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from abelerg import abel, certify, linalg, oscillator, semigroup
-from abelerg.errors import Overflow, SingularMatrix
+from abelerg.errors import NoConvergence, Overflow, SingularMatrix
 
 
 def random_matrix(rng, n, complex_entries=True):
@@ -263,11 +263,81 @@ def test_kernel_image_dims_complement():
 
 
 def test_matrix_exponential_nilpotent_closed_form():
-    # exp(t [[0,1],[0,0]]) = [[1,t],[0,1]] exactly
+    # exp(t [[0,1],[0,0]]) = [[1,t],[0,1]], and exp(t N) = I + tN + t^2 N^2/2
+    # for the 3 x 3 upper shift N
     B = np.array([[0.0, 1.0], [0.0, 0.0]])
+    N = np.diag([1.0, 1.0], 1)
     for t in (0.0, 0.5, 3.0, 10.0):
         E = linalg.matrix_exponential(B, t)
         assert np.allclose(E, [[1.0, t], [0.0, 1.0]], atol=1e-14)
+        E = linalg.matrix_exponential(N, t)
+        exact = np.eye(3) + t * N + t * t / 2.0 * (N @ N)
+        assert np.abs(E - exact).max() <= 1e-14 * max(1.0, t * t)
+
+
+def test_matrix_exponential_at_zero_is_identity():
+    # the Pade coefficients are divided by b_0, so t = 0 gives I bit for bit,
+    # alone and inside a stack
+    ts = np.array([1.5, 0.0, 20.0, -0.0])
+    for B in _expm_cases():
+        n = B.shape[0]
+        assert np.array_equal(linalg.matrix_exponential(B, 0.0), np.eye(n))
+        stack = linalg.matrix_exponentials(B, ts)
+        assert np.array_equal(stack[1], np.eye(n))
+        assert np.array_equal(stack[3], np.eye(n))
+
+
+def test_matrix_exponential_diagonal_matches_scalar_exp():
+    # every product of a diagonal stack is diagonal, so the off-diagonal
+    # entries stay 0; each diagonal entry is a few ulps from np.exp times
+    # 1 + |t d|, the condition number of exp at t d (2.0 where measured)
+    d = np.array([-1.0, -0.1 + 0.4j, 0.5, -1.0 + 1.0j, 0.0])
+    ts = np.concatenate(([0.0], np.geomspace(1e-3, 30.0, 40)))
+    stack = linalg.matrix_exponentials(np.diag(d), ts)
+    off = ~np.eye(len(d), dtype=bool)
+    assert not stack[:, off].any()
+    diag = np.diagonal(stack, axis1=1, axis2=2)
+    exact = np.exp(ts[:, None] * d)
+    bound = 4.0 * linalg.EPS * (1.0 + np.abs(ts[:, None] * d))
+    assert (np.abs(diag - exact) <= bound * np.abs(exact)).all()
+
+
+def test_matrix_exponential_rotation_generator():
+    # exp(t [[0, -1], [1, 0]]) is the rotation by t
+    ts = np.linspace(0.0, 50.0, 101)
+    stack = linalg.matrix_exponentials(np.array([[0.0, -1.0], [1.0, 0.0]]),
+                                       ts)
+    c, s = np.cos(ts), np.sin(ts)
+    exact = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
+    assert np.abs(stack - exact).max() <= 1e-13
+
+
+def test_matrix_exponentials_semigroup_property():
+    # E(2t) = E(t)^2: the scaling of 2t is that of t plus one squaring
+    rng = np.random.default_rng(23)
+    ts = np.geomspace(1e-3, 10.0, 25)
+    for n in (2, 5, 8):
+        B = random_matrix(rng, n)
+        B /= np.linalg.norm(B, 2)
+        single = linalg.matrix_exponentials(B, ts)
+        double = linalg.matrix_exponentials(B, 2.0 * ts)
+        for E, E2 in zip(single, double):
+            assert (np.linalg.norm(E @ E - E2, 2)
+                    <= 1e-12 * np.linalg.norm(E2, 2))
+
+
+def test_matrix_exponentials_slices_ignore_their_order():
+    # scaling, Pade solve and masked squaring all act slice by slice, so a
+    # slice's bits do not depend on which slices share its stack
+    rng = np.random.default_rng(29)
+    ts = np.concatenate(([0.0], np.geomspace(1e-3, 30.0, 20)))
+    for B in _expm_cases():
+        stack = linalg.matrix_exponentials(B, ts)
+        assert np.array_equal(linalg.matrix_exponentials(B, ts[::-1]),
+                              stack[::-1])
+        order = rng.permutation(len(ts))
+        assert np.array_equal(linalg.matrix_exponentials(B, ts[order]),
+                              stack[order])
 
 
 def test_matrix_exponential_overflow():
@@ -277,8 +347,8 @@ def test_matrix_exponential_overflow():
 
 
 def _expm_cases():
-    # scipy's expm branches on 1x1, diagonal, upper- and lower-triangular
-    # and dense input
+    # scipy's expm, the reference, branches on 1x1, diagonal, upper- and
+    # lower-triangular and dense input
     rng = np.random.default_rng(17)
     dense = random_matrix(rng, 5)
     yield dense
@@ -290,14 +360,17 @@ def _expm_cases():
 
 
 def test_matrix_exponentials_match_one_expm_per_t():
+    # bit for bit the single-t call; against scipy's expm, which scales and
+    # squares by its own rules, a relative bound
     ts = np.concatenate(([0.0], np.geomspace(1e-3, 30.0, 40)))
     for B in _expm_cases():
         stack = linalg.matrix_exponentials(B, ts)
         assert stack.shape == (len(ts),) + B.shape
         for t, E in zip(ts, stack):
             assert np.array_equal(E, linalg.matrix_exponential(B, float(t)))
-            assert np.array_equal(
-                E, scipy.linalg.expm(float(t) * B.astype(np.complex128)))
+            reference = scipy.linalg.expm(float(t) * B.astype(np.complex128))
+            assert (np.linalg.norm(E - reference)
+                    <= 1e-13 * np.linalg.norm(reference))
 
 
 def test_weighted_sum_chunks_match_one_expm_per_node(monkeypatch):
@@ -320,6 +393,26 @@ def test_matrix_exponentials_overflow_names_first_t():
     with pytest.raises(Overflow, match=r"^the expm computation of "
                                        r"exp\(2\.0 \* B\) overflowed$"):
         linalg.matrix_exponentials(B, np.array([0.5, 1.0, 2.0, 10.0]))
+
+
+def _lapack_fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("forced failure")
+
+
+@pytest.mark.parametrize("routine,call", [
+    ("norm", lambda: linalg.operator_norm(np.eye(2))),
+    ("svd", lambda: linalg.operator_norms(np.eye(2)[None])),
+    ("svd", lambda: linalg.numerical_rank(np.eye(2), 0.5)),
+    ("svd", lambda: linalg.kernel_basis(np.eye(2), 1e-8)),
+    ("svd", lambda: linalg.image_basis(np.eye(2), 1e-8)),
+    ("solve", lambda: linalg.matrix_exponential(np.eye(2), 1.0))],
+    ids=["operator_norm", "operator_norms", "numerical_rank", "kernel_basis",
+         "image_basis", "matrix_exponential"])
+def test_lapack_failure_is_no_convergence(monkeypatch, routine, call):
+    # LinAlgError is a ValueError, an input error to the CLI
+    monkeypatch.setattr(np.linalg, routine, _lapack_fails)
+    with pytest.raises(NoConvergence, match="^forced failure$"):
+        call()
 
 
 @pytest.mark.parametrize("ts", [np.array([0.5, np.nan]),

@@ -17,9 +17,9 @@ against two checkouts' src/ (chosen by PYTHONPATH) compare with
 ``diff -r``: any changed report, CSV, exit code or message shows.
 
 The corpus covers certify, abel-power, cesaro, semigroup (several lambda
-and n, dimensions 1 to 64, and the numerical failures: overflow, a
-divergent integral, a resolvent pole, an unsettled Simpson rule and an
-underflowed power), oscillator (with its gap underflow and tail-bound
+and n, dimensions 1 to 64, a strongly non-normal generator, and the
+numerical failures: overflow, a divergent integral, a resolvent pole, an
+unsettled Simpson rule and an underflowed power), oscillator (with its gap underflow and tail-bound
 overflow), generate, the input errors (malformed matrix files among
 them), and finite matrices whose products or 2-norm overflow, so every
 failure message the CLI prints shows in stderr.txt.  Exits 0 when
@@ -49,22 +49,25 @@ def write_matrix(name, M):
     return path
 
 
-def stable_generator(seed, n):
-    """A generator with spectrum in Re < 0 and eigenvector condition <= 10,
-    scaled so that its spectral radius is 2."""
+def stable_generator(seed, n, cond=10.0):
+    """A generator with spectrum in Re < 0 and eigenvector condition about
+    cond, scaled so that its spectral radius is 2."""
     rng = np.random.default_rng(seed)
     values = rng.uniform(-1.0, -0.1, n) + 1j * rng.uniform(-0.4, 0.4, n)
     Q1, Q2 = (np.linalg.qr(rng.normal(size=(n, n))
                            + 1j * rng.normal(size=(n, n)))[0]
               for _ in range(2))
-    S = (Q1 * np.logspace(0.0, 1.0, n)) @ Q2
+    S = (Q1 * np.logspace(0.0, np.log10(cond), n)) @ Q2
     values *= 2.0 / np.max(np.abs(values))
     return S @ np.diag(values) @ np.linalg.inv(S)
 
 
 def jordan_generator(n, c):
     """-I + c N with N the n x n upper shift: exp(tB) grows like (ct)^(n-1)
-    before it decays, so a large c overflows expm at small t."""
+    before it decays.  At lambda 1e6, c = 1e18 stays finite and leaves
+    Gauss-Laguerre unsettled at 1024 against 2048 nodes; c = 1e20
+    overflows at t = 2.2e-4, where exp(tB) itself leaves the double
+    range."""
     return -np.eye(n) + c * np.diag(np.ones(n - 1), 1)
 
 
@@ -126,6 +129,11 @@ def corpus():
         path = write_matrix(f"stable-{n}", stable_generator(n, n))
         add(f"semigroup-stable-{n}",
             ["semigroup", path, "--lambda", "1", "--n", "2"])
+    # eigenvector condition 1e4: the matrix exponentials carry the most
+    # rounding on such non-normal generators
+    add("semigroup-nonnormal-1e4",
+        ["semigroup", write_matrix("nonnormal-1e4", stable_generator(
+            4, 4, 1e4)), "--lambda", "1", "--n", "2"])
     for c in ("1e18", "1e20"):
         path = write_matrix(f"jordan-{c}", jordan_generator(21, float(c)))
         add(f"semigroup-overflow-{c}",
