@@ -6,7 +6,8 @@ as ``numpy.ndarray`` with dtype ``complex128``.  All norms are the operator
 A LAPACK failure (numpy's LinAlgError, a ValueError) leaves this module
 as NoConvergence, a numerical error.  Matrix exponentials come from one
 batched scaling-and-squaring kernel (matrix_exponentials) that takes a
-whole stack of exp(t B) in one Pade-13 pass.
+whole stack of exp(t B) in one Pade-13 pass, built from the powers of a
+power-of-two multiple of B computed once per call.
 """
 
 import math
@@ -236,9 +237,10 @@ def matrix_exponential(B, t):
 
 def matrix_exponentials(B, ts):
     """exp(t B) for each t of a 1-d float array ts, as a (len(ts), n, n)
-    stack, by one batched scaling-and-squaring pass (_expm_stack).  Slice
-    i takes the same operations on the same operands whatever the other
-    slices hold, so it is bit for bit matrix_exponential(B, ts[i]).
+    stack, by one batched scaling-and-squaring pass (_expm_stack) from the
+    powers of B, taken once (_normalized_powers).  Slice i takes the same
+    operations on the same operands whatever the other slices hold, so it
+    is bit for bit matrix_exponential(B, ts[i]).
 
     Raises Overflow naming a t whose computation leaves the representable
     range: the first with ||t B||_1 past it, else the first whose
@@ -251,13 +253,14 @@ def matrix_exponentials(B, ts):
                          f"{ts.shape} and dtype {ts.dtype}")
     if not np.isfinite(ts).all():
         raise ValueError("ts must be finite")
-    ts = ts.astype(np.float64, copy=False)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        X = ts[:, None, None] * B
-        norms = _norm1(X)
+        P, e = _normalized_powers(B)
+        # t B = a B^ with a = 2^e t, so ||t B||_1 = |a| ||B^||_1
+        a = np.ldexp(ts.astype(np.float64, copy=False), e)
+        norms = np.abs(a) * _norm1(P[1])
         finite = np.isfinite(norms)
         if finite.all():
-            E = _expm_stack(X, norms)
+            E = _expm_stack(P, a, norms)
             finite = np.isfinite(E).all(axis=(1, 2))
     if not finite.all():
         # scaling and squaring can overflow inside on an exp(tB) that is
@@ -272,10 +275,10 @@ def matrix_exponentials(B, ts):
 # SIAM J. Matrix Anal. Appl. 26, 2005), divided by b_0: the approximant at
 # 0 is then I exactly.  Every b_k is an exact double, so b_k / b_0 is
 # correctly rounded.
-_PADE13 = tuple(b / 64764752532480000 for b in (
+_PADE13 = np.array([
     64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
     129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
-    40840800, 960960, 16380, 182, 1))
+    40840800, 960960, 16380, 182, 1], dtype=np.float64) / 64764752532480000
 # Largest 1-norm at which the approximant's backward error stays below the
 # unit roundoff (Higham 2005, Table 2.3), and the same bound on
 # min(max(d6, d8), max(d8, d10)), d_k = ||X^k||_1^(1/k) (Al-Mohy and
@@ -289,106 +292,99 @@ _LOG2_INV_C27 = math.log2(113250775606021113483283660800000000)
 
 
 def _norm1(A):
-    """1-norm (largest absolute column sum) of a matrix or of each slice of
-    a stack."""
+    """1-norm (largest absolute column sum) of a matrix."""
     return np.abs(A).sum(axis=-2).max(axis=-1)
 
 
-def _expm_stack(X, norms):
-    """exp of each slice of a (k, n, n) complex128 stack X, which it
-    overwrites, given the slices' 1-norms, all finite.  Run under
-    np.errstate with over, invalid and divide ignored: overflow shows as
-    inf or NaN entries.
+def _normalized_powers(B):
+    """(P, e): the powers P[k] = B^^k, k = 0..13, of B^ = 2^-e B, as one
+    (14, n, n) array.  The power of two 2^-e puts B's largest real or
+    imaginary part in [0.5, 1), so ||B^||_1 <= n sqrt 2: the powers stay
+    finite whatever the scale of B, and every entry but a subnormal one is
+    scaled exactly."""
+    e = int(np.frexp(max(np.abs(B.real).max(), np.abs(B.imag).max()))[1])
+    P = np.empty((len(_PADE13),) + B.shape, dtype=np.complex128)
+    P[0] = np.eye(len(B))
+    P[1] = B
+    np.ldexp(P[1].view(np.float64), -e, out=P[1].view(np.float64))
+    for k in range(2, len(P)):
+        np.matmul(P[k - 1], P[1], out=P[k])
+    return P, e
 
-    Slice i is scaled by 2^-s_i, put through one Pade-13 evaluation for
-    the whole stack, and squared s_i times.  Every step is a stacked
-    product, an elementwise operation or a stacked solve, so no slice's
-    bits depend on another's.  Holds six stack-sized arrays at its peak:
-    X, X^2, X^4, X^6 and two work buffers.  s_i starts as the least s with
-    2^-s norms_i <= _THETA13, which keeps the powers finite;
-    _dropped_squarings then takes back the squarings that the decay of
-    ||X_i^k||^(1/k) makes unneeded: on non-normal slices each squaring
-    left in amplifies the rounding of the approximant.
+
+def _expm_stack(P, a, norms):
+    """exp(a_i B^) for each a_i of a, as a stack, given the powers P of B^
+    (_normalized_powers) and the 1-norms ||a_i B^||_1, all finite.  Run
+    under np.errstate with over, invalid and divide ignored: overflow shows
+    as inf or NaN entries.
+
+    Slice i is scaled to X_i = c_i B^, c_i = 2^-s_i a_i, so each Pade-13
+    term b_k X_i^k is the scalar b_k c_i^k times P[k]: V + U and V - U of
+    every slice come from one stacked product of its two coefficient rows
+    with the powers (one GEMM per slice: one GEMM over every slice's rows
+    would let the row count, so the stack, choose a slice's bits), and one
+    stacked solve gives the approximants.  Each slice is then squared s_i times, in order of
+    s_i, so that every squaring takes a contiguous suffix of the stack.
+    No slice's bits depend on another's.  Holds three stack-sized arrays
+    at its peak: V + U, V - U and the solve's result.  s_i starts as the
+    least s with 2^-s norms_i <= _THETA13, which keeps the Pade terms
+    finite; _dropped_squarings then takes back the squarings that the
+    decay of ||X_i^k||^(1/k) makes unneeded: on non-normal slices each
+    squaring left in amplifies the rounding of the approximant.
     """
     s = np.maximum(np.ceil(np.log2(norms / _THETA13)), 0.0).astype(np.int64)
-    scale = np.ldexp(1.0, -s)
-    X *= scale[:, None, None]
-    A2 = X @ X
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    shift = _dropped_squarings(X, A4, A6, s, norms * scale)
-    if shift.any():
-        for k, P in ((1, X), (2, A2), (4, A4), (6, A6)):
-            P *= np.ldexp(1.0, k * shift)[:, None, None]
-        s -= shift
-    b = _PADE13
-    # U = X [A6 (b13 A6 + b11 A4 + b9 A2) + b7 A6 + b5 A4 + b3 A2 + b1 I]
-    # V = A6 (b12 A6 + b10 A4 + b8 A2) + b6 A6 + b4 A4 + b2 A2 + b0 I,
-    # built in place through the work buffers acc and tmp (then X)
-    acc = A6 * b[13]
-    tmp = np.empty_like(X)
-    _add_terms(acc, tmp, ((b[11], A4), (b[9], A2)))
-    np.matmul(A6, acc, out=tmp)
-    _add_terms(tmp, acc, ((b[7], A6), (b[5], A4), (b[3], A2), (b[1], None)))
-    U = np.matmul(X, tmp, out=acc)
-    np.multiply(A6, b[12], out=tmp)
-    _add_terms(tmp, X, ((b[10], A4), (b[8], A2)))
-    V = np.matmul(A6, tmp, out=X)
-    _add_terms(V, tmp, ((b[6], A6), (b[4], A4), (b[2], A2), (b[0], None)))
-    del A2, A4, A6, X, acc
-    P = np.subtract(V, U, out=tmp)
-    Q = np.add(V, U, out=V)
-    del U, V, tmp
+    s -= _dropped_squarings(P, np.abs(np.ldexp(a, -s)), s)
+    order = np.argsort(s, kind="stable")
+    s = s[order]
+    k = np.arange(len(P))
+    # rows b_k c^k (V + U) and (-1)^k b_k c^k (V - U); a power that is 0
+    # (B nilpotent) takes coefficient 0, lest c^k overflow into inf * 0
+    coef = np.empty((len(s), 2, len(P)))
+    coef[:, 0] = np.where(P.any(axis=(1, 2)),
+                          _PADE13 * np.ldexp(a[order], -s)[:, None] ** k, 0.0)
+    coef[:, 1] = coef[:, 0] * (-1.0) ** k
+    # real coefficients times the powers' real and imaginary parts
+    VU = np.matmul(coef, P.view(np.float64).reshape(len(P), -1))
+    VU = VU.view(np.complex128).reshape((len(s), 2) + P.shape[1:])
     with lapack_errors:
-        E = np.linalg.solve(P, Q)
-    del P, Q
+        E = np.linalg.solve(VU[:, 1], VU[:, 0])
+    del VU
     for j in range(int(s.max(initial=0))):
-        squared = s > j
-        F = E[squared]
-        E[squared] = F @ F
-    return E
+        F = E[np.searchsorted(s, j, side="right"):]
+        np.matmul(F, F, out=F)
+    return E[np.argsort(order)]
 
 
-def _dropped_squarings(X, A4, A6, s, norms):
-    """How many of its s_i squarings each slice of the scaled stack X (with
-    powers A4, A6 and 1-norms norms) can do without: Al-Mohy and Higham
-    2009, Algorithm 5.1 at degree 13.  Their s is the least with
+def _dropped_squarings(P, c, s):
+    """How many of its s_i squarings each slice X_i = c_i B^ (scaled, with
+    |c_i| given in c) can do without, from the powers P of B^: Al-Mohy and
+    Higham 2009, Algorithm 5.1 at degree 13.  Their s is the least with
     2^-s min(max(d6, d8), max(d8, d10)) <= _ETA13, plus ell, the squarings
     that keep c_27 || |2^-s X|^27 ||_1 / ||2^-s X||_1 below the unit
     roundoff, lest rounding in the powers outgrow the powers themselves.
-    The result is negative where ell asks for more squarings than s_i."""
-    d6 = _norm1(A6) ** (1 / 6)
-    d8 = _norm1(A4 @ A4) ** (1 / 8)
-    d10 = _norm1(A4 @ A6) ** (1 / 10)
-    eta = np.minimum(np.maximum(d6, d8), np.maximum(d8, d10))
+    Both scale with |c_i|: d_k is |c_i| ||B^^k||_1^(1/k), and the ell term
+    |c_i|^26 times its value at B^.  The result is negative where ell
+    asks for more squarings than s_i."""
+    d6, d8, d10 = (_norm1(P[k]) ** (1 / k) for k in (6, 8, 10))
+    eta = c * min(max(d6, d8), max(d8, d10))
     # eta = 0 (X nilpotent of low index) drops every squaring
     drop = np.minimum(np.maximum(-np.ceil(np.log2(eta / _ETA13)), 0), s)
     if not drop.any():
         # ell = 0: ||X||_1 <= _THETA13 puts alpha below c_27 5.4^26 < 2^-53
         return drop.astype(np.int64)
-    # 1^T |X|^27 by 27 = 1 + 2 + 8 + 16; no overflow, as ||X||_1 <= 5.4
-    M = np.abs(X)
-    row = M.sum(axis=-2)[:, None, :]
+    # 1^T |B^|^27 by 27 = 1 + 2 + 8 + 16; no overflow, as ||B^||_1 <= 724
+    M = np.abs(P[1])
+    row = M.sum(axis=0)
     for k in range(1, 5):
         M = M @ M
         if k != 2:
             row = row @ M
-    # log2 of alpha at 2^drop X; a zero slice gives NaN, which fmax reads
-    # as ell = 0
-    log_alpha = (np.log2(row.max(axis=(1, 2)) / norms) - _LOG2_INV_C27
-                 + 26 * drop)
+    # log2 of alpha at 2^drop X; B^ = 0 gives NaN, which fmax reads as
+    # ell = 0
+    log_alpha = (26 * (np.log2(c) + drop) - _LOG2_INV_C27
+                 + np.log2(row.max() / _norm1(P[1])))
     ell = np.fmax(np.ceil((log_alpha + 53) / 26), 0)
     return (drop - ell).astype(np.int64)
-
-
-def _add_terms(out, work, terms):
-    """out += c P for each (c, P) of terms in order, with c P formed in the
-    work buffer; P None stands for the identity."""
-    for c, P in terms:
-        if P is None:
-            out.reshape(len(out), -1)[:, ::out.shape[-1] + 1] += c
-        else:
-            out += np.multiply(P, c, out=work)
 
 
 def power_and_geometric_sum(T, N):

@@ -21,10 +21,11 @@ follows the decay of the integrand: u = SIMPSON_HORIZON / (1 - w/lambda),
 with w the spectral abscissa of B clipped at 0.  A Gauss-Laguerre rule
 exponentiates its nodes as stacks of up to linalg.STACK_CHUNK_BYTES, each
 in one batched scaling-and-squaring pass of linalg.matrix_exponentials: a
-single pass per rule at small n.  Simpson's nodes lie on uniform grids,
-where the integrand e^-u exp(u B / lambda) is a geometric progression, so
-each grid is summed in closed form by O(log m) products from one matrix
-exponential.
+single pass per rule at small n, which builds every node's exponential
+from one set of powers of B and holds three stack-sized arrays.
+Simpson's nodes lie on uniform grids, where the integrand
+e^-u exp(u B / lambda) is a geometric progression, so each grid is
+summed in closed form by O(log m) products from one matrix exponential.
 The closed resolvent form is available as an independent reference.
 The substitution alpha = 1/(1 + lambda), T = I + B turns A~_lambda into
 the discrete Abel average of T exactly, an algebraic identity whose
@@ -120,8 +121,10 @@ def _weighted_sum(B, lam, nodes, weights):
     for start in range(0, len(nodes), chunk):
         stop = start + chunk
         stack = linalg.matrix_exponentials(B, nodes[start:stop] / lam)
-        for w_i, E_i in zip(weights[start:stop], stack):
-            total += w_i * E_i
+        stack *= weights[start:stop, None, None]
+        stack[0] += total
+        # a reduction over the leading axis adds the slices one by one
+        total = np.add.reduce(stack, axis=0)
     return total
 
 
@@ -134,14 +137,14 @@ def _simpson_estimates(B, lam, panels, u_max):
     S = exp(2hC): the odd nodes sum to exp(hC) (I + S + ... + S^(m-1)),
     the interior even nodes to that sum less I, and the last node is S^m,
     all from one linalg.power_and_geometric_sum.  Halving h makes this
-    grid's exp(hC) the next grid's S, so each grid takes one expm.
+    grid's exp(hC) the next grid's S, so each grid takes one expm; the
+    first grid takes its S and exp(hC) from one stacked call.
     """
     eye = np.eye(B.shape[0], dtype=np.complex128)
     C = B / lam - eye
     h = u_max / (2 * panels)
-    stride = linalg.matrix_exponential(C, 2.0 * h)
+    stride, half = linalg.matrix_exponentials(C, np.array([2.0 * h, h]))
     while True:
-        half = linalg.matrix_exponential(C, h)
         last, grid = linalg.power_and_geometric_sum(stride, panels)
         with np.errstate(over="ignore", invalid="ignore"):
             value = (h / 3.0) * (eye + last + 4.0 * (half @ grid)
@@ -150,6 +153,7 @@ def _simpson_estimates(B, lam, panels, u_max):
             raise Overflow("the Simpson sum left the representable range")
         yield value
         stride, h, panels = half, h / 2.0, 2 * panels
+        half = linalg.matrix_exponential(C, h)
 
 
 def _settle(estimates, m, max_m, rule):

@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -264,15 +265,50 @@ def test_kernel_image_dims_complement():
 
 def test_matrix_exponential_nilpotent_closed_form():
     # exp(t [[0,1],[0,0]]) = [[1,t],[0,1]], and exp(t N) = I + tN + t^2 N^2/2
-    # for the 3 x 3 upper shift N
+    # for the 3 x 3 upper shift N; at t = 1e100 the powers past N^2 are
+    # exactly 0, and so are their Pade terms, though t^k overflows
     B = np.array([[0.0, 1.0], [0.0, 0.0]])
     N = np.diag([1.0, 1.0], 1)
-    for t in (0.0, 0.5, 3.0, 10.0):
+    for t in (0.0, 0.5, 3.0, 10.0, 1e100):
         E = linalg.matrix_exponential(B, t)
         assert np.allclose(E, [[1.0, t], [0.0, 1.0]], atol=1e-14)
         E = linalg.matrix_exponential(N, t)
         exact = np.eye(3) + t * N + t * t / 2.0 * (N @ N)
         assert np.abs(E - exact).max() <= 1e-14 * max(1.0, t * t)
+
+
+def test_matrix_exponential_jordan_blocks_closed_form():
+    # exp(t (lam I + c N)) = e^(lam t) sum_k (c t)^k / k! N^k for the n x n
+    # upper shift N: non-normal blocks whose ||t B|| reaches 3e4 while
+    # their spectral radius stays at most 2.1 (worst measured: 3.4e-13)
+    ts = np.geomspace(1e-3, 30.0, 60)
+    for n in range(3, 7):
+        N = np.diag(np.ones(n - 1), 1)
+        terms = [np.linalg.matrix_power(N, k) / math.factorial(k)
+                 for k in range(n)]
+        for c in (1.0, 30.0, 1e3):
+            for lam in (-1.0, -0.5 + 2j):
+                stack = linalg.matrix_exponentials(
+                    lam * np.eye(n) + c * N, ts)
+                for t, E in zip(ts, stack):
+                    exact = np.exp(lam * t) * sum(
+                        (c * t) ** k * P for k, P in enumerate(terms))
+                    assert (np.linalg.norm(E - exact)
+                            <= 1e-12 * np.linalg.norm(exact))
+
+
+def test_matrix_exponentials_overflowing_one_norm():
+    # every entry is finite but ||B||_1 = 2e308 is not: t = 0 still gives I
+    # bit for bit, and a nonzero t raises, naming the first t whose ||t B||_1
+    # overflows, else the first whose squarings do
+    B = np.full((2, 2), 1e308)
+    assert np.array_equal(linalg.matrix_exponential(B, 0.0), np.eye(2))
+    assert np.array_equal(linalg.matrix_exponentials(B, np.array([0.0, -0.0])),
+                          np.stack([np.eye(2)] * 2))
+    for ts, named in (([1e-300], 1e-300), ([2.0], 2.0),
+                      ([0.0, 1e-3, 0.5, 1.0], 1.0), ([0.0, 0.5, 1e-3], 0.5)):
+        with pytest.raises(Overflow, match=re.escape(f"exp({named} * B)")):
+            linalg.matrix_exponentials(B, np.array(ts))
 
 
 def test_matrix_exponential_at_zero_is_identity():
