@@ -228,10 +228,7 @@ def image_basis(A, rank_tol):
 
 
 def matrix_exponential(B, t):
-    """exp(t B) by scaling and squaring: matrix_exponentials at one t.
-
-    Raises Overflow when entries leave the representable range.
-    """
+    """exp(t B): matrix_exponentials at one t, raising as it does."""
     return matrix_exponentials(B, np.array([check_real("t", t)]))[0]
 
 
@@ -242,9 +239,9 @@ def matrix_exponentials(B, ts):
     operations on the same operands whatever the other slices hold, so it
     is bit for bit matrix_exponential(B, ts[i]).
 
-    Raises Overflow naming a t whose computation leaves the representable
-    range: the first with ||t B||_1 past it, else the first whose
-    squarings overflow.  Raises NoConvergence when LAPACK fails.
+    Raises Overflow naming the first t whose ||t B||_1 or computation
+    overflows, or which needs more than _MAX_SQUARINGS squarings where
+    exp(t B) may not round to 0; NoConvergence when LAPACK fails.
     """
     B = as_matrix(B, square=True)
     ts = np.asarray(ts)
@@ -253,28 +250,29 @@ def matrix_exponentials(B, ts):
                          f"{ts.shape} and dtype {ts.dtype}")
     if not np.isfinite(ts).all():
         raise ValueError("ts must be finite")
+    ts, s = ts.astype(np.float64, copy=False), np.zeros(len(ts), np.int64)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         P, e = _normalized_powers(B)
-        # t B = a B^ with a = 2^e t, so ||t B||_1 = |a| ||B^||_1
-        a = np.ldexp(ts.astype(np.float64, copy=False), e)
-        norms = np.abs(a) * _norm1(P[1])
+        # ||t B||_1 = |t| 2^e ||B^||_1, overflowing only where ||t B||_1 does
+        norms = np.ldexp(np.ldexp(np.abs(ts), min(e, 0)) * _norm1(P[1]),
+                         max(e, 0))
         finite = np.isfinite(norms)
         if finite.all():
-            E = _expm_stack(P, a, norms)
+            E, s = _expm_stack(P, ts, e, norms)
             finite = np.isfinite(E).all(axis=(1, 2))
     if not finite.all():
-        # scaling and squaring can overflow inside on an exp(tB) that is
-        # itself representable, so the message blames the computation
-        raise Overflow(f"the expm computation of exp("
-                       f"{float(ts[finite.argmin()])} * B) overflowed")
+        # the message blames the computation: exp(tB) may be representable
+        i = finite.argmin()
+        raise Overflow(f"the expm computation of exp({float(ts[i])} * B) " + (
+            f"needs {s[i]} squarings, whose rounding can outgrow the result"
+            if s[i] > _MAX_SQUARINGS else "overflowed"))
     return E
 
 
 # Coefficients b_0..b_13 of the degree-13 Pade approximant to exp (Higham,
 # "The scaling and squaring method for the matrix exponential revisited",
-# SIAM J. Matrix Anal. Appl. 26, 2005), divided by b_0: the approximant at
-# 0 is then I exactly.  Every b_k is an exact double, so b_k / b_0 is
-# correctly rounded.
+# SIAM J. Matrix Anal. Appl. 26, 2005) over the exact double b_0, rounded
+# once each: the approximant at 0 is then I exactly.
 _PADE13 = np.array([
     64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
     129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
@@ -289,6 +287,9 @@ _ETA13 = 4.25
 # log2 of 1/|c_27|, c_27 the leading coefficient of the approximant's
 # backward-error series (Al-Mohy and Higham 2009, eq. 5.1)
 _LOG2_INV_C27 = math.log2(113250775606021113483283660800000000)
+# Most squarings a slice takes: each doubles the approximant's relative
+# rounding in the slow modes, and 2^s u >= 1 (u = 2^-53) past 52.
+_MAX_SQUARINGS = 52
 
 
 def _norm1(A):
@@ -297,11 +298,10 @@ def _norm1(A):
 
 
 def _normalized_powers(B):
-    """(P, e): the powers P[k] = B^^k, k = 0..13, of B^ = 2^-e B, as one
-    (14, n, n) array.  The power of two 2^-e puts B's largest real or
-    imaginary part in [0.5, 1), so ||B^||_1 <= n sqrt 2: the powers stay
-    finite whatever the scale of B, and every entry but a subnormal one is
-    scaled exactly."""
+    """(P, e): P[k] = B^^k, k = 0..13, for B^ = 2^-e B, as one (14, n, n)
+    array.  2^-e puts B's largest real or imaginary part in [0.5, 1), so
+    ||B^||_1 <= n sqrt 2 and the powers stay finite at any scale of B; it
+    scales every entry but a subnormal one exactly."""
     e = int(np.frexp(max(np.abs(B.real).max(), np.abs(B.imag).max()))[1])
     P = np.empty((len(_PADE13),) + B.shape, dtype=np.complex128)
     P[0] = np.eye(len(B))
@@ -312,36 +312,33 @@ def _normalized_powers(B):
     return P, e
 
 
-def _expm_stack(P, a, norms):
-    """exp(a_i B^) for each a_i of a, as a stack, given the powers P of B^
-    (_normalized_powers) and the 1-norms ||a_i B^||_1, all finite.  Run
-    under np.errstate with over, invalid and divide ignored: overflow shows
-    as inf or NaN entries.
-
-    Slice i is scaled to X_i = c_i B^, c_i = 2^-s_i a_i, so each Pade-13
-    term b_k X_i^k is the scalar b_k c_i^k times P[k]: V + U and V - U of
-    every slice come from one stacked product of its two coefficient rows
-    with the powers (one GEMM per slice: one GEMM over every slice's rows
-    would let the row count, so the stack, choose a slice's bits), and one
-    stacked solve gives the approximants.  Each slice is then squared s_i times, in order of
-    s_i, so that every squaring takes a contiguous suffix of the stack.
-    No slice's bits depend on another's.  Holds three stack-sized arrays
-    at its peak: V + U, V - U and the solve's result.  s_i starts as the
-    least s with 2^-s norms_i <= _THETA13, which keeps the Pade terms
-    finite; _dropped_squarings then takes back the squarings that the
-    decay of ||X_i^k||^(1/k) makes unneeded: on non-normal slices each
-    squaring left in amplifies the rounding of the approximant.
+def _expm_stack(P, ts, e, norms):
+    """(E, s): exp(t_i B) for each t_i of ts, as a stack, and the slices'
+    squaring counts, from the powers P of B^ = 2^-e B (_normalized_powers)
+    and the finite norms ||t_i B||_1.  Run under np.errstate with over,
+    invalid and divide ignored: overflow shows as inf or NaN entries.
+    s_i is the least s with 2^-s norms_i <= _THETA13, less the squarings
+    _dropped_squarings finds unneeded.  As X_i = 2^(e - s_i) t_i B^, each
+    Pade-13 term b_k X_i^k is a scalar times P[k]: one stacked product of
+    each slice's two coefficient rows with the powers (one GEMM per slice,
+    lest the stack choose a slice's bits) gives V + U and V - U, and one
+    stacked solve the approximants, squared in order of s_i over contiguous
+    parts of the stack.  No slice's bits depend on another's.  The peak
+    holds three stack-sized arrays: V + U, V - U and the solve's result.
+    A slice past _MAX_SQUARINGS is not squared: it is 0 where the 1-norm
+    logarithmic norm mu(t B) >= log ||exp(t B)||_1 puts every entry below
+    half the least subnormal, and NaN otherwise.
     """
     s = np.maximum(np.ceil(np.log2(norms / _THETA13)), 0.0).astype(np.int64)
-    s -= _dropped_squarings(P, np.abs(np.ldexp(a, -s)), s)
+    s -= _dropped_squarings(P, np.abs(np.ldexp(ts, e - s)), s)
     order = np.argsort(s, kind="stable")
-    s = s[order]
+    ts, norms, s = ts[order], norms[order], s[order]
     k = np.arange(len(P))
     # rows b_k c^k (V + U) and (-1)^k b_k c^k (V - U); a power that is 0
     # (B nilpotent) takes coefficient 0, lest c^k overflow into inf * 0
     coef = np.empty((len(s), 2, len(P)))
     coef[:, 0] = np.where(P.any(axis=(1, 2)),
-                          _PADE13 * np.ldexp(a[order], -s)[:, None] ** k, 0.0)
+                          _PADE13 * np.ldexp(ts, e - s)[:, None] ** k, 0.0)
     coef[:, 1] = coef[:, 0] * (-1.0) ** k
     # real coefficients times the powers' real and imaginary parts
     VU = np.matmul(coef, P.view(np.float64).reshape(len(P), -1))
@@ -349,22 +346,30 @@ def _expm_stack(P, a, norms):
     with lapack_errors:
         E = np.linalg.solve(VU[:, 1], VU[:, 0])
     del VU
-    for j in range(int(s.max(initial=0))):
-        F = E[np.searchsorted(s, j, side="right"):]
+    stop = np.searchsorted(s, _MAX_SQUARINGS, side="right")
+    for j in range(int(s[:stop].max(initial=0))):
+        F = E[np.searchsorted(s, j, side="right"):stop]
         np.matmul(F, F, out=F)
-    return E[np.argsort(order)]
+    if stop < len(s):
+        # mu(t B) = max_j (t Re b_jj + |t| sum_(i != j) |b_ij|), rounded by
+        # less than (n + 4) eps ||t B||_1; e^-746 < 2^-1076
+        t, d = ts[stop:, None], P[1].diagonal()
+        mu = np.ldexp(t * d.real + abs(t) * (abs(P[1]).sum(0) - abs(d)), e)
+        tiny = mu.max(axis=1) + (len(d) + 4) * EPS * norms[stop:] < -746.0
+        E[stop:] = np.where(tiny, 0.0, np.nan)[:, None, None]
+    back = np.argsort(order)
+    return E[back], s[back]
 
 
 def _dropped_squarings(P, c, s):
-    """How many of its s_i squarings each slice X_i = c_i B^ (scaled, with
-    |c_i| given in c) can do without, from the powers P of B^: Al-Mohy and
-    Higham 2009, Algorithm 5.1 at degree 13.  Their s is the least with
+    """How many of its s_i squarings each scaled slice X_i = c_i B^ (|c_i|
+    in c) can do without, from the powers P of B^: Al-Mohy and Higham
+    2009, Algorithm 5.1 at degree 13.  Their s is the least with
     2^-s min(max(d6, d8), max(d8, d10)) <= _ETA13, plus ell, the squarings
     that keep c_27 || |2^-s X|^27 ||_1 / ||2^-s X||_1 below the unit
-    roundoff, lest rounding in the powers outgrow the powers themselves.
-    Both scale with |c_i|: d_k is |c_i| ||B^^k||_1^(1/k), and the ell term
-    |c_i|^26 times its value at B^.  The result is negative where ell
-    asks for more squarings than s_i."""
+    roundoff.  Both scale with |c_i|: d_k is |c_i| ||B^^k||_1^(1/k), and
+    the ell term |c_i|^26 times its value at B^.  Negative where ell asks
+    for more squarings than s_i."""
     d6, d8, d10 = (_norm1(P[k]) ** (1 / k) for k in (6, 8, 10))
     eta = c * min(max(d6, d8), max(d8, d10))
     # eta = 0 (X nilpotent of low index) drops every squaring
@@ -379,8 +384,7 @@ def _dropped_squarings(P, c, s):
         M = M @ M
         if k != 2:
             row = row @ M
-    # log2 of alpha at 2^drop X; B^ = 0 gives NaN, which fmax reads as
-    # ell = 0
+    # log2 alpha at 2^drop X; B^ = 0 gives NaN, which fmax reads as ell = 0
     log_alpha = (26 * (np.log2(c) + drop) - _LOG2_INV_C27
                  + np.log2(row.max() / _norm1(P[1])))
     ell = np.fmax(np.ceil((log_alpha + 53) / 26), 0)

@@ -123,8 +123,9 @@ def _weighted_sum(B, lam, nodes, weights):
         stack = linalg.matrix_exponentials(B, nodes[start:stop] / lam)
         stack *= weights[start:stop, None, None]
         stack[0] += total
-        # a reduction over the leading axis adds the slices one by one
-        total = np.add.reduce(stack, axis=0)
+        # a running sum adds the slices one by one at every n (a reduction
+        # over a (k, 1, 1) stack would sum pairwise)
+        total = np.add.accumulate(stack, axis=0, out=stack)[-1].copy()
     return total
 
 

@@ -300,15 +300,42 @@ def test_matrix_exponential_jordan_blocks_closed_form():
 def test_matrix_exponentials_overflowing_one_norm():
     # every entry is finite but ||B||_1 = 2e308 is not: t = 0 still gives I
     # bit for bit, and a nonzero t raises, naming the first t whose ||t B||_1
-    # overflows, else the first whose squarings do
+    # overflows, else the first that overflows or needs over 52 squarings.
+    # exp(t B) = I - ones / 2 + e^(2e308 t) ones / 2, so a negative t is
+    # representable, but at t = -1e-3 the 1012 squarings would take the
+    # rounding of the eigenvalue-0 mode to 0 or inf; at t = -1e-300 it
+    # takes 26, and the result is right
     B = np.full((2, 2), 1e308)
     assert np.array_equal(linalg.matrix_exponential(B, 0.0), np.eye(2))
     assert np.array_equal(linalg.matrix_exponentials(B, np.array([0.0, -0.0])),
                           np.stack([np.eye(2)] * 2))
-    for ts, named in (([1e-300], 1e-300), ([2.0], 2.0),
-                      ([0.0, 1e-3, 0.5, 1.0], 1.0), ([0.0, 0.5, 1e-3], 0.5)):
+    assert np.allclose(linalg.matrix_exponential(B, -1e-300),
+                       np.eye(2) - 0.5, rtol=0.0, atol=1e-7)
+    for ts, named in (([1e-300], 1e-300), ([2.0], 2.0), ([-1e-3], -1e-3),
+                      ([-1.0], -1.0), ([0.0, 1e-3, 0.5, 1.0], 1.0),
+                      ([0.0, 0.5, 1e-3], 0.5), ([-1e-300, -1e-3, 0.5], -1e-3),
+                      ([0.0, -1e-300, -1.0, -1e-3], -1.0)):
         with pytest.raises(Overflow, match=re.escape(f"exp({named} * B)")):
             linalg.matrix_exponentials(B, np.array(ts))
+    # ||t B||_1 = 1e308 is finite though t 2^e is not; exp(t B) is 0
+    assert np.array_equal(linalg.matrix_exponential([[-1e308]], 1.0), [[0.0]])
+
+
+def test_matrix_exponentials_past_52_squarings():
+    # past 52 squarings a slice is 0 where the logarithmic norm shows that
+    # exp(t B) rounds to 0, as for diag(-1e17, -1e16) at t = 1, and raises
+    # otherwise: diag(-1e17, -1) at t = 1 would come out diag(0, 1)
+    B = np.diag([-1e17, -1e16])
+    stack = linalg.matrix_exponentials(B, np.array([1e-20, 1.0, 1e-30]))
+    assert np.array_equal(stack[1], np.zeros((2, 2)))
+    assert np.allclose(stack[0], np.diag(np.exp([-1e-3, -1e-4])),
+                       rtol=1e-15, atol=0.0)
+    for t, E in zip((1e-20, 1.0, 1e-30), stack):
+        assert np.array_equal(E, linalg.matrix_exponential(B, t))
+    with pytest.raises(Overflow, match=re.escape(
+            "exp(1.0 * B) needs 55 squarings, whose rounding can outgrow "
+            "the result")):
+        linalg.matrix_exponentials(np.diag([-1e17, -1.0]), np.array([1.0]))
 
 
 def test_matrix_exponential_at_zero_is_identity():
@@ -422,6 +449,18 @@ def test_weighted_sum_chunks_match_one_expm_per_node(monkeypatch):
         for u_i, w_i in zip(nodes, weights):
             reference += w_i * linalg.matrix_exponential(B, u_i / 2.0)
         assert np.array_equal(chunked, reference)
+
+
+def test_weighted_sum_of_a_scalar_adds_in_node_order():
+    # a (k, 1, 1) stack: numpy would sum its 40 slices pairwise, so the sum
+    # must still add them one by one to equal the per-node loop
+    nodes, weights = semigroup.laguerre_rule(40)
+    B = np.array([[-0.7 + 0.3j]])
+    reference = np.zeros_like(B)
+    for u_i, w_i in zip(nodes, weights):
+        reference += w_i * linalg.matrix_exponential(B, u_i / 2.0)
+    assert np.array_equal(semigroup._weighted_sum(B, 2.0, nodes, weights),
+                          reference)
 
 
 def test_matrix_exponentials_overflow_names_first_t():
