@@ -129,14 +129,15 @@ def power_iterate(M, tol=DEFAULT_TOL):
                 converged=False, limit=None, steps=exponent,
                 final_defect=float("inf"), history=history,
                 divergence_reason="blow_up")
+        # the gate shows Q finite, so the tests skip norm_at_most's checks
         increment = Q - P
-        cauchy = linalg.norm_at_most(increment, tol)
+        cauchy = linalg._norm_at_most(increment, tol)
         history.append((exponent, cauchy.upper))
         if (cauchy
                 and (cauchy.upper <= 0.5 * previous or cauchy.upper
                      <= floor * max(1.0, np.linalg.norm(Q)))
-                and linalg.norm_at_most(Q @ Q - Q, 10.0 * tol)
-                and linalg.norm_at_most(M @ Q - Q, 10.0 * tol)):
+                and linalg._norm_at_most(Q @ Q - Q, 10.0 * tol)
+                and linalg._norm_at_most(M @ Q - Q, 10.0 * tol)):
             return ConvergenceReport(
                 converged=True, limit=Q, steps=exponent,
                 final_defect=_exact_norm(increment, cauchy), history=history)

@@ -3,17 +3,23 @@
 Everything operates on square or rectangular complex matrices represented
 as ``numpy.ndarray`` with dtype ``complex128``.  All norms are the operator
 2-norm (largest singular value) unless a function name says otherwise.
-A LAPACK failure (numpy's LinAlgError, a ValueError) leaves this module
-as NoConvergence, a numerical error.  Matrix exponentials come from one
+LU factorizations and Schur forms call LAPACK's zgetrf, zgetrs and zgees
+through handles taken once at import, not through scipy.linalg's
+per-call wrappers; solve_linear and eigendecompose check each routine's
+info themselves.  A LAPACK failure (a nonzero info, or numpy's
+LinAlgError, a ValueError) leaves this module as NoConvergence, a
+numerical error.  Public functions validate their arguments; a private
+kernel (_norm_at_most) skips that for callers whose own checks already
+show the matrix finite.  Matrix exponentials come from one
 batched scaling-and-squaring kernel (matrix_exponentials) that takes a
 whole stack of exp(t B) in one Pade-13 pass, built from the powers of a
 power-of-two multiple of B computed once per call.
 """
 
+import functools
 import math
 import numbers
 import operator
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,6 +52,11 @@ EXACT_NORM_MAX_DIMENSION = 2
 # matrix_exponentials.  Such loops hold O(STACK_CHUNK_BYTES + n^2) memory
 # however many matrices they go through.
 STACK_CHUNK_BYTES = 1 << 20
+
+# complex128 LAPACK routines, looked up once: scipy.linalg.lu_factor,
+# lu_solve and schur look them up, and wrap them, on every call
+_getrf, _getrs, _gees = scipy.linalg.get_lapack_funcs(
+    ("getrf", "getrs", "gees"), dtype=np.complex128)
 
 
 def as_matrix(A, square=False):
@@ -143,11 +154,12 @@ lapack_errors = _LapackErrors()
 
 
 def solve_linear(A, rhs):
-    """Solve A X = rhs by pivoted LU factorization.
+    """Solve A X = rhs by pivoted LU factorization (zgetrf, zgetrs).
 
     Raises SingularMatrix when a pivot of U falls below
     n * eps * ||A||_inf, which is how resolvent evaluations at (numerical)
-    spectrum points announce themselves.
+    spectrum points announce themselves; an exactly zero pivot (zgetrf's
+    positive info) is one of those.  A negative info raises NoConvergence.
     """
     A = as_matrix(A, square=True)
     rhs = as_matrix(rhs)
@@ -155,10 +167,8 @@ def solve_linear(A, rhs):
     if rhs.shape[0] != n:
         raise ValueError(
             f"right-hand side has {rhs.shape[0]} rows, expected {n}")
-    with warnings.catch_warnings():
-        # exact singularity is detected below and raised as SingularMatrix
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
+    lu, piv, info = _getrf(A)
+    _check_info("zgetrf", info)
     # a row sum beyond the double range makes the threshold infinite, so
     # every pivot reads as singular
     with np.errstate(over="ignore"):
@@ -167,20 +177,45 @@ def solve_linear(A, rhs):
     if np.min(pivots) <= threshold:
         raise SingularMatrix(
             f"pivot {np.min(pivots):.3e} below threshold {threshold:.3e}")
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    X, info = _getrs(lu, piv, rhs)
+    _check_info("zgetrs", info)
+    return X
+
+
+def _check_info(routine, info):
+    """Raise NoConvergence on a negative LAPACK info: an argument the
+    routine refused, which finite validated input should never give."""
+    if info < 0:
+        raise NoConvergence(f"illegal value in argument {-info} of {routine}")
+
+
+@functools.cache
+def _gees_lwork(n):
+    """zgees's optimal workspace at order n, from its own query: the lwork
+    scipy.linalg.schur passes.  The query depends on n alone."""
+    return int(_gees(_no_sort, np.zeros((n, n), np.complex128),
+                     lwork=-1)[-2][0].real)
+
+
+def _no_sort(value):
+    """zgees's eigenvalue selector; not called, as sort_t is 0."""
 
 
 def eigendecompose(A):
-    """Eigenvalues with algebraic multiplicity, via a complex Schur form.
+    """Eigenvalues with algebraic multiplicity, via a complex Schur form
+    (zgees, with the workspace of _gees_lwork).
 
     The Schur route gives a computable backward-error certificate:
     A + E = Z T Z* exactly with ||E|| reported, at the usual
     O(n * eps * ||A||) size for a converged QR iteration.  Raises Overflow
-    when A - Z T Z* leaves the representable range.
+    when A - Z T Z* leaves the representable range, and NoConvergence on
+    a nonzero info, as when the QR iteration fails.
     """
     A = as_matrix(A, square=True)
-    with lapack_errors:
-        T, Z = scipy.linalg.schur(A, output="complex")
+    T, _, _, Z, _, info = _gees(_no_sort, A, lwork=_gees_lwork(A.shape[0]))
+    _check_info("zgees", info)
+    if info > 0:
+        raise NoConvergence("Schur form not found. Possibly ill-conditioned.")
     values = np.diag(T).astype(np.complex128)
     order = np.lexsort((-np.angle(values), -np.abs(values), -values.real))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -331,6 +366,10 @@ def _expm_stack(P, ts, e, norms):
     """
     s = np.maximum(np.ceil(np.log2(norms / _THETA13)), 0.0).astype(np.int64)
     s -= _dropped_squarings(P, np.abs(np.ldexp(ts, e - s)), s)
+    # a nilpotent B^ drops every squaring, and t 2^e overflows once
+    # ||t B||_1 >= 2^1023; as ||B^||_1 >= 1/2, one squaring keeps t 2^(e-1)
+    # finite
+    s[np.isinf(np.ldexp(ts, e - s))] = 1
     order = np.argsort(s, kind="stable")
     ts, norms, s = ts[order], norms[order], s[order]
     k = np.arange(len(P))
@@ -416,7 +455,7 @@ def operator_norm(A):
     """Largest singular value of A; raises Overflow past the double range."""
     A = as_matrix(A)
     with lapack_errors:
-        norm = float(np.linalg.norm(A, 2))
+        norm = float(np.linalg.svd(A, compute_uv=False)[0])
     if not math.isfinite(norm):
         raise Overflow("the 2-norm left the representable range")
     return norm
@@ -464,6 +503,13 @@ def norm_at_most(A, bound):
     bound = check_real("bound", bound)
     if bound < 0.0:
         raise ValueError(f"bound must be >= 0, got {bound}")
+    return _norm_at_most(A, bound)
+
+
+def _norm_at_most(A, bound):
+    """norm_at_most of a complex128 matrix A and a float bound >= 0, without
+    their checks.  A non-finite A still fails: its bounds are inf or NaN,
+    so it reaches operator_norm, which rejects it."""
     if max(A.shape) <= EXACT_NORM_MAX_DIMENSION:
         norm = operator_norm(A)
         return NormTest(norm <= bound, norm, norm)

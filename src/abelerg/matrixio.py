@@ -147,21 +147,19 @@ def _format_float(x):
 
 
 def _canonical(obj):
+    # exact floats and ints by type(), then the other builtins, before the
+    # numbers ABC checks, which cost more than writing a report's scalars
+    kind = type(obj)
+    if kind is float:
+        return _format_float(obj)
+    if kind is int:
+        return str(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=True)
-    if isinstance(obj, Integral):
-        return str(int(obj))
-    if isinstance(obj, Real):
-        return _format_float(float(obj))
-    if isinstance(obj, complex) or isinstance(obj, np.complexfloating):
-        z = complex(obj)
-        return f"[{_format_float(z.real)}, {_format_float(z.imag)}]"
-    if isinstance(obj, np.ndarray):
-        return _canonical(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_canonical(v) for v in obj) + "]"
     if isinstance(obj, dict):
@@ -171,6 +169,15 @@ def _canonical(obj):
                 raise ValueError("report keys must be strings")
             items.append(f"{json.dumps(key)}: {_canonical(obj[key])}")
         return "{" + ", ".join(items) + "}"
+    if isinstance(obj, Integral):
+        return str(int(obj))
+    if isinstance(obj, Real):
+        return _format_float(float(obj))
+    if isinstance(obj, complex) or isinstance(obj, np.complexfloating):
+        z = complex(obj)
+        return f"[{_format_float(z.real)}, {_format_float(z.imag)}]"
+    if isinstance(obj, np.ndarray):
+        return _canonical(obj.tolist())
     raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
 
 

@@ -12,6 +12,7 @@ import abelerg
 from abelerg import (certify, cli, errors, linalg, matrixio, oscillator,
                      semigroup)
 from test_certify import norm_overflow_matrices
+from test_linalg import _failing
 
 
 def write_matrix(tmp_path, name, M):
@@ -99,6 +100,24 @@ def test_lapack_failure_exits_three(tmp_path, capsys, monkeypatch, routine,
     monkeypatch.setattr(np.linalg, routine, fail)
     assert run_cli([argv[0], path] + argv[1:]) == 3
     assert "NoConvergence: forced failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["certify"], ["semigroup", "--lambda", "1"]],
+                         ids=["certify", "semigroup"])
+@pytest.mark.parametrize("handle,info", [
+    ("_getrf", -4), ("_getrs", -3), ("_gees", -2), ("_gees", 1)],
+    ids=["getrf", "getrs", "gees-illegal", "gees-qr"])
+def test_lapack_info_failure_exits_three(tmp_path, capsys, monkeypatch,
+                                         handle, info, argv):
+    # both commands factor a resolvent (zgetrf, zgetrs) and take a Schur
+    # form (zgees); a failing info from any of them is numerical trouble
+    path = write_matrix(tmp_path, "m.json", [[-1.0, 0.5], [0.0, -2.0]])
+    out = tmp_path / "report.json"
+    monkeypatch.setattr(linalg, handle,
+                        _failing(getattr(linalg, handle), info))
+    assert run_cli([argv[0], path] + argv[1:] + ["--out", str(out)]) == 3
+    assert "NoConvergence" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +180,62 @@ def test_solve_linear_random_residuals():
         assert np.linalg.norm(A @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
+def _seeded_complex_matrices():
+    rng = np.random.default_rng(2026)
+    return [random_matrix(rng, n) for n in range(1, 33)]
+
+
+def test_solve_linear_equals_scipy_lu_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for A in _seeded_complex_matrices():
+        rhs = random_matrix(rng, len(A))[:, :3]
+        reference = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), rhs)
+        assert np.array_equal(linalg.solve_linear(A, rhs), reference)
+
+
+def test_eigendecompose_equals_scipy_schur_bit_for_bit():
+    for A in _seeded_complex_matrices():
+        T, Z = scipy.linalg.schur(A, output="complex")
+        values = np.diag(T)
+        order = np.lexsort((-np.angle(values), -np.abs(values),
+                            -values.real))
+        data = linalg.eigendecompose(A)
+        assert np.array_equal(data.values, values[order])
+        # the backward error reads Z as well as T
+        assert data.backward_error == np.linalg.norm(A - Z @ T @ Z.conj().T,
+                                                     2)
+
+
+def test_exactly_singular_solve_raises_without_a_warning():
+    # zgetrf reports the exact zero pivot by its info; the pivot threshold
+    # catches it, and no LinAlgWarning is emitted
+    for A in (np.zeros((3, 3)), np.ones((4, 4)), [[1.0, 2.0], [2.0, 4.0]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrix):
+                linalg.solve_linear(A, np.eye(len(A)))
+
+
+def _failing(handle, info):
+    """A LAPACK handle that runs, then reports info in place of its own."""
+    def call(*args, **kwargs):
+        return handle(*args, **kwargs)[:-1] + (info,)
+    return call
+
+
+@pytest.mark.parametrize("handle,info,call", [
+    ("_getrf", -4, lambda: linalg.solve_linear(np.eye(2), np.eye(2))),
+    ("_getrs", -3, lambda: linalg.solve_linear(np.eye(2), np.eye(2))),
+    ("_gees", -2, lambda: linalg.eigendecompose(np.eye(2))),
+    ("_gees", 1, lambda: linalg.eigendecompose(np.eye(2)))],
+    ids=["getrf", "getrs", "gees-illegal", "gees-qr"])
+def test_lapack_info_is_no_convergence(monkeypatch, handle, info, call):
+    monkeypatch.setattr(linalg, handle,
+                        _failing(getattr(linalg, handle), info))
+    with pytest.raises(NoConvergence):
+        call()
+
+
 def test_eigendecompose_rotation_pair():
     # rotation by pi/2 has the eigenvalue pair {i, -i}
     vals = linalg.eigendecompose(np.array([[0.0, -1.0], [1.0, 0.0]])).values
@@ -275,6 +332,23 @@ def test_matrix_exponential_nilpotent_closed_form():
         E = linalg.matrix_exponential(N, t)
         exact = np.eye(3) + t * N + t * t / 2.0 * (N @ N)
         assert np.abs(E - exact).max() <= 1e-14 * max(1.0, t * t)
+
+
+def test_matrix_exponential_nilpotent_past_2_to_the_1023():
+    # ||t B||_1 >= 2^1023 with B^2 = 0: every squaring drops, and t 2^e
+    # overflowed though exp(t B) = I + t B is representable; one squaring
+    # of the Pade approximant I + t B / 2 gives I + t B exactly
+    big = np.finfo(np.float64).max
+    for B in (np.array([[0.0, 1.0], [0.0, 0.0]]),
+              np.array([[0.0, 1.0, 0.75], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])):
+        for t in (1.5 * 2.0 ** 1023, -1.5 * 2.0 ** 1023, 2.0 ** 1023, big):
+            exact = np.eye(len(B)) + t * B
+            assert np.array_equal(linalg.matrix_exponential(B, t), exact)
+        ts = np.array([1.0, 1.5 * 2.0 ** 1023, 0.0, -2.0])
+        stack = linalg.matrix_exponentials(B, ts)
+        assert np.array_equal(stack[1], np.eye(len(B)) + ts[1] * B)
+        for t, E in zip(ts, stack):
+            assert np.array_equal(E, linalg.matrix_exponential(B, t))
 
 
 def test_matrix_exponential_jordan_blocks_closed_form():
@@ -475,7 +549,7 @@ def _lapack_fails(*args, **kwargs):
 
 
 @pytest.mark.parametrize("routine,call", [
-    ("norm", lambda: linalg.operator_norm(np.eye(2))),
+    ("svd", lambda: linalg.operator_norm(np.eye(2))),
     ("svd", lambda: linalg.operator_norms(np.eye(2)[None])),
     ("svd", lambda: linalg.numerical_rank(np.eye(2), 0.5)),
     ("svd", lambda: linalg.kernel_basis(np.eye(2), 1e-8)),
@@ -502,9 +576,10 @@ def test_matrix_exponentials_rejects_bad_ts(ts):
 
 
 def test_operator_norm_matches_largest_singular_value():
-    rng = np.random.default_rng(3)
-    M = random_matrix(rng, 6)
-    assert abs(linalg.operator_norm(M) - np.linalg.norm(M, 2)) <= 1e-12
+    # bit for bit numpy's 2-norm, the largest of the same singular values
+    for A in _seeded_complex_matrices():
+        assert linalg.operator_norm(A) == np.linalg.norm(A, 2)
+        assert linalg.operator_norm(A[:, :1]) == np.linalg.norm(A[:, :1], 2)
 
 
 def _norm_test_cases():

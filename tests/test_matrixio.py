@@ -152,6 +152,24 @@ def test_canonical_json_numpy_scalars():
     assert text == '{"a": [1, 2], "f": 0.5, "i": 3}\n'
 
 
+def test_canonical_json_of_a_mixed_report_is_frozen():
+    report = {
+        "flag": True, "np_flag": np.bool_(False), "count": np.int64(-7),
+        "value": np.float64(0.1), "neg_zero": -0.0, "nan": float("nan"),
+        "inf": np.inf, "nested": (1, (2.5, [np.float64(-0.0), None]), "x"),
+        "list": [False, np.bool_(True), 3]}
+    text = matrixio.canonical_json(report)
+    assert text == (
+        '{"count": -7, "flag": true, "inf": "inf", "list": [false, true, 3], '
+        '"nan": "nan", "neg_zero": -0, "nested": [1, [2.5, [-0, null]], "x"], '
+        '"np_flag": false, "value": 0.10000000000000001}\n')
+    # a bool written as 1 or 0 would read back as an integer
+    parsed = json.loads(text)
+    assert parsed["flag"] is True and parsed["np_flag"] is False
+    assert parsed["list"][:2] == [False, True]
+    assert all(type(v) is bool for v in parsed["list"][:2])
+
+
 def test_payload_digest_stable_and_sensitive():
     a = matrixio.payload_digest({"x": 1.0, "y": [2.0]})
     b = matrixio.payload_digest({"y": [2.0], "x": 1.0})

@@ -1,22 +1,39 @@
 #!/usr/bin/env python3
-"""Time linalg.matrix_exponentials in process and print the timings as JSON.
+"""Time abelerg's linear-algebra kernels in process and print JSON.
 
     PYTHONPATH=src python3 tools/kernel_timings.py [--repeats R]
 
 The package is imported from PYTHONPATH, so running the script against two
-checkouts' src/ compares their expm kernels on identical inputs.  Each
-case exponentiates a seeded normal generator with its spectrum in the left
-half of the disc of radius 2, at n = 2, 8, 16, 32 and 64:
+checkouts' src/ compares their kernels on identical inputs.
+
+linalg.matrix_exponentials exponentiates a seeded normal generator with
+its spectrum in the left half of the disc of radius 2, at n = 2, 8, 16, 32
+and 64:
 
     k = 1      one slice at t = 0.5, as Simpson's single-t calls take it
     k = K      the K smallest nodes of the 128-node Gauss-Laguerre rule,
                K = min(128, STACK_CHUNK_BYTES / 16 n^2): the stack that
                Gauss-Laguerre passes at that n
 
-After one untimed call, every case is timed R times, one call each, and
-the minimum and median are printed in microseconds.  Set
-OPENBLAS_NUM_THREADS=1 for timings comparable with the benchmark's.  The
-script asserts nothing about the timings.
+The small kernels that certify, abel-power and cesaro call many times
+per request are timed at n = 2, 8 and 16 on a seeded complex matrix A,
+each next to the scipy or numpy call it wraps or stands for:
+
+    solve_linear      linalg.solve_linear(A, I); scipy.linalg.lu_factor
+                      and lu_solve
+    operator_norm     linalg.operator_norm(A); numpy.linalg.norm(A, 2)
+    eigendecompose    linalg.eigendecompose(A); scipy.linalg.schur(A,
+                      output="complex")
+    power_doubling    abel.power_iterate of an Abel average, divided by
+                      its doublings; one product M @ M
+    canonical_json    matrixio.canonical_json of an abel-power-like
+                      report holding an n x n matrix; json.dumps of it
+                      with sorted keys
+
+After one untimed call, every call is timed R times, and the minimum and
+median are printed in microseconds.  Set OPENBLAS_NUM_THREADS=1 for
+timings comparable with the benchmark's.  The script asserts nothing
+about the timings.
 """
 
 import argparse
@@ -26,10 +43,12 @@ import statistics
 import time
 
 import numpy as np
+import scipy.linalg
 
-from abelerg import linalg, semigroup
+from abelerg import abel, linalg, matrixio, semigroup
 
 DIMENSIONS = (2, 8, 16, 32, 64)
+SMALL_DIMENSIONS = (2, 8, 16)
 
 
 def stable_generator(rng, n):
@@ -42,14 +61,43 @@ def stable_generator(rng, n):
     return (Q * mu) @ Q.conj().T
 
 
-def time_call(B, ts, repeats):
-    linalg.matrix_exponentials(B, ts)
+def time_call(call, repeats):
+    """(min, median) in microseconds of R timed calls, after one untimed."""
+    call()
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        linalg.matrix_exponentials(B, ts)
+        call()
         times.append(1e6 * (time.perf_counter() - start))
     return min(times), statistics.median(times)
+
+
+def small_cases(rng, n):
+    """(name, kernel call, reference call, per) for the small kernels at
+    n; the kernel's time is divided by per."""
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A += 2.0 * n * np.eye(n)
+    eye = np.eye(n, dtype=np.complex128)
+    # an Abel average whose powers converge: T has spectrum in the disc
+    T = (0.9 / np.linalg.norm(A, 2)) * A
+    M = abel.abel_average(T, 0.5)
+    result = abel.power_iterate(M)
+    doublings = len(result.history)
+    report = {"command": "abel-power", "alpha": 0.5, "converged": True,
+              "steps": result.steps, "divergence_reason": None,
+              "final_defect": result.final_defect,
+              "limit": matrixio.serialize_matrix(result.limit)}
+    return (
+        ("solve_linear", lambda: linalg.solve_linear(A, eye),
+         lambda: scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), eye), 1),
+        ("operator_norm", lambda: linalg.operator_norm(A),
+         lambda: np.linalg.norm(A, 2), 1),
+        ("eigendecompose", lambda: linalg.eigendecompose(A),
+         lambda: scipy.linalg.schur(A, output="complex"), 1),
+        ("power_doubling", lambda: abel.power_iterate(M),
+         lambda: M @ M, doublings),
+        ("canonical_json", lambda: matrixio.canonical_json(report),
+         lambda: json.dumps(report, sort_keys=True), 1))
 
 
 def main(argv=None):
@@ -66,16 +114,30 @@ def main(argv=None):
         B = stable_generator(rng, n)
         stack = min(128, linalg.STACK_CHUNK_BYTES // (16 * n * n))
         for ts in (np.array([0.5]), np.array(nodes[:stack])):
-            low, mid = time_call(B, ts, args.repeats)
+            low, mid = time_call(
+                lambda: linalg.matrix_exponentials(B, ts), args.repeats)
             timings[f"n{n}_k{len(ts)}"] = {
                 "n": n, "k": len(ts), "min_us": round(low, 1),
                 "median_us": round(mid, 1)}
+    small = {}
+    for n in SMALL_DIMENSIONS:
+        for name, call, reference, per in small_cases(rng, n):
+            low, mid = time_call(call, args.repeats)
+            ref_low, ref_mid = time_call(reference, args.repeats)
+            small[f"{name}_n{n}"] = {
+                "n": n, "min_us": round(low / per, 1),
+                "median_us": round(mid / per, 1),
+                "reference_min_us": round(ref_low, 1),
+                "reference_median_us": round(ref_mid, 1)}
     print(json.dumps({
-        "what": "in-process time per linalg.matrix_exponentials call",
+        "what": "in-process time per call: linalg.matrix_exponentials "
+                "(timings_us) and the small kernels next to their scipy "
+                "or numpy references (small_kernels_us)",
         "repeats": args.repeats,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "numpy": np.__version__,
-        "timings_us": timings}, indent=1))
+        "timings_us": timings,
+        "small_kernels_us": small}, indent=1))
     return 0
 
 
