@@ -11,9 +11,12 @@ LinAlgError, a ValueError) leaves this module as NoConvergence, a
 numerical error.  Public functions validate their arguments; a private
 kernel (_norm_at_most) skips that for callers whose own checks already
 show the matrix finite.  Matrix exponentials come from one
-batched scaling-and-squaring kernel (matrix_exponentials) that takes a
-whole stack of exp(t B) in one Pade-13 pass, built from the powers of a
-power-of-two multiple of B computed once per call.
+batched scaling-and-squaring kernel that takes a whole stack of exp(t B)
+in one Pade-13 pass, built from the powers of a power-of-two multiple of
+B.  exponentials_of(B) validates B and takes those powers once, and
+returns the map ts -> stack, so a caller that exponentiates one B many
+times pays for them once; matrix_exponentials(B, ts) is that map's one
+call.
 """
 
 import functools
@@ -269,39 +272,58 @@ def matrix_exponential(B, t):
 
 def matrix_exponentials(B, ts):
     """exp(t B) for each t of a 1-d float array ts, as a (len(ts), n, n)
-    stack, by one batched scaling-and-squaring pass (_expm_stack) from the
-    powers of B, taken once (_normalized_powers).  Slice i takes the same
-    operations on the same operands whatever the other slices hold, so it
-    is bit for bit matrix_exponential(B, ts[i]).
+    stack: exponentials_of(B)(ts), raising as it does."""
+    return exponentials_of(B)(ts)
 
-    Raises Overflow naming the first t whose ||t B||_1 or computation
-    overflows, or which needs more than _MAX_SQUARINGS squarings where
-    exp(t B) may not round to 0; NoConvergence when LAPACK fails.
+
+def exponentials_of(B):
+    """The map ts -> exp(t B) for each t of a 1-d float array ts, as a
+    (len(ts), n, n) stack, by one batched scaling-and-squaring pass per
+    call (_expm_stack).  B is validated, and its powers with the figures
+    every slice's scaling reads (_Powers) taken, once here, so a caller
+    that exponentiates one B many times pays for them once.  Slice i takes
+    the same operations on the same operands whatever the other slices
+    hold and whichever calls came before, so it is bit for bit
+    matrix_exponential(B, ts[i]).
+
+    A call raises Overflow naming the first t whose ||t B||_1 overflows,
+    else the first whose computation overflows or needs more than
+    _MAX_SQUARINGS squarings where exp(t B) may not round to 0;
+    NoConvergence when LAPACK fails.
     """
     B = as_matrix(B, square=True)
-    ts = np.asarray(ts)
-    if ts.ndim != 1 or ts.dtype.kind != "f":
-        raise ValueError(f"ts must be a 1-d array of floats, got shape "
-                         f"{ts.shape} and dtype {ts.dtype}")
-    if not np.isfinite(ts).all():
-        raise ValueError("ts must be finite")
-    ts, s = ts.astype(np.float64, copy=False), np.zeros(len(ts), np.int64)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        P, e = _normalized_powers(B)
-        # ||t B||_1 = |t| 2^e ||B^||_1, overflowing only where ||t B||_1 does
-        norms = np.ldexp(np.ldexp(np.abs(ts), min(e, 0)) * _norm1(P[1]),
-                         max(e, 0))
-        finite = np.isfinite(norms)
-        if finite.all():
-            E, s = _expm_stack(P, ts, e, norms)
-            finite = np.isfinite(E).all(axis=(1, 2))
-    if not finite.all():
-        # the message blames the computation: exp(tB) may be representable
-        i = finite.argmin()
-        raise Overflow(f"the expm computation of exp({float(ts[i])} * B) " + (
-            f"needs {s[i]} squarings, whose rounding can outgrow the result"
-            if s[i] > _MAX_SQUARINGS else "overflowed"))
-    return E
+        powers = _Powers(B)
+    e = powers.e
+
+    def exponentials(ts):
+        ts = np.asarray(ts)
+        if ts.ndim != 1 or ts.dtype.kind != "f":
+            raise ValueError(f"ts must be a 1-d array of floats, got shape "
+                             f"{ts.shape} and dtype {ts.dtype}")
+        if not np.isfinite(ts).all():
+            raise ValueError("ts must be finite")
+        ts, s = ts.astype(np.float64, copy=False), np.zeros(len(ts), np.int64)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # ||t B||_1 = |t| 2^e ||B^||_1, overflowing only where ||t B||_1
+            # does
+            norms = np.ldexp(np.ldexp(np.abs(ts), min(e, 0)) * powers.norm,
+                             max(e, 0))
+            finite = np.isfinite(norms)
+            if finite.all():
+                E, s = _expm_stack(powers, ts, norms)
+                finite = np.isfinite(E).all(axis=(1, 2))
+        if not finite.all():
+            # the message blames the computation: exp(tB) may be
+            # representable
+            i = finite.argmin()
+            raise Overflow(
+                f"the expm computation of exp({float(ts[i])} * B) " + (
+                    f"needs {s[i]} squarings, whose rounding can outgrow "
+                    f"the result" if s[i] > _MAX_SQUARINGS else "overflowed"))
+        return E
+
+    return exponentials
 
 
 # Coefficients b_0..b_13 of the degree-13 Pade approximant to exp (Higham,
@@ -347,25 +369,56 @@ def _normalized_powers(B):
     return P, e
 
 
-def _expm_stack(P, ts, e, norms):
+class _Powers:
+    """What every slice of exp(t B) reads of B, taken once per B by
+    exponentials_of, under np.errstate with over, invalid and divide
+    ignored: the powers P of B^ = 2^-e B (_normalized_powers), ||B^||_1
+    (norm), which powers are nonzero, and the d6/d8/d10 factor (eta) of
+    _dropped_squarings.  Its |B^|^27 term (row) is taken when the first
+    slice's ell test reads it."""
+
+    def __init__(self, B):
+        self.P, self.e = _normalized_powers(B)
+        self.norm = _norm1(self.P[1])
+        self.nonzero = self.P.any(axis=(1, 2))
+        d6, d8, d10 = (_norm1(self.P[k]) ** (1 / k) for k in (6, 8, 10))
+        self.eta = min(max(d6, d8), max(d8, d10))
+
+    @functools.cached_property
+    def row(self):
+        """log2 (max 1^T |B^|^27 / ||B^||_1): log2 of the ell test's
+        alpha at B^, as alpha at c B^ is c_27 |c|^26 times it.  The row
+        goes by 27 = 1 + 2 + 8 + 16, with no overflow, as ||B^||_1 <= 724.
+        B^ = 0 gives NaN, which _dropped_squarings reads as ell = 0."""
+        M = np.abs(self.P[1])
+        row = M.sum(axis=0)
+        for k in range(1, 5):
+            M = M @ M
+            if k != 2:
+                row = row @ M
+        return np.log2(row.max() / self.norm)
+
+
+def _expm_stack(powers, ts, norms):
     """(E, s): exp(t_i B) for each t_i of ts, as a stack, and the slices'
-    squaring counts, from the powers P of B^ = 2^-e B (_normalized_powers)
-    and the finite norms ||t_i B||_1.  Run under np.errstate with over,
-    invalid and divide ignored: overflow shows as inf or NaN entries.
-    s_i is the least s with 2^-s norms_i <= _THETA13, less the squarings
-    _dropped_squarings finds unneeded.  As X_i = 2^(e - s_i) t_i B^, each
-    Pade-13 term b_k X_i^k is a scalar times P[k]: one stacked product of
-    each slice's two coefficient rows with the powers (one GEMM per slice,
-    lest the stack choose a slice's bits) gives V + U and V - U, and one
-    stacked solve the approximants, squared in order of s_i over contiguous
-    parts of the stack.  No slice's bits depend on another's.  The peak
-    holds three stack-sized arrays: V + U, V - U and the solve's result.
-    A slice past _MAX_SQUARINGS is not squared: it is 0 where the 1-norm
+    squaring counts, from the _Powers of B and the finite norms
+    ||t_i B||_1.  Run under np.errstate with over, invalid and divide
+    ignored: overflow shows as inf or NaN entries.  s_i is the least s
+    with 2^-s norms_i <= _THETA13, less the squarings _dropped_squarings
+    finds unneeded.  As X_i = 2^(e - s_i) t_i B^, each Pade-13 term
+    b_k X_i^k is a scalar times P[k]: one stacked product of each slice's
+    two coefficient rows with the powers (one GEMM per slice, lest the
+    stack choose a slice's bits) gives V + U and V - U, and one stacked
+    solve the approximants, squared in order of s_i over contiguous parts
+    of the stack.  No slice's bits depend on another's.  The peak holds
+    three stack-sized arrays: V + U, V - U and the solve's result.  A
+    slice past _MAX_SQUARINGS is not squared: it is 0 where the 1-norm
     logarithmic norm mu(t B) >= log ||exp(t B)||_1 puts every entry below
     half the least subnormal, and NaN otherwise.
     """
+    P, e = powers.P, powers.e
     s = np.maximum(np.ceil(np.log2(norms / _THETA13)), 0.0).astype(np.int64)
-    s -= _dropped_squarings(P, np.abs(np.ldexp(ts, e - s)), s)
+    s -= _dropped_squarings(powers, np.abs(np.ldexp(ts, e - s)), s)
     # a nilpotent B^ drops every squaring, and t 2^e overflows once
     # ||t B||_1 >= 2^1023; as ||B^||_1 >= 1/2, one squaring keeps t 2^(e-1)
     # finite
@@ -376,7 +429,7 @@ def _expm_stack(P, ts, e, norms):
     # rows b_k c^k (V + U) and (-1)^k b_k c^k (V - U); a power that is 0
     # (B nilpotent) takes coefficient 0, lest c^k overflow into inf * 0
     coef = np.empty((len(s), 2, len(P)))
-    coef[:, 0] = np.where(P.any(axis=(1, 2)),
+    coef[:, 0] = np.where(powers.nonzero,
                           _PADE13 * np.ldexp(ts, e - s)[:, None] ** k, 0.0)
     coef[:, 1] = coef[:, 0] * (-1.0) ** k
     # real coefficients times the powers' real and imaginary parts
@@ -400,32 +453,23 @@ def _expm_stack(P, ts, e, norms):
     return E[back], s[back]
 
 
-def _dropped_squarings(P, c, s):
+def _dropped_squarings(powers, c, s):
     """How many of its s_i squarings each scaled slice X_i = c_i B^ (|c_i|
-    in c) can do without, from the powers P of B^: Al-Mohy and Higham
-    2009, Algorithm 5.1 at degree 13.  Their s is the least with
+    in c) can do without, from the _Powers of B: Al-Mohy and Higham 2009,
+    Algorithm 5.1 at degree 13.  Their s is the least with
     2^-s min(max(d6, d8), max(d8, d10)) <= _ETA13, plus ell, the squarings
     that keep c_27 || |2^-s X|^27 ||_1 / ||2^-s X||_1 below the unit
     roundoff.  Both scale with |c_i|: d_k is |c_i| ||B^^k||_1^(1/k), and
     the ell term |c_i|^26 times its value at B^.  Negative where ell asks
     for more squarings than s_i."""
-    d6, d8, d10 = (_norm1(P[k]) ** (1 / k) for k in (6, 8, 10))
-    eta = c * min(max(d6, d8), max(d8, d10))
+    eta = c * powers.eta
     # eta = 0 (X nilpotent of low index) drops every squaring
     drop = np.minimum(np.maximum(-np.ceil(np.log2(eta / _ETA13)), 0), s)
     if not drop.any():
         # ell = 0: ||X||_1 <= _THETA13 puts alpha below c_27 5.4^26 < 2^-53
         return drop.astype(np.int64)
-    # 1^T |B^|^27 by 27 = 1 + 2 + 8 + 16; no overflow, as ||B^||_1 <= 724
-    M = np.abs(P[1])
-    row = M.sum(axis=0)
-    for k in range(1, 5):
-        M = M @ M
-        if k != 2:
-            row = row @ M
-    # log2 alpha at 2^drop X; B^ = 0 gives NaN, which fmax reads as ell = 0
-    log_alpha = (26 * (np.log2(c) + drop) - _LOG2_INV_C27
-                 + np.log2(row.max() / _norm1(P[1])))
+    # log2 alpha at 2^drop X
+    log_alpha = (26 * (np.log2(c) + drop) - _LOG2_INV_C27 + powers.row)
     ell = np.fmax(np.ceil((log_alpha + 53) / 26), 0)
     return (drop - ell).astype(np.int64)
 

@@ -18,14 +18,18 @@ m until they agree; past MAX_NODE_COUNT (Gauss-Laguerre) or
 SIMPSON_MAX_PANELS (Simpson) it raises QuadratureUnstable.  The
 self-check cannot see what Simpson drops past its horizon, so the horizon
 follows the decay of the integrand: u = SIMPSON_HORIZON / (1 - w/lambda),
-with w the spectral abscissa of B clipped at 0.  A Gauss-Laguerre rule
-exponentiates its nodes as stacks of up to linalg.STACK_CHUNK_BYTES, each
-in one batched scaling-and-squaring pass of linalg.matrix_exponentials: a
-single pass per rule at small n, which builds every node's exponential
-from one set of powers of B and holds three stack-sized arrays.
-Simpson's nodes lie on uniform grids, where the integrand
-e^-u exp(u B / lambda) is a geometric progression, so each grid is
-summed in closed form by O(log m) products from one matrix exponential.
+with w the spectral abscissa of B clipped at 0.  Only two matrices are
+exponentiated: B for Gauss-Laguerre and C = B/lambda - I for Simpson,
+each through one linalg.exponentials_of map, which takes the matrix's
+powers once for all of its nodes (check() shares B's map between its two
+Gauss-Laguerre integrals).  Gauss-Laguerre exponentiates its nodes as
+stacks of up to linalg.STACK_CHUNK_BYTES, each in one batched
+scaling-and-squaring pass that holds three stack-sized arrays: at small
+n, one pass for the m- and 2m-node rules of the first comparison, and
+one per later rule.  Simpson's nodes lie on uniform grids, where the
+integrand e^-u exp(u B / lambda) is a geometric progression, so each
+grid is summed in closed form by O(log m) products from one matrix
+exponential.
 The closed resolvent form is available as an independent reference.
 The substitution alpha = 1/(1 + lambda), T = I + B turns A~_lambda into
 the discrete Abel average of T exactly, an algebraic identity whose
@@ -39,7 +43,8 @@ import numpy as np
 from scipy.linalg import eig_banded
 
 from . import abel, linalg
-from .errors import IntegralDiverges, Overflow, QuadratureUnstable, ResolventPole, SingularMatrix
+from .errors import (AbelergError, IntegralDiverges, Overflow,
+                     QuadratureUnstable, ResolventPole, SingularMatrix)
 
 # Relative disagreement between the two node counts beyond which the
 # quadrature result is not returned.
@@ -111,22 +116,41 @@ def _abscissa(B, lam):
     return abscissa
 
 
-def _weighted_sum(B, lam, nodes, weights):
-    """sum_i w_i exp(u_i B / lambda), added in node order.  The nodes go to
-    linalg.matrix_exponentials in stacks of up to linalg.STACK_CHUNK_BYTES
-    (at least one node each): one call per rule at small n, and
-    O(STACK_CHUNK_BYTES + n^2) memory at any n."""
-    total = np.zeros(B.shape, dtype=np.complex128)
+def _weighted_sum(B, lam, nodes, weights, expm=None):
+    """sum_i w_i exp(u_i B / lambda) of one rule on a validated B, added in
+    node order: _weighted_sums of the one rule, with expm =
+    linalg.exponentials_of(B), taken here when None."""
+    expm = linalg.exponentials_of(B) if expm is None else expm
+    return _weighted_sums(B, lam, [(nodes, weights)], expm)[0]
+
+
+def _weighted_sums(B, lam, rules, expm):
+    """[sum_i w_i exp(u_i B / lambda) for (u, w) of rules], each added in
+    node order, with expm = linalg.exponentials_of(B).  The rules' nodes,
+    one after another, go to expm in stacks of up to
+    linalg.STACK_CHUNK_BYTES (at least one node each): one call for all
+    the rules at small n, and O(STACK_CHUNK_BYTES + n^2) memory at any
+    n."""
+    nodes = np.concatenate([u for u, _ in rules])
+    weights = np.concatenate([w for _, w in rules])
+    ends = list(itertools.accumulate(len(u) for u, _ in rules))
+    sums, total = [], np.zeros(B.shape, dtype=np.complex128)
     chunk = max(1, linalg.STACK_CHUNK_BYTES // (16 * B.size))
     for start in range(0, len(nodes), chunk):
-        stop = start + chunk
-        stack = linalg.matrix_exponentials(B, nodes[start:stop] / lam)
+        stop = min(start + chunk, len(nodes))
+        stack = expm(nodes[start:stop] / lam)
         stack *= weights[start:stop, None, None]
-        stack[0] += total
-        # a running sum adds the slices one by one at every n (a reduction
-        # over a (k, 1, 1) stack would sum pairwise)
-        total = np.add.accumulate(stack, axis=0, out=stack)[-1].copy()
-    return total
+        cuts = [start] + [end for end in ends if start < end < stop] + [stop]
+        for cut, end in zip(cuts, cuts[1:]):
+            part = stack[cut - start:end - start]
+            part[0] += total
+            # a running sum adds the slices one by one at every n (a
+            # reduction over a (k, 1, 1) stack would sum pairwise)
+            total = np.add.accumulate(part, axis=0, out=part)[-1].copy()
+            if end in ends:
+                sums.append(total)
+                total = np.zeros(B.shape, dtype=np.complex128)
+    return sums
 
 
 def _simpson_estimates(B, lam, panels, u_max):
@@ -138,13 +162,15 @@ def _simpson_estimates(B, lam, panels, u_max):
     S = exp(2hC): the odd nodes sum to exp(hC) (I + S + ... + S^(m-1)),
     the interior even nodes to that sum less I, and the last node is S^m,
     all from one linalg.power_and_geometric_sum.  Halving h makes this
-    grid's exp(hC) the next grid's S, so each grid takes one expm; the
-    first grid takes its S and exp(hC) from one stacked call.
+    grid's exp(hC) the next grid's S, so each grid takes one more
+    exponential of C, from one linalg.exponentials_of(C).  The first two
+    grids, which the self-check always compares, take their S, exp(hC)
+    and exp(hC/2) from one stacked call.
     """
     eye = np.eye(B.shape[0], dtype=np.complex128)
-    C = B / lam - eye
+    expm = linalg.exponentials_of(B / lam - eye)
     h = u_max / (2 * panels)
-    stride, half = linalg.matrix_exponentials(C, np.array([2.0 * h, h]))
+    stride, half, next_half = expm(np.array([2.0 * h, h, h / 2.0]))
     while True:
         last, grid = linalg.power_and_geometric_sum(stride, panels)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -154,7 +180,8 @@ def _simpson_estimates(B, lam, panels, u_max):
             raise Overflow("the Simpson sum left the representable range")
         yield value
         stride, h, panels = half, h / 2.0, 2 * panels
-        half = linalg.matrix_exponential(C, h)
+        half = expm(np.array([h]))[0] if next_half is None else next_half
+        next_half = None
 
 
 def _settle(estimates, m, max_m, rule):
@@ -176,13 +203,25 @@ def _settle(estimates, m, max_m, rule):
         coarse = fine
 
 
-def _gauss_laguerre(B, lam, power):
+def _gauss_laguerre(B, lam, power, expm):
     """(value, m) of Gauss-Laguerre with weight u^power e^-u on a validated
-    B and lambda."""
+    B and lambda, with expm = linalg.exponentials_of(B).  The first
+    comparison always takes the m- and 2m-node rules, so their nodes share
+    stacks; each later rule takes its own."""
     m = START_NODE_COUNT
-    rules = (_weighted_sum(B, lam, *laguerre_rule(m << k, power=power))
-             for k in itertools.count())
-    return _settle(rules, m, MAX_NODE_COUNT,
+    first = [laguerre_rule(m, power=power), laguerre_rule(2 * m, power=power)]
+    try:
+        sums = _weighted_sums(B, lam, first, expm)
+    except AbelergError:
+        # a stack shared by both rules names a 2m node whose 1-norm
+        # overflows before an m node whose computation fails; rule by rule
+        # raises what each rule's own calls raise
+        for rule in first:
+            _weighted_sum(B, lam, *rule, expm)
+        raise
+    later = (_weighted_sum(B, lam, *laguerre_rule(m << k, power=power), expm)
+             for k in itertools.count(2))
+    return _settle(itertools.chain(sums, later), m, MAX_NODE_COUNT,
                    f"gauss_laguerre with weight u^{power:g} e^-u")
 
 
@@ -218,7 +257,7 @@ def abel_power_quadrature(B, lam, n):
     B = linalg.as_matrix(B, square=True)
     lam = linalg.check_real("lambda", lam, 0.0)
     _abscissa(B, lam)  # IntegralDiverges unless max Re sigma(B) < lambda
-    return _gauss_laguerre(B, lam, float(n - 1))
+    return _gauss_laguerre(B, lam, float(n - 1), linalg.exponentials_of(B))
 
 
 def check(B, lam, n):
@@ -243,11 +282,12 @@ def check(B, lam, n):
     closed = _resolvent(B, lam)
     scale = max(linalg.operator_norm(closed), tiny)
     abscissa = _abscissa(B, lam)
-    quad, gl_nodes = _gauss_laguerre(B, lam, 0.0)
+    expm = linalg.exponentials_of(B)
+    quad, gl_nodes = _gauss_laguerre(B, lam, 0.0, expm)
     simpson, panels = _simpson(B, lam, abscissa)
     # at n = 1 the power integral's weight is the average's own
     power, power_nodes = (quad, gl_nodes) if n == 1 else _gauss_laguerre(
-        B, lam, float(n - 1))
+        B, lam, float(n - 1), expm)
     closed_power = np.linalg.matrix_power(closed, n)
     power_scale = linalg.operator_norm(closed_power)
     if power_scale < tiny:

@@ -290,10 +290,10 @@ def test_semigroup_request_at_n_1_runs_gauss_laguerre_once(
     # as Gauss-Laguerre once more
     calls = []
 
-    def counted(B, ts, _func=linalg.matrix_exponentials):
-        calls.extend(ts)
-        return _func(B, ts)
-    monkeypatch.setattr(linalg, "matrix_exponentials", counted)
+    def counted(B, _func=linalg.exponentials_of):
+        expm = _func(B)
+        return lambda ts: calls.extend(ts) or expm(ts)
+    monkeypatch.setattr(linalg, "exponentials_of", counted)
     path = write_matrix(tmp_path, "b.json",
                         [[-1.0, 0.5, 0.0], [0.0, -2.0, 0.3], [0.1, 0.0, -0.5]])
     out = tmp_path / "report.json"

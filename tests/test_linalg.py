@@ -510,6 +510,72 @@ def test_matrix_exponentials_match_one_expm_per_t():
                     <= 1e-13 * np.linalg.norm(reference))
 
 
+def test_exponentials_of_reused_matches_fresh_calls(monkeypatch):
+    # one map, called again and again, gives each slice the bits of a fresh
+    # single-t call: the powers and norms it keeps are the ones every call
+    # took before, and the ell term it takes lazily is the same number
+    made = []
+
+    class Recorded(linalg._Powers):
+        def __init__(self, B):
+            super().__init__(B)
+            made.append(self)
+
+    monkeypatch.setattr(linalg, "_Powers", Recorded)
+    rng = np.random.default_rng(29)
+    calls = ([0.5], [1e-3, 2.0, 0.0, 7.5], [30.0], [0.5, -1.25], [1e-3])
+    for n in (1, 3, 8):
+        B = random_matrix(rng, n) - n * np.eye(n)
+        expm = linalg.exponentials_of(B)
+        for ts in calls:
+            for t, E in zip(ts, expm(np.array(ts))):
+                assert np.array_equal(E, linalg.matrix_exponential(B, t))
+    # ||B||_1 = 1001 against spectral radius 2: t = 1e-3 takes no squaring,
+    # so its call leaves the ell term untaken; t = 1 drops squarings, and
+    # its ell test takes the term
+    B = np.array([[-1.0, 1000.0], [0.0, -2.0]])
+    made.clear()
+    expm = linalg.exponentials_of(B)
+    first = expm(np.array([1e-3]))
+    assert "row" not in vars(made[0])
+    second = expm(np.array([1.0, 1e-3]))
+    assert "row" in vars(made[0])
+    assert np.array_equal(first[0], second[1])
+    for t, E in ((1e-3, first[0]), (1.0, second[0])):
+        assert np.array_equal(E, linalg.matrix_exponential(B, t))
+    # nilpotent: the zero powers keep coefficient 0 in every call
+    for N, big in ((np.diag([1.0], 1), 2.0 ** 1023),
+                   (np.diag([1.0, 1.0], 1), 1e100)):
+        expm = linalg.exponentials_of(N)
+        for ts in ([0.5], [big, 3.0], [-big], [0.5]):
+            for t, E in zip(ts, expm(np.array(ts))):
+                assert np.array_equal(E, linalg.matrix_exponential(N, t))
+
+
+def test_exponentials_of_reused_past_52_squarings():
+    # exact 0 past the cap, and each Overflow message, in any call of one
+    # map and after a call that raised, as in a fresh call
+    expm = linalg.exponentials_of(np.diag([-1e17, -1e16]))
+    assert np.array_equal(expm(np.array([1.0]))[0], np.zeros((2, 2)))
+    assert np.array_equal(expm(np.array([1e-20, 1.0]))[1], np.zeros((2, 2)))
+    B = np.full((2, 2), 1e308)
+    expm = linalg.exponentials_of(B)
+    for ts, message in (([-1e-3], "needs 1012 squarings"),
+                        ([0.0, 1e-3, 0.5, 1.0], "exp(1.0 * B) overflowed"),
+                        ([2.0], "exp(2.0 * B) overflowed"),
+                        ([-1e-300, -1e-3, 0.5], "exp(-0.001 * B) needs")):
+        with pytest.raises(Overflow) as fresh:
+            linalg.matrix_exponentials(B, np.array(ts))
+        with pytest.raises(Overflow) as reused:
+            expm(np.array(ts))
+        assert message in str(reused.value)
+        assert str(reused.value) == str(fresh.value)
+        for t in (0.0, -1e-300):
+            assert np.array_equal(expm(np.array([t]))[0],
+                                  linalg.matrix_exponential(B, t))
+    assert np.array_equal(expm(np.array([0.0]))[0], np.eye(2))
+
+
 def test_weighted_sum_chunks_match_one_expm_per_node(monkeypatch):
     # 3 nodes per stack: 10 nodes take four calls, the last one partial;
     # the sum adds in node order, so it equals the per-node loop bit for bit

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -179,16 +180,17 @@ def test_simpson_horizon_on_stable_generators_is_forty():
 
 
 def count_expm_calls(monkeypatch):
-    """Wrap the one expm kernel, linalg.matrix_exponentials, which
-    matrix_exponential also calls; the list collects every t it receives."""
+    """Wrap the one expm kernel, linalg.exponentials_of, which
+    matrix_exponentials and matrix_exponential also call; the list
+    collects every t its maps receive."""
     calls = []
-    original = linalg.matrix_exponentials
+    original = linalg.exponentials_of
 
-    def counted(B, ts):
-        calls.extend(ts)
-        return original(B, ts)
+    def counted(B):
+        expm = original(B)
+        return lambda ts: calls.extend(ts) or expm(ts)
 
-    monkeypatch.setattr(linalg, "matrix_exponentials", counted)
+    monkeypatch.setattr(linalg, "exponentials_of", counted)
     return calls
 
 
@@ -238,6 +240,50 @@ def test_gauss_laguerre_doubles_until_self_check_passes(monkeypatch):
     assert len(calls) == 4 * nodes - semigroup.START_NODE_COUNT
     assert len(set(calls)) == len(calls)
     assert abs(quad[0, 0] - 1.0 / 21.0) <= 1e-8 / 21.0
+
+
+def test_check_takes_the_powers_of_each_matrix_once(monkeypatch):
+    # B's powers serve both Gauss-Laguerre integrals, and those of
+    # C = B/lambda - I every Simpson grid: one map per matrix takes them
+    # once each, where one set per kernel call took them 9 times here
+    calls = []
+    original = linalg._normalized_powers
+    monkeypatch.setattr(linalg, "_normalized_powers",
+                        lambda B: calls.append(B) or original(B))
+    B = stable_generator(np.random.default_rng(151), 4)
+    semigroup.check(B, 1.0, 4)
+    assert len(calls) == 2
+    assert np.array_equal(calls[0], 1.0 * B)
+    assert np.array_equal(calls[1], B / 1.0 - np.eye(4))
+
+
+def test_weighted_sums_share_stacks_bit_for_bit(monkeypatch):
+    # 7 nodes per stack: rules of 10 and 20 nodes take five calls, two of
+    # them holding nodes of both rules; each sum still adds in node order,
+    # so it equals its rule summed alone
+    B = linalg.as_matrix(stable_generator(np.random.default_rng(157), 3))
+    rules = [semigroup.laguerre_rule(m, 2.0) for m in (10, 20)]
+    alone = [semigroup._weighted_sum(B, 0.5, *rule) for rule in rules]
+    monkeypatch.setattr(linalg, "STACK_CHUNK_BYTES", 7 * 16 * 9 + 1)
+    calls = count_expm_calls(monkeypatch)
+    sizes = []
+    expm = linalg.exponentials_of(B)
+    shared = semigroup._weighted_sums(
+        B, 0.5, rules, lambda ts: sizes.append(len(ts)) or expm(ts))
+    assert sizes == [7, 7, 7, 7, 2] and len(calls) == 30
+    for total, reference in zip(shared, alone):
+        assert np.array_equal(total, reference)
+
+
+def test_gauss_laguerre_names_the_failure_of_the_m_node_rule():
+    # ||B||_1 / lambda = 6e305: the 64-node rule's 1-norms are finite, and
+    # its first node needs 1008 squarings; a 128-node 1-norm overflows.  A
+    # stack shared by both rules would name that overflow; the failure is
+    # the 64-node rule's, as its own calls name it
+    B = 3e305 * np.array([[-1.0, 1.0], [0.0, -1.0]])
+    with pytest.raises(Overflow, match=re.escape(
+            "exp(0.022415874146705896 * B) needs 1008 squarings")):
+        semigroup.abel_average_quadrature(B, 1.0)
 
 
 def test_gauss_laguerre_cap_raises_quadrature_unstable(monkeypatch):
@@ -339,9 +385,10 @@ def test_simpson_product_overflow_raises(monkeypatch):
     # every direct expm is huge but finite, so the first squaring of the
     # stride factor overflows; the sum must raise quietly, as expm does,
     # not come back as inf or nan
-    original = linalg.matrix_exponentials
-    monkeypatch.setattr(linalg, "matrix_exponentials",
-                        lambda B, ts: 1e160 * original(B, ts))
+    original = linalg.exponentials_of
+    monkeypatch.setattr(
+        linalg, "exponentials_of",
+        lambda B: lambda ts, expm=original(B): 1e160 * expm(ts))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(Overflow):

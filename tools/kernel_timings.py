@@ -10,10 +10,17 @@ linalg.matrix_exponentials exponentiates a seeded normal generator with
 its spectrum in the left half of the disc of radius 2, at n = 2, 8, 16, 32
 and 64:
 
-    k = 1      one slice at t = 0.5, as Simpson's single-t calls take it
+    k = 1      one slice at t = 0.5 from a fresh call, which takes the
+               powers of B again (matrix_exponential)
+    k = 1, reused
+               one slice at t = 0.5 through one linalg.exponentials_of(B)
+               built before the timing, as Simpson's later grids take it
     k = K      the K smallest nodes of the 128-node Gauss-Laguerre rule,
                K = min(128, STACK_CHUNK_BYTES / 16 n^2): the stack that
                Gauss-Laguerre passes at that n
+
+semigroup_check times one semigroup.check(B, 1, 4), the semigroup
+request's whole computation, on such a generator at n = 2, 4 and 8.
 
 The small kernels that certify, abel-power and cesaro call many times
 per request are timed at n = 2, 8 and 16 on a seeded complex matrix A,
@@ -49,6 +56,7 @@ from abelerg import abel, linalg, matrixio, semigroup
 
 DIMENSIONS = (2, 8, 16, 32, 64)
 SMALL_DIMENSIONS = (2, 8, 16)
+CHECK_DIMENSIONS = (2, 4, 8)
 
 
 def stable_generator(rng, n):
@@ -113,10 +121,14 @@ def main(argv=None):
     for n in DIMENSIONS:
         B = stable_generator(rng, n)
         stack = min(128, linalg.STACK_CHUNK_BYTES // (16 * n * n))
-        for ts in (np.array([0.5]), np.array(nodes[:stack])):
-            low, mid = time_call(
-                lambda: linalg.matrix_exponentials(B, ts), args.repeats)
-            timings[f"n{n}_k{len(ts)}"] = {
+        expm = linalg.exponentials_of(B)
+        for name, ts, call in (
+                ("k1", np.array([0.5]), linalg.matrix_exponentials),
+                ("k1_reused", np.array([0.5]), lambda B, ts: expm(ts)),
+                (f"k{stack}", np.array(nodes[:stack]),
+                 linalg.matrix_exponentials)):
+            low, mid = time_call(lambda: call(B, ts), args.repeats)
+            timings[f"n{n}_{name}"] = {
                 "n": n, "k": len(ts), "min_us": round(low, 1),
                 "median_us": round(mid, 1)}
     small = {}
@@ -129,15 +141,23 @@ def main(argv=None):
                 "median_us": round(mid / per, 1),
                 "reference_min_us": round(ref_low, 1),
                 "reference_median_us": round(ref_mid, 1)}
+    checks = {}
+    for n in CHECK_DIMENSIONS:
+        B = stable_generator(rng, n)
+        low, mid = time_call(lambda: semigroup.check(B, 1.0, 4), args.repeats)
+        checks[f"n{n}"] = {"n": n, "min_us": round(low, 1),
+                           "median_us": round(mid, 1)}
     print(json.dumps({
         "what": "in-process time per call: linalg.matrix_exponentials "
-                "(timings_us) and the small kernels next to their scipy "
-                "or numpy references (small_kernels_us)",
+                "(timings_us), the small kernels next to their scipy "
+                "or numpy references (small_kernels_us) and "
+                "semigroup.check (semigroup_check_us)",
         "repeats": args.repeats,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "numpy": np.__version__,
         "timings_us": timings,
-        "small_kernels_us": small}, indent=1))
+        "small_kernels_us": small,
+        "semigroup_check_us": checks}, indent=1))
     return 0
 
 
