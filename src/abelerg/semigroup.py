@@ -22,12 +22,11 @@ with w the spectral abscissa of B clipped at 0.  Only two matrices are
 exponentiated: B for Gauss-Laguerre and C = B/lambda - I for Simpson,
 each through one linalg.exponentials_of map, which takes the matrix's
 powers once for all of its nodes (check() shares B's map between its two
-Gauss-Laguerre integrals).  Gauss-Laguerre exponentiates its nodes as
-stacks of up to linalg.STACK_CHUNK_BYTES, each in one batched
-scaling-and-squaring pass that holds three stack-sized arrays: at small
-n, one pass for the m- and 2m-node rules of the first comparison, and
-one per later rule.  Simpson's nodes lie on uniform grids, where the
-integrand e^-u exp(u B / lambda) is a geometric progression, so each
+Gauss-Laguerre integrals).  A Gauss-Laguerre rule exponentiates its
+nodes as stacks of up to linalg.STACK_CHUNK_BYTES, each in one batched
+scaling-and-squaring pass that holds three stack-sized arrays: a single
+pass per rule at small n.  Simpson's nodes lie on uniform grids, where
+the integrand e^-u exp(u B / lambda) is a geometric progression, so each
 grid is summed in closed form by O(log m) products from one matrix
 exponential.
 The closed resolvent form is available as an independent reference.
@@ -43,8 +42,7 @@ import numpy as np
 from scipy.linalg import eig_banded
 
 from . import abel, linalg
-from .errors import (AbelergError, IntegralDiverges, Overflow,
-                     QuadratureUnstable, ResolventPole, SingularMatrix)
+from .errors import IntegralDiverges, Overflow, QuadratureUnstable, ResolventPole, SingularMatrix
 
 # Relative disagreement between the two node counts beyond which the
 # quadrature result is not returned.
@@ -116,41 +114,22 @@ def _abscissa(B, lam):
     return abscissa
 
 
-def _weighted_sum(B, lam, nodes, weights, expm=None):
-    """sum_i w_i exp(u_i B / lambda) of one rule on a validated B, added in
-    node order: _weighted_sums of the one rule, with expm =
-    linalg.exponentials_of(B), taken here when None."""
-    expm = linalg.exponentials_of(B) if expm is None else expm
-    return _weighted_sums(B, lam, [(nodes, weights)], expm)[0]
-
-
-def _weighted_sums(B, lam, rules, expm):
-    """[sum_i w_i exp(u_i B / lambda) for (u, w) of rules], each added in
-    node order, with expm = linalg.exponentials_of(B).  The rules' nodes,
-    one after another, go to expm in stacks of up to
-    linalg.STACK_CHUNK_BYTES (at least one node each): one call for all
-    the rules at small n, and O(STACK_CHUNK_BYTES + n^2) memory at any
-    n."""
-    nodes = np.concatenate([u for u, _ in rules])
-    weights = np.concatenate([w for _, w in rules])
-    ends = list(itertools.accumulate(len(u) for u, _ in rules))
-    sums, total = [], np.zeros(B.shape, dtype=np.complex128)
+def _weighted_sum(B, lam, nodes, weights, expm):
+    """sum_i w_i exp(u_i B / lambda), added in node order, with expm =
+    linalg.exponentials_of(B).  The nodes go to expm in stacks of up to
+    linalg.STACK_CHUNK_BYTES (at least one node each): one call per rule
+    at small n, and O(STACK_CHUNK_BYTES + n^2) memory at any n."""
+    total = np.zeros(B.shape, dtype=np.complex128)
     chunk = max(1, linalg.STACK_CHUNK_BYTES // (16 * B.size))
     for start in range(0, len(nodes), chunk):
-        stop = min(start + chunk, len(nodes))
+        stop = start + chunk
         stack = expm(nodes[start:stop] / lam)
         stack *= weights[start:stop, None, None]
-        cuts = [start] + [end for end in ends if start < end < stop] + [stop]
-        for cut, end in zip(cuts, cuts[1:]):
-            part = stack[cut - start:end - start]
-            part[0] += total
-            # a running sum adds the slices one by one at every n (a
-            # reduction over a (k, 1, 1) stack would sum pairwise)
-            total = np.add.accumulate(part, axis=0, out=part)[-1].copy()
-            if end in ends:
-                sums.append(total)
-                total = np.zeros(B.shape, dtype=np.complex128)
-    return sums
+        stack[0] += total
+        # a running sum adds the slices one by one at every n (a reduction
+        # over a (k, 1, 1) stack would sum pairwise)
+        total = np.add.accumulate(stack, axis=0, out=stack)[-1].copy()
+    return total
 
 
 def _simpson_estimates(B, lam, panels, u_max):
@@ -205,23 +184,11 @@ def _settle(estimates, m, max_m, rule):
 
 def _gauss_laguerre(B, lam, power, expm):
     """(value, m) of Gauss-Laguerre with weight u^power e^-u on a validated
-    B and lambda, with expm = linalg.exponentials_of(B).  The first
-    comparison always takes the m- and 2m-node rules, so their nodes share
-    stacks; each later rule takes its own."""
+    B and lambda, with expm = linalg.exponentials_of(B)."""
     m = START_NODE_COUNT
-    first = [laguerre_rule(m, power=power), laguerre_rule(2 * m, power=power)]
-    try:
-        sums = _weighted_sums(B, lam, first, expm)
-    except AbelergError:
-        # a stack shared by both rules names a 2m node whose 1-norm
-        # overflows before an m node whose computation fails; rule by rule
-        # raises what each rule's own calls raise
-        for rule in first:
-            _weighted_sum(B, lam, *rule, expm)
-        raise
-    later = (_weighted_sum(B, lam, *laguerre_rule(m << k, power=power), expm)
-             for k in itertools.count(2))
-    return _settle(itertools.chain(sums, later), m, MAX_NODE_COUNT,
+    rules = (_weighted_sum(B, lam, *laguerre_rule(m << k, power=power), expm)
+             for k in itertools.count())
+    return _settle(rules, m, MAX_NODE_COUNT,
                    f"gauss_laguerre with weight u^{power:g} e^-u")
 
 

@@ -584,7 +584,8 @@ def test_weighted_sum_chunks_match_one_expm_per_node(monkeypatch):
         B = B.astype(np.complex128)
         n = B.shape[0]
         monkeypatch.setattr(linalg, "STACK_CHUNK_BYTES", 3 * 16 * n * n + 1)
-        chunked = semigroup._weighted_sum(B, 2.0, nodes, weights)
+        chunked = semigroup._weighted_sum(B, 2.0, nodes, weights,
+                                          linalg.exponentials_of(B))
         reference = np.zeros_like(B)
         for u_i, w_i in zip(nodes, weights):
             reference += w_i * linalg.matrix_exponential(B, u_i / 2.0)
@@ -599,8 +600,8 @@ def test_weighted_sum_of_a_scalar_adds_in_node_order():
     reference = np.zeros_like(B)
     for u_i, w_i in zip(nodes, weights):
         reference += w_i * linalg.matrix_exponential(B, u_i / 2.0)
-    assert np.array_equal(semigroup._weighted_sum(B, 2.0, nodes, weights),
-                          reference)
+    assert np.array_equal(semigroup._weighted_sum(
+        B, 2.0, nodes, weights, linalg.exponentials_of(B)), reference)
 
 
 def test_matrix_exponentials_overflow_names_first_t():

@@ -1,4 +1,3 @@
-import re
 import tracemalloc
 import warnings
 
@@ -257,35 +256,6 @@ def test_check_takes_the_powers_of_each_matrix_once(monkeypatch):
     assert np.array_equal(calls[1], B / 1.0 - np.eye(4))
 
 
-def test_weighted_sums_share_stacks_bit_for_bit(monkeypatch):
-    # 7 nodes per stack: rules of 10 and 20 nodes take five calls, two of
-    # them holding nodes of both rules; each sum still adds in node order,
-    # so it equals its rule summed alone
-    B = linalg.as_matrix(stable_generator(np.random.default_rng(157), 3))
-    rules = [semigroup.laguerre_rule(m, 2.0) for m in (10, 20)]
-    alone = [semigroup._weighted_sum(B, 0.5, *rule) for rule in rules]
-    monkeypatch.setattr(linalg, "STACK_CHUNK_BYTES", 7 * 16 * 9 + 1)
-    calls = count_expm_calls(monkeypatch)
-    sizes = []
-    expm = linalg.exponentials_of(B)
-    shared = semigroup._weighted_sums(
-        B, 0.5, rules, lambda ts: sizes.append(len(ts)) or expm(ts))
-    assert sizes == [7, 7, 7, 7, 2] and len(calls) == 30
-    for total, reference in zip(shared, alone):
-        assert np.array_equal(total, reference)
-
-
-def test_gauss_laguerre_names_the_failure_of_the_m_node_rule():
-    # ||B||_1 / lambda = 6e305: the 64-node rule's 1-norms are finite, and
-    # its first node needs 1008 squarings; a 128-node 1-norm overflows.  A
-    # stack shared by both rules would name that overflow; the failure is
-    # the 64-node rule's, as its own calls name it
-    B = 3e305 * np.array([[-1.0, 1.0], [0.0, -1.0]])
-    with pytest.raises(Overflow, match=re.escape(
-            "exp(0.022415874146705896 * B) needs 1008 squarings")):
-        semigroup.abel_average_quadrature(B, 1.0)
-
-
 def test_gauss_laguerre_cap_raises_quadrature_unstable(monkeypatch):
     # with the cap at the starting count, only 64 against 128 nodes runs
     calls = count_expm_calls(monkeypatch)
@@ -463,6 +433,25 @@ def test_gauss_laguerre_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * max(linalg.STACK_CHUNK_BYTES, 16 * n * n)
+
+
+def test_check_memory_counts_both_maps(monkeypatch):
+    # with one node per Gauss-Laguerre stack, Simpson sets check()'s peak:
+    # B's map, kept for the power integral, and C's each hold 14 powers,
+    # and Simpson's sums and stacks about 14 more (42 measured, 26 with a
+    # map per kernel call); one more map, or every grid's exponential of C
+    # held at once, breaks the bound
+    rng = np.random.default_rng(131)
+    n = 64
+    B = stable_generator(rng, n)
+    monkeypatch.setattr(linalg, "STACK_CHUNK_BYTES", 16 * n * n)
+    tracemalloc.start()
+    try:
+        semigroup.check(B, 1.0, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * n * n * 16
 
 
 def test_quadrature_unstable_generator_rejected():
