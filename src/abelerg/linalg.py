@@ -15,8 +15,8 @@ batched scaling-and-squaring kernel that takes a whole stack of exp(t B)
 in one Pade-13 pass, built from the powers of a power-of-two multiple of
 B.  exponentials_of(B) validates B and takes those powers once, and
 returns the map ts -> stack, so a caller that exponentiates one B many
-times pays for them once; matrix_exponentials(B, ts) is that map's one
-call.
+times pays for them once; matrix_exponential(B, t) is that map's one
+call at one t.
 """
 
 import functools
@@ -51,8 +51,8 @@ NORM_BOUND_MARGIN = 1e-8
 EXACT_NORM_MAX_DIMENSION = 2
 
 # Bytes of a stack of matrices that one batched call takes: the sweeps'
-# running sums for operator_norms, the Gauss-Laguerre nodes for
-# matrix_exponentials.  Such loops hold O(STACK_CHUNK_BYTES + n^2) memory
+# running sums for operator_norms, the Gauss-Laguerre nodes for the maps
+# of exponentials_of.  Such loops hold O(STACK_CHUNK_BYTES + n^2) memory
 # however many matrices they go through.
 STACK_CHUNK_BYTES = 1 << 20
 
@@ -266,14 +266,8 @@ def image_basis(A, rank_tol):
 
 
 def matrix_exponential(B, t):
-    """exp(t B): matrix_exponentials at one t, raising as it does."""
-    return matrix_exponentials(B, np.array([check_real("t", t)]))[0]
-
-
-def matrix_exponentials(B, ts):
-    """exp(t B) for each t of a 1-d float array ts, as a (len(ts), n, n)
-    stack: exponentials_of(B)(ts), raising as it does."""
-    return exponentials_of(B)(ts)
+    """exp(t B): exponentials_of(B) at one t, raising as it does."""
+    return exponentials_of(B)(np.array([check_real("t", t)]))[0]
 
 
 def exponentials_of(B):
@@ -483,15 +477,15 @@ def power_and_geometric_sum(T, N):
     """
     P = np.eye(T.shape[0], dtype=np.complex128)
     S = np.zeros_like(P)
-    for bit in bin(N)[2:]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            S = S + P @ S
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bit in bin(N)[2:]:
+            S += P @ S
             P = P @ P
             if bit == "1":
-                S = S + P
+                S += P
                 P = P @ T
-        if not (np.all(np.isfinite(S)) and np.all(np.isfinite(P))):
-            raise Overflow("geometric sum left the representable range")
+            if not (np.isfinite(S).all() and np.isfinite(P).all()):
+                raise Overflow("geometric sum left the representable range")
     return P, S
 
 

@@ -25,10 +25,11 @@ powers once for all of its nodes (check() shares B's map between its two
 Gauss-Laguerre integrals).  A Gauss-Laguerre rule exponentiates its
 nodes as stacks of up to linalg.STACK_CHUNK_BYTES, each in one batched
 scaling-and-squaring pass that holds three stack-sized arrays: a single
-pass per rule at small n.  Simpson's nodes lie on uniform grids, where
-the integrand e^-u exp(u B / lambda) is a geometric progression, so each
-grid is summed in closed form by O(log m) products from one matrix
-exponential.
+pass per rule at small n.  Simpson's nodes lie on nested uniform grids,
+where the integrand e^-u exp(u B / lambda) is a geometric progression:
+the first grid is summed in closed form by O(log m) products, and each
+finer grid's sum is the coarser one's plus its odd nodes, one product
+with one more matrix exponential.
 The closed resolvent form is available as an independent reference.
 The substitution alpha = 1/(1 + lambda), T = I + B turns A~_lambda into
 the discrete Abel average of T exactly, an algebraic identity whose
@@ -138,29 +139,30 @@ def _simpson_estimates(B, lam, panels, u_max):
 
     With C = B / lambda - I the integrand is exp(uC), so on a grid of
     step h = u_max / (2m) the nodes form geometric progressions in
-    S = exp(2hC): the odd nodes sum to exp(hC) (I + S + ... + S^(m-1)),
-    the interior even nodes to that sum less I, and the last node is S^m,
-    all from one linalg.power_and_geometric_sum.  Halving h makes this
-    grid's exp(hC) the next grid's S, so each grid takes one more
-    exponential of C, from one linalg.exponentials_of(C).  The first two
-    grids, which the self-check always compares, take their S, exp(hC)
-    and exp(hC/2) from one stacked call.
+    S = exp(2hC): with G = I + S + ... + S^(m-1), the odd nodes sum to
+    exp(hC) G, the interior even nodes to G - I, and the last node is
+    S^m = exp(u_max C), the same on every grid.  Halving h makes this
+    grid's exp(hC) the next grid's S, whose G is this grid's G plus its
+    odd-node sum.  So only the first grid takes
+    linalg.power_and_geometric_sum, with its S and exp(hC) from one call
+    of C's linalg.exponentials_of map; each later grid takes one slice of
+    that map and one product.
     """
     eye = np.eye(B.shape[0], dtype=np.complex128)
     expm = linalg.exponentials_of(B / lam - eye)
     h = u_max / (2 * panels)
-    stride, half, next_half = expm(np.array([2.0 * h, h, h / 2.0]))
+    stride, half = expm(np.array([2.0 * h, h]))
+    last, grid = linalg.power_and_geometric_sum(stride, panels)
     while True:
-        last, grid = linalg.power_and_geometric_sum(stride, panels)
         with np.errstate(over="ignore", invalid="ignore"):
-            value = (h / 3.0) * (eye + last + 4.0 * (half @ grid)
-                                 + 2.0 * (grid - eye))
+            odd = half @ grid
+            value = (h / 3.0) * (eye + last + 4.0 * odd + 2.0 * (grid - eye))
+            grid += odd
         if not np.isfinite(value).all():
             raise Overflow("the Simpson sum left the representable range")
         yield value
-        stride, h, panels = half, h / 2.0, 2 * panels
-        half = expm(np.array([h]))[0] if next_half is None else next_half
-        next_half = None
+        h /= 2.0
+        half = expm(np.array([h]))[0]
 
 
 def _settle(estimates, m, max_m, rule):

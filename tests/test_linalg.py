@@ -345,7 +345,7 @@ def test_matrix_exponential_nilpotent_past_2_to_the_1023():
             exact = np.eye(len(B)) + t * B
             assert np.array_equal(linalg.matrix_exponential(B, t), exact)
         ts = np.array([1.0, 1.5 * 2.0 ** 1023, 0.0, -2.0])
-        stack = linalg.matrix_exponentials(B, ts)
+        stack = linalg.exponentials_of(B)(ts)
         assert np.array_equal(stack[1], np.eye(len(B)) + ts[1] * B)
         for t, E in zip(ts, stack):
             assert np.array_equal(E, linalg.matrix_exponential(B, t))
@@ -362,8 +362,7 @@ def test_matrix_exponential_jordan_blocks_closed_form():
                  for k in range(n)]
         for c in (1.0, 30.0, 1e3):
             for lam in (-1.0, -0.5 + 2j):
-                stack = linalg.matrix_exponentials(
-                    lam * np.eye(n) + c * N, ts)
+                stack = linalg.exponentials_of(lam * np.eye(n) + c * N)(ts)
                 for t, E in zip(ts, stack):
                     exact = np.exp(lam * t) * sum(
                         (c * t) ** k * P for k, P in enumerate(terms))
@@ -381,7 +380,7 @@ def test_matrix_exponentials_overflowing_one_norm():
     # takes 26, and the result is right
     B = np.full((2, 2), 1e308)
     assert np.array_equal(linalg.matrix_exponential(B, 0.0), np.eye(2))
-    assert np.array_equal(linalg.matrix_exponentials(B, np.array([0.0, -0.0])),
+    assert np.array_equal(linalg.exponentials_of(B)(np.array([0.0, -0.0])),
                           np.stack([np.eye(2)] * 2))
     assert np.allclose(linalg.matrix_exponential(B, -1e-300),
                        np.eye(2) - 0.5, rtol=0.0, atol=1e-7)
@@ -390,7 +389,7 @@ def test_matrix_exponentials_overflowing_one_norm():
                       ([0.0, 0.5, 1e-3], 0.5), ([-1e-300, -1e-3, 0.5], -1e-3),
                       ([0.0, -1e-300, -1.0, -1e-3], -1.0)):
         with pytest.raises(Overflow, match=re.escape(f"exp({named} * B)")):
-            linalg.matrix_exponentials(B, np.array(ts))
+            linalg.exponentials_of(B)(np.array(ts))
     # ||t B||_1 = 1e308 is finite though t 2^e is not; exp(t B) is 0
     assert np.array_equal(linalg.matrix_exponential([[-1e308]], 1.0), [[0.0]])
 
@@ -400,7 +399,7 @@ def test_matrix_exponentials_past_52_squarings():
     # exp(t B) rounds to 0, as for diag(-1e17, -1e16) at t = 1, and raises
     # otherwise: diag(-1e17, -1) at t = 1 would come out diag(0, 1)
     B = np.diag([-1e17, -1e16])
-    stack = linalg.matrix_exponentials(B, np.array([1e-20, 1.0, 1e-30]))
+    stack = linalg.exponentials_of(B)(np.array([1e-20, 1.0, 1e-30]))
     assert np.array_equal(stack[1], np.zeros((2, 2)))
     assert np.allclose(stack[0], np.diag(np.exp([-1e-3, -1e-4])),
                        rtol=1e-15, atol=0.0)
@@ -409,7 +408,7 @@ def test_matrix_exponentials_past_52_squarings():
     with pytest.raises(Overflow, match=re.escape(
             "exp(1.0 * B) needs 55 squarings, whose rounding can outgrow "
             "the result")):
-        linalg.matrix_exponentials(np.diag([-1e17, -1.0]), np.array([1.0]))
+        linalg.exponentials_of(np.diag([-1e17, -1.0]))(np.array([1.0]))
 
 
 def test_matrix_exponential_at_zero_is_identity():
@@ -419,7 +418,7 @@ def test_matrix_exponential_at_zero_is_identity():
     for B in _expm_cases():
         n = B.shape[0]
         assert np.array_equal(linalg.matrix_exponential(B, 0.0), np.eye(n))
-        stack = linalg.matrix_exponentials(B, ts)
+        stack = linalg.exponentials_of(B)(ts)
         assert np.array_equal(stack[1], np.eye(n))
         assert np.array_equal(stack[3], np.eye(n))
 
@@ -430,7 +429,7 @@ def test_matrix_exponential_diagonal_matches_scalar_exp():
     # 1 + |t d|, the condition number of exp at t d (2.0 where measured)
     d = np.array([-1.0, -0.1 + 0.4j, 0.5, -1.0 + 1.0j, 0.0])
     ts = np.concatenate(([0.0], np.geomspace(1e-3, 30.0, 40)))
-    stack = linalg.matrix_exponentials(np.diag(d), ts)
+    stack = linalg.exponentials_of(np.diag(d))(ts)
     off = ~np.eye(len(d), dtype=bool)
     assert not stack[:, off].any()
     diag = np.diagonal(stack, axis1=1, axis2=2)
@@ -442,8 +441,7 @@ def test_matrix_exponential_diagonal_matches_scalar_exp():
 def test_matrix_exponential_rotation_generator():
     # exp(t [[0, -1], [1, 0]]) is the rotation by t
     ts = np.linspace(0.0, 50.0, 101)
-    stack = linalg.matrix_exponentials(np.array([[0.0, -1.0], [1.0, 0.0]]),
-                                       ts)
+    stack = linalg.exponentials_of(np.array([[0.0, -1.0], [1.0, 0.0]]))(ts)
     c, s = np.cos(ts), np.sin(ts)
     exact = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
     assert np.abs(stack - exact).max() <= 1e-13
@@ -456,8 +454,8 @@ def test_matrix_exponentials_semigroup_property():
     for n in (2, 5, 8):
         B = random_matrix(rng, n)
         B /= np.linalg.norm(B, 2)
-        single = linalg.matrix_exponentials(B, ts)
-        double = linalg.matrix_exponentials(B, 2.0 * ts)
+        single = linalg.exponentials_of(B)(ts)
+        double = linalg.exponentials_of(B)(2.0 * ts)
         for E, E2 in zip(single, double):
             assert (np.linalg.norm(E @ E - E2, 2)
                     <= 1e-12 * np.linalg.norm(E2, 2))
@@ -469,11 +467,11 @@ def test_matrix_exponentials_slices_ignore_their_order():
     rng = np.random.default_rng(29)
     ts = np.concatenate(([0.0], np.geomspace(1e-3, 30.0, 20)))
     for B in _expm_cases():
-        stack = linalg.matrix_exponentials(B, ts)
-        assert np.array_equal(linalg.matrix_exponentials(B, ts[::-1]),
+        stack = linalg.exponentials_of(B)(ts)
+        assert np.array_equal(linalg.exponentials_of(B)(ts[::-1]),
                               stack[::-1])
         order = rng.permutation(len(ts))
-        assert np.array_equal(linalg.matrix_exponentials(B, ts[order]),
+        assert np.array_equal(linalg.exponentials_of(B)(ts[order]),
                               stack[order])
 
 
@@ -501,7 +499,7 @@ def test_matrix_exponentials_match_one_expm_per_t():
     # squares by its own rules, a relative bound
     ts = np.concatenate(([0.0], np.geomspace(1e-3, 30.0, 40)))
     for B in _expm_cases():
-        stack = linalg.matrix_exponentials(B, ts)
+        stack = linalg.exponentials_of(B)(ts)
         assert stack.shape == (len(ts),) + B.shape
         for t, E in zip(ts, stack):
             assert np.array_equal(E, linalg.matrix_exponential(B, float(t)))
@@ -565,7 +563,7 @@ def test_exponentials_of_reused_past_52_squarings():
                         ([2.0], "exp(2.0 * B) overflowed"),
                         ([-1e-300, -1e-3, 0.5], "exp(-0.001 * B) needs")):
         with pytest.raises(Overflow) as fresh:
-            linalg.matrix_exponentials(B, np.array(ts))
+            linalg.exponentials_of(B)(np.array(ts))
         with pytest.raises(Overflow) as reused:
             expm(np.array(ts))
         assert message in str(reused.value)
@@ -608,7 +606,7 @@ def test_matrix_exponentials_overflow_names_first_t():
     B = np.array([[500.0]])
     with pytest.raises(Overflow, match=r"^the expm computation of "
                                        r"exp\(2\.0 \* B\) overflowed$"):
-        linalg.matrix_exponentials(B, np.array([0.5, 1.0, 2.0, 10.0]))
+        linalg.exponentials_of(B)(np.array([0.5, 1.0, 2.0, 10.0]))
 
 
 def _lapack_fails(*args, **kwargs):
@@ -639,7 +637,7 @@ def test_lapack_failure_is_no_convergence(monkeypatch, routine, call):
                          ids=["nan", "inf", "2d", "0d", "int", "bool", "str"])
 def test_matrix_exponentials_rejects_bad_ts(ts):
     with pytest.raises(ValueError, match=r"^ts must be "):
-        linalg.matrix_exponentials(np.eye(2), ts)
+        linalg.exponentials_of(np.eye(2))(ts)
 
 
 def test_operator_norm_matches_largest_singular_value():

@@ -180,8 +180,8 @@ def test_simpson_horizon_on_stable_generators_is_forty():
 
 def count_expm_calls(monkeypatch):
     """Wrap the one expm kernel, linalg.exponentials_of, which
-    matrix_exponentials and matrix_exponential also call; the list
-    collects every t its maps receive."""
+    matrix_exponential also calls; the list collects every t its maps
+    receive."""
     calls = []
     original = linalg.exponentials_of
 
@@ -218,6 +218,19 @@ def test_simpson_evaluates_each_node_once(monkeypatch):
         _, panels = simpson(B, 1.0)
         assert len(calls) == simpson_expm_calls(panels)
         assert len(set(calls)) == len(calls)
+
+
+def test_simpson_takes_one_binary_powering_per_run(monkeypatch):
+    # STIFF settles past 64 panels, so the run sums three grids or more;
+    # only the first takes the O(log m) powering, and each finer grid's
+    # geometric sum is the coarser one's plus its odd nodes
+    calls = []
+    original = linalg.power_and_geometric_sum
+    monkeypatch.setattr(linalg, "power_and_geometric_sum",
+                        lambda T, N: calls.append(N) or original(T, N))
+    _, panels = simpson(STIFF, 1.0)
+    assert panels > semigroup.START_NODE_COUNT
+    assert calls == [semigroup.START_NODE_COUNT]
 
 
 def test_gauss_laguerre_runs_once_at_m_and_2m(monkeypatch):
@@ -339,8 +352,8 @@ def test_simpson_products_match_one_expm_per_node(monkeypatch):
     for B, lam, cond in _product_chain_cases():
         # at condition 1e4, ||exp(tB)|| climbs to about 1e3 before it decays,
         # and the stride factor's rounding, carried through the squarings of
-        # the geometric sums, moves the sum by up to 7.0e-9 in these cases
-        # (6.1e-12 below condition 1e4); still well inside SELF_CHECK_TOL
+        # the geometric sums, moves the sum by up to 3.4e-8 in these cases
+        # (6.5e-12 below condition 1e4); still well inside SELF_CHECK_TOL
         bound = 1e-7 if cond < 1e4 else 5e-7
         value, panels = simpson(B, lam)
         with monkeypatch.context() as patch:

@@ -6,21 +6,23 @@
 The package is imported from PYTHONPATH, so running the script against two
 checkouts' src/ compares their kernels on identical inputs.
 
-linalg.matrix_exponentials exponentiates a seeded normal generator with
+linalg.exponentials_of(B) exponentiates a seeded normal generator B with
 its spectrum in the left half of the disc of radius 2, at n = 2, 8, 16, 32
 and 64:
 
-    k = 1      one slice at t = 0.5 from a fresh call, which takes the
-               powers of B again (matrix_exponential)
+    k = 1      one slice at t = 0.5 from a fresh map, which takes the
+               powers of B again, as matrix_exponential does
     k = 1, reused
-               one slice at t = 0.5 through one linalg.exponentials_of(B)
-               built before the timing, as Simpson's later grids take it
+               one slice at t = 0.5 through one map built before the
+               timing, as Simpson's later grids take it
     k = K      the K smallest nodes of the 128-node Gauss-Laguerre rule,
-               K = min(128, STACK_CHUNK_BYTES / 16 n^2): the stack that
-               Gauss-Laguerre passes at that n
+               K = min(128, STACK_CHUNK_BYTES / 16 n^2), from a fresh
+               map: the stack that Gauss-Laguerre passes at that n
 
 semigroup_check times one semigroup.check(B, 1, 4), the semigroup
-request's whole computation, on such a generator at n = 2, 4 and 8.
+request's whole computation, on such a generator at n = 2, 4 and 8, and
+simpson times its truncated Simpson alone (semigroup._simpson, with the
+spectral abscissa taken before the timing) on the same generator.
 
 The small kernels that certify, abel-power and cesaro call many times
 per request are timed at n = 2, 8 and 16 on a seeded complex matrix A,
@@ -122,12 +124,14 @@ def main(argv=None):
         B = stable_generator(rng, n)
         stack = min(128, linalg.STACK_CHUNK_BYTES // (16 * n * n))
         expm = linalg.exponentials_of(B)
-        for name, ts, call in (
-                ("k1", np.array([0.5]), linalg.matrix_exponentials),
-                ("k1_reused", np.array([0.5]), lambda B, ts: expm(ts)),
-                (f"k{stack}", np.array(nodes[:stack]),
-                 linalg.matrix_exponentials)):
-            low, mid = time_call(lambda: call(B, ts), args.repeats)
+
+        def fresh(ts):
+            return linalg.exponentials_of(B)(ts)
+
+        for name, ts, call in (("k1", np.array([0.5]), fresh),
+                               ("k1_reused", np.array([0.5]), expm),
+                               (f"k{stack}", np.array(nodes[:stack]), fresh)):
+            low, mid = time_call(lambda: call(ts), args.repeats)
             timings[f"n{n}_{name}"] = {
                 "n": n, "k": len(ts), "min_us": round(low, 1),
                 "median_us": round(mid, 1)}
@@ -141,23 +145,29 @@ def main(argv=None):
                 "median_us": round(mid / per, 1),
                 "reference_min_us": round(ref_low, 1),
                 "reference_median_us": round(ref_mid, 1)}
-    checks = {}
+    checks, simpsons = {}, {}
     for n in CHECK_DIMENSIONS:
         B = stable_generator(rng, n)
-        low, mid = time_call(lambda: semigroup.check(B, 1.0, 4), args.repeats)
-        checks[f"n{n}"] = {"n": n, "min_us": round(low, 1),
-                           "median_us": round(mid, 1)}
+        abscissa = semigroup._abscissa(B, 1.0)
+        for cases, call in (
+                (checks, lambda: semigroup.check(B, 1.0, 4)),
+                (simpsons, lambda: semigroup._simpson(B, 1.0, abscissa))):
+            low, mid = time_call(call, args.repeats)
+            cases[f"n{n}"] = {"n": n, "min_us": round(low, 1),
+                              "median_us": round(mid, 1)}
     print(json.dumps({
-        "what": "in-process time per call: linalg.matrix_exponentials "
-                "(timings_us), the small kernels next to their scipy "
-                "or numpy references (small_kernels_us) and "
-                "semigroup.check (semigroup_check_us)",
+        "what": "in-process time per call: maps of "
+                "linalg.exponentials_of (timings_us), the small kernels "
+                "next to their scipy or numpy references "
+                "(small_kernels_us), semigroup.check (semigroup_check_us) "
+                "and its truncated Simpson (simpson_us)",
         "repeats": args.repeats,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "numpy": np.__version__,
         "timings_us": timings,
         "small_kernels_us": small,
-        "semigroup_check_us": checks}, indent=1))
+        "semigroup_check_us": checks,
+        "simpson_us": simpsons}, indent=1))
     return 0
 
 
