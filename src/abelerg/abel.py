@@ -119,40 +119,51 @@ def power_iterate(M, tol=DEFAULT_TOL):
     exponent = 1
     previous = 0.0  # no bound before the first doubling to halve
     floor = 8.0 * M.shape[0] * linalg.EPS
-    for _ in range(DEFAULT_MAX_DOUBLINGS):
-        with np.errstate(over="ignore", invalid="ignore"):
+    svd_per_test = max(M.shape) <= linalg.EXACT_NORM_MAX_DIMENSION
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(DEFAULT_MAX_DOUBLINGS):
             Q = P @ P
-        # the max is nan when any entry is, so this also catches nan and inf
-        if not np.abs(Q).max() <= BLOW_UP_THRESHOLD:
-            history.append((exponent, float("inf")))
-            return ConvergenceReport(
-                converged=False, limit=None, steps=exponent,
-                final_defect=float("inf"), history=history,
-                divergence_reason="blow_up")
-        # the gate shows Q finite, so the tests skip norm_at_most's checks
-        increment = Q - P
-        cauchy = linalg._norm_at_most(increment, tol)
-        history.append((exponent, cauchy.upper))
-        if (cauchy
-                and (cauchy.upper <= 0.5 * previous or cauchy.upper
-                     <= floor * max(1.0, np.linalg.norm(Q)))
-                and linalg._norm_at_most(Q @ Q - Q, 10.0 * tol)
-                and linalg._norm_at_most(M @ Q - Q, 10.0 * tol)):
-            return ConvergenceReport(
-                converged=True, limit=Q, steps=exponent,
-                final_defect=_exact_norm(increment, cauchy), history=history)
-        P = Q
-        previous = cauchy.upper
-        exponent *= 2
+            # the max is nan when any entry is, so this also catches nan
+            # and inf
+            if not np.abs(Q).max() <= BLOW_UP_THRESHOLD:
+                history.append((exponent, float("inf")))
+                return ConvergenceReport(
+                    converged=False, limit=None, steps=exponent,
+                    final_defect=float("inf"), history=history,
+                    divergence_reason="blow_up")
+            # the gate shows Q finite, so the tests skip norm_at_most's
+            # checks; the Cauchy test is norm_at_most's, with its bracket
+            # taken here and a NormTest only where an SVD decides
+            increment = Q - P
+            cauchy = norm = None
+            if not svd_per_test:
+                lower, upper = linalg._norm_bracket(increment)
+                cauchy = linalg._bracket_decides(lower, upper, tol)
+            if cauchy is None:
+                test = linalg._norm_at_most(increment, tol)
+                cauchy, upper, norm = test.at_most, test.upper, test.norm
+            history.append((exponent, upper))
+            if (cauchy
+                    and (upper <= 0.5 * previous or upper
+                         <= floor * max(1.0, np.linalg.norm(Q)))
+                    and linalg._norm_at_most(Q @ Q - Q, 10.0 * tol)
+                    and linalg._norm_at_most(M @ Q - Q, 10.0 * tol)):
+                return ConvergenceReport(
+                    converged=True, limit=Q, steps=exponent,
+                    final_defect=_exact_norm(increment, norm),
+                    history=history)
+            P = Q
+            previous = upper
+            exponent *= 2
     return ConvergenceReport(
         converged=False, limit=None, steps=exponent,
-        final_defect=_exact_norm(increment, cauchy), history=history,
+        final_defect=_exact_norm(increment, norm), history=history,
         divergence_reason="no_cauchy")
 
 
-def _exact_norm(X, test):
-    """||X||_2, reusing the SVD norm that test (norm_at_most of X) took."""
-    return test.norm if test.norm is not None else linalg.operator_norm(X)
+def _exact_norm(X, norm):
+    """||X||_2: norm, the SVD norm a test of X took, or a new SVD."""
+    return norm if norm is not None else linalg.operator_norm(X)
 
 
 def riesz_projection_at_one(T, rank_tol):

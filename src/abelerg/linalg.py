@@ -16,7 +16,8 @@ in one Pade-13 pass, built from the powers of a power-of-two multiple of
 B.  exponentials_of(B) validates B and takes those powers once, and
 returns the map ts -> stack, so a caller that exponentiates one B many
 times pays for them once; matrix_exponential(B, t) is that map's one
-call at one t.
+call at one t.  log_norm(B) bounds every slice's norm: ||exp(t B)||_2 <=
+e^(t mu_2(B)) for t >= 0.
 """
 
 import functools
@@ -499,6 +500,20 @@ def operator_norm(A):
     return norm
 
 
+def log_norm(B):
+    """mu_2(B) = lambda_max((B + B*) / 2), the logarithmic 2-norm of B, by
+    one Hermitian eigenvalue solve: ||exp(t B)||_2 <= e^(t mu_2(B)) for
+    every t >= 0 (Lumer-Phillips; Pazy 1983, section 1.4).  The halves are
+    summed, so no entry overflows; raises Overflow past the double range,
+    NoConvergence when LAPACK fails."""
+    B = as_matrix(B, square=True)
+    with lapack_errors:
+        mu = float(np.linalg.eigvalsh(0.5 * B + 0.5 * B.conj().T)[-1])
+    if not math.isfinite(mu):
+        raise Overflow("the logarithmic norm left the representable range")
+    return mu
+
+
 def operator_norms(stack):
     """operator_norm of each matrix in a (k, m, n) stack of finite entries,
     bit for bit, by one batched SVD call."""
@@ -551,16 +566,32 @@ def _norm_at_most(A, bound):
     if max(A.shape) <= EXACT_NORM_MAX_DIMENSION:
         norm = operator_norm(A)
         return NormTest(norm <= bound, norm, norm)
-    mags = np.abs(A)
-    # squares overflow before the entries do; such input goes to the SVD
     with np.errstate(over="ignore"):
-        column_squares = (mags * mags).sum(axis=0)
-        upper = math.sqrt(column_squares.sum())
-    if upper < math.inf:
-        if math.sqrt(column_squares.max()) * (1.0 - NORM_BOUND_MARGIN) > bound:
-            return NormTest(False, upper, None)
-        if upper * (1.0 + NORM_BOUND_MARGIN) <= bound:
-            return NormTest(True, upper, None)
+        lower, upper = _norm_bracket(A)
+    at_most = _bracket_decides(lower, upper, bound)
+    if at_most is not None:
+        return NormTest(at_most, upper, None)
     norm = operator_norm(A)
     return NormTest(norm <= bound, upper, norm)
 
+
+def _norm_bracket(A):
+    """(max column 2-norm, Frobenius norm) of A, which bracket ||A||_2,
+    from one pass of |A|^2.  Run under np.errstate with over ignored:
+    squares overflow before the entries do, and the bracket is then
+    inf."""
+    mags = np.abs(A)
+    column_squares = (mags * mags).sum(axis=0)
+    return math.sqrt(column_squares.max()), math.sqrt(column_squares.sum())
+
+
+def _bracket_decides(lower, upper, bound):
+    """||A||_2 <= bound as a finite bracket (lower, upper) of _norm_bracket
+    decides it, clearing bound by the relative NORM_BOUND_MARGIN; None
+    when it does not."""
+    if upper < math.inf:
+        if lower * (1.0 - NORM_BOUND_MARGIN) > bound:
+            return False
+        if upper * (1.0 + NORM_BOUND_MARGIN) <= bound:
+            return True
+    return None

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 
 from abelerg import abel, linalg, semigroup
@@ -267,6 +268,158 @@ def test_check_takes_the_powers_of_each_matrix_once(monkeypatch):
     assert len(calls) == 2
     assert np.array_equal(calls[0], 1.0 * B)
     assert np.array_equal(calls[1], B / 1.0 - np.eye(4))
+
+
+def reference_weighted_sum(B, lam, nodes, weights, expm):
+    """The full rule: every node exponentiated, the terms added in node
+    order, by stacks of up to STACK_CHUNK_BYTES."""
+    total = np.zeros(B.shape, dtype=np.complex128)
+    chunk = max(1, linalg.STACK_CHUNK_BYTES // (16 * B.size))
+    for start in range(0, len(nodes), chunk):
+        stop = start + chunk
+        stack = expm(nodes[start:stop] / lam)
+        stack *= weights[start:stop, None, None]
+        stack[0] += total
+        total = np.add.accumulate(stack, axis=0, out=stack)[-1].copy()
+    return total
+
+
+def benchmark_generator(rng, n, lam, stiffness, cond=1.0):
+    """A generator drawn as the semigroup benchmark draws it (normal at
+    cond = 1), with eigenvector matrix Q1 diag(logspace(0, log10 cond)) Q2
+    otherwise."""
+    values = rng.uniform(-1.0, -0.1, n) + 1j * rng.uniform(-0.4, 0.4, n)
+    values *= stiffness * lam / np.max(np.abs(values))
+    Q1, Q2 = (np.linalg.qr(rng.normal(size=(n, n))
+                           + 1j * rng.normal(size=(n, n)))[0]
+              for _ in range(2))
+    if cond == 1.0:
+        return (Q1 * values) @ Q1.conj().T
+    S = (Q1 * np.logspace(0.0, np.log10(cond), n)) @ Q2
+    return S @ np.diag(values) @ np.linalg.inv(S)
+
+
+def _tail_cases():
+    rng = np.random.default_rng(163)
+    for i in range(21):
+        lam = (0.1, 1.0, 10.0)[i % 3]
+        yield benchmark_generator(rng, 2 + i % 7, lam, 0.5 + 2.5 * i / 20), lam
+    for cond in (1e2, 1e4):
+        for i in range(4):
+            yield benchmark_generator(rng, 2 + i, 1.0, 2.0, cond), 1.0
+    yield -np.eye(3) + 0.3 * rng.normal(size=(3, 3)), 1.0
+    yield np.diag([-1.0 + 0.3j, -0.6 - 0.2j, -2.5 + 1.0j]), 1.0
+    yield STIFF, 1.0
+
+
+def test_weighted_sum_head_matches_the_full_rule(monkeypatch):
+    # the tail is dropped only where no tail term can change a bit of the
+    # sum: every rule equals the full rule, while each rule of the 21
+    # normal generators skips nodes (22 to 54 of 64 or 128 exponentiated)
+    skipped = 0
+    for B, lam in _tail_cases():
+        B = linalg.as_matrix(B, square=True)
+        expm = linalg.exponentials_of(B)
+        mu = linalg.log_norm(B)
+        for power in (0.0, 3.0):
+            for m in (64, 128):
+                nodes, weights = semigroup.laguerre_rule(m, power=power)
+                calls = count_expm_calls(monkeypatch)
+                value = semigroup._weighted_sum(
+                    B, lam, nodes, weights, linalg.exponentials_of(B), mu)
+                monkeypatch.undo()
+                assert np.array_equal(
+                    value, reference_weighted_sum(B, lam, nodes, weights,
+                                                  expm))
+                assert calls == list(nodes[:len(calls)] / lam)
+                skipped += len(calls) < m
+    assert skipped == 4 * 21
+
+
+def test_gauss_laguerre_skips_the_tail_of_a_normal_generator(monkeypatch):
+    # a complex normal B with spectrum in Re < 0: e^(t mu) decays, so the
+    # 64- and 128-node rules exponentiate fewer than their 192 nodes
+    B = benchmark_generator(np.random.default_rng(167), 4, 1.0, 2.0)
+    calls = count_expm_calls(monkeypatch)
+    _, nodes = semigroup.abel_average_quadrature(B, 1.0)
+    assert nodes == semigroup.START_NODE_COUNT
+    assert len(calls) < 3 * semigroup.START_NODE_COUNT
+
+
+def test_gauss_laguerre_falls_back_on_a_zero_component(monkeypatch):
+    # the same decay, but a diagonal B leaves the head sum's off-diagonal
+    # entries exactly 0, which any tail term could change: each rule takes
+    # its head, then its tail.  A real B's sum has no imaginary part at
+    # all, so each of its rules goes whole, in one call
+    original = linalg.exponentials_of
+    stacks = []
+
+    def counted(B):
+        expm = original(B)
+        return lambda ts: stacks.append(len(ts)) or expm(ts)
+
+    monkeypatch.setattr(linalg, "exponentials_of", counted)
+    for B, calls_per_rule in (
+            (np.diag([-1.0 + 0.3j, -0.6 - 0.2j, -1.5 + 0.5j]), 2),
+            (STIFF, 1)):
+        stacks.clear()
+        _, nodes = semigroup.abel_average_quadrature(B, 1.0)
+        assert nodes == semigroup.START_NODE_COUNT
+        assert sum(stacks) == 3 * semigroup.START_NODE_COUNT
+        assert len(stacks) == 2 * calls_per_rule
+
+
+def test_weighted_sum_keeps_nodes_whose_rounding_factor_passes_two(
+        monkeypatch):
+    # a normal B with eigenvalues -0.5 + 1e12 i and -0.8 - 3e11 i: e^(t mu)
+    # decays and the head's sum has no zero part, so 33 of the 64 nodes
+    # would be dropped, but ||t B||_1 reaches 3e14, where the kernel's
+    # squarings may round by more than the bound's factor 2 allows
+    Q, _ = np.linalg.qr(np.array([[1.0, 2.0j], [0.5, -1.0]]))
+    B = (Q * np.array([-0.5 + 1e12j, -0.8 - 3e11j])) @ Q.conj().T
+    nodes, weights = semigroup.laguerre_rule(64)
+    calls = count_expm_calls(monkeypatch)
+    value = semigroup._weighted_sum(B, 1.0, nodes, weights,
+                                    linalg.exponentials_of(B),
+                                    linalg.log_norm(B))
+    assert len(calls) == 64
+    monkeypatch.undo()
+    assert np.array_equal(value, reference_weighted_sum(
+        B, 1.0, nodes, weights, linalg.exponentials_of(B)))
+
+
+def test_log_norm_is_the_top_eigenvalue_of_the_hermitian_part(
+        hermitian_part_max_eig):
+    rng = np.random.default_rng(173)
+    for n in (1, 2, 5, 9):
+        B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        assert linalg.log_norm(B) == hermitian_part_max_eig(B)
+    assert linalg.log_norm(np.diag([-1.0, 0.5 + 3.0j])) == 0.5
+
+
+def test_log_norm_bounds_the_semigroup():
+    # ||exp(tB)||_2 <= e^(t mu_2(B)) for t >= 0, also while a non-normal B
+    # makes ||exp(tB)|| grow before it decays
+    rng = np.random.default_rng(179)
+    for cond in (1.0, 1e2, 1e4):
+        for n in (2, 4, 6):
+            B = benchmark_generator(rng, n, 1.0, 2.0, cond)
+            mu = linalg.log_norm(B)
+            for t in (0.01, 0.1, 1.0, 10.0, 100.0):
+                norm = np.linalg.norm(scipy.linalg.expm(t * B), 2)
+                # in logs: at condition 1e4, e^(t mu) overflows at t = 100
+                assert np.log(norm) <= t * mu + 1e-12 * (1.0 + abs(t * mu))
+
+
+def test_log_norm_rejects_bad_input():
+    for bad in (np.zeros((0, 0)), np.ones((2, 3)), np.array([[np.nan]]),
+                np.ones(3), "[[1]]"):
+        with pytest.raises(ValueError):
+            linalg.log_norm(bad)
+    # the halves of the entries are summed, but the eigenvalue 2e308 is not
+    # a double
+    with pytest.raises(Overflow):
+        linalg.log_norm(np.full((2, 2), 1e308))
 
 
 def test_gauss_laguerre_cap_raises_quadrature_unstable(monkeypatch):

@@ -20,9 +20,12 @@ and 64:
                map: the stack that Gauss-Laguerre passes at that n
 
 semigroup_check times one semigroup.check(B, 1, 4), the semigroup
-request's whole computation, on such a generator at n = 2, 4 and 8, and
+request's whole computation, on such a generator at n = 2, 4 and 8;
 simpson times its truncated Simpson alone (semigroup._simpson, with the
-spectral abscissa taken before the timing) on the same generator.
+spectral abscissa taken before the timing) on the same generator, and
+gauss_laguerre its Gauss-Laguerre average alone (semigroup._gauss_laguerre
+at weight e^-u, with B's exponentials_of map and log_norm taken before the
+timing), printing how many nodes it exponentiates of those its rules hold.
 
 The small kernels that certify, abel-power and cesaro call many times
 per request are timed at n = 2, 8 and 16 on a seeded complex matrix A,
@@ -145,29 +148,39 @@ def main(argv=None):
                 "median_us": round(mid / per, 1),
                 "reference_min_us": round(ref_low, 1),
                 "reference_median_us": round(ref_mid, 1)}
-    checks, simpsons = {}, {}
+    checks, simpsons, laguerres = {}, {}, {}
     for n in CHECK_DIMENSIONS:
         B = stable_generator(rng, n)
         abscissa = semigroup._abscissa(B, 1.0)
+        expm, mu = linalg.exponentials_of(B), linalg.log_norm(B)
         for cases, call in (
                 (checks, lambda: semigroup.check(B, 1.0, 4)),
-                (simpsons, lambda: semigroup._simpson(B, 1.0, abscissa))):
+                (simpsons, lambda: semigroup._simpson(B, 1.0, abscissa)),
+                (laguerres, lambda: semigroup._gauss_laguerre(
+                    B, 1.0, 0.0, expm, mu))):
             low, mid = time_call(call, args.repeats)
             cases[f"n{n}"] = {"n": n, "min_us": round(low, 1),
                               "median_us": round(mid, 1)}
+        ts = []
+        _, m = semigroup._gauss_laguerre(
+            B, 1.0, 0.0, lambda t: ts.extend(t) or expm(t), mu)
+        laguerres[f"n{n}"].update(nodes=4 * m - semigroup.START_NODE_COUNT,
+                                  exponentiated_nodes=len(ts))
     print(json.dumps({
         "what": "in-process time per call: maps of "
                 "linalg.exponentials_of (timings_us), the small kernels "
                 "next to their scipy or numpy references "
-                "(small_kernels_us), semigroup.check (semigroup_check_us) "
-                "and its truncated Simpson (simpson_us)",
+                "(small_kernels_us), semigroup.check (semigroup_check_us), "
+                "its truncated Simpson (simpson_us) and its Gauss-Laguerre "
+                "average (gauss_laguerre_us)",
         "repeats": args.repeats,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "numpy": np.__version__,
         "timings_us": timings,
         "small_kernels_us": small,
         "semigroup_check_us": checks,
-        "simpson_us": simpsons}, indent=1))
+        "simpson_us": simpsons,
+        "gauss_laguerre_us": laguerres}, indent=1))
     return 0
 
 
