@@ -23,21 +23,18 @@ exponentiated: B for Gauss-Laguerre and C = B/lambda - I for Simpson,
 each through one linalg.exponentials_of map, which takes the matrix's
 powers once for all of its nodes (check() shares B's map, and its
 logarithmic norm mu = linalg.log_norm(B), between its two Gauss-Laguerre
-integrals).  A Gauss-Laguerre rule exponentiates first the head of its
-nodes, up to the last whose term bound 2 w_i e^(u_i mu / lambda) reaches
-HEAD_CUTOFF.  It drops the tail only when every tail bound is below
-2^-54 of the head sum's smallest real or imaginary part, so that no tail
-term could change a bit of the sum; otherwise (a zero part, as for a
-diagonal B, or bounds that do not decay) it exponentiates the tail as
-well.  A real B's sum has no imaginary part, so its rules skip no node
-and go whole.  Either way the rule's value is the full rule's bit for
-bit.  The nodes go as stacks of up to linalg.STACK_CHUNK_BYTES, each in
-one batched scaling-and-squaring pass that holds three stack-sized
-arrays: a single pass per part of a rule at small n.  Simpson's nodes
-lie on nested uniform grids, where the integrand e^-u exp(u B / lambda)
-is a geometric progression: the first grid is summed in closed form by
-O(log m) products, and each finer grid's sum is the coarser one's plus
-its odd nodes, one product with one more matrix exponential.
+integrals).  Before it takes any exponential, a Gauss-Laguerre rule drops
+the longest tail of nodes whose bounds w_i e^(u_i mu / lambda) sum to at
+most 2^-53 of a lower bound on the integral's norm, always keeping node
+0.  Where mu nears or passes lambda, as it may for a non-normal B, the
+bounds do not decay and every node is kept.  The kept nodes go as stacks
+of up to linalg.STACK_CHUNK_BYTES, each in one batched
+scaling-and-squaring pass that holds three stack-sized arrays: one pass
+per rule at small n.  Simpson's nodes lie on nested uniform grids, where
+the integrand e^-u exp(u B / lambda) is a geometric progression: the
+first grid is summed in closed form by O(log m) products, and each finer
+grid's sum is the coarser one's plus its odd nodes, one product with one
+more matrix exponential.
 The closed resolvent form is available as an independent reference.
 The substitution alpha = 1/(1 + lambda), T = I + B turns A~_lambda into
 the discrete Abel average of T exactly, an algebraic identity whose
@@ -46,7 +43,6 @@ defect check() reports next to the quadratures.
 
 import functools
 import itertools
-import math
 
 import numpy as np
 from scipy.linalg import eig_banded
@@ -68,14 +64,6 @@ SIMPSON_MAX_PANELS = 8192
 # At Simpson's horizon the weight e^-u times the growth e^(u w / lambda) of
 # exp(u B / lambda) has fallen to e^-SIMPSON_HORIZON.
 SIMPSON_HORIZON = 40.0
-# A Gauss-Laguerre rule exponentiates first the nodes up to the last whose
-# term bound is at least this (_weighted_sum).  The tail is dropped only
-# when its bounds are below 2^-54 of the head sum's smallest real or
-# imaginary part, and the weights sum to 1, so this cutoff keeps the tail
-# for any part below about 2^-26.  A larger one leaves the tail
-# test failing more often: at 2^-64 the benchmark's requests exponentiated
-# more nodes in all (about 220 per request against 158).
-HEAD_CUTOFF = 2.0 ** -80
 
 
 def laguerre_rule(node_count, power=0.0):
@@ -132,45 +120,26 @@ def _abscissa(B, lam):
     return abscissa
 
 
-def _weighted_sum(B, lam, nodes, weights, expm, mu=math.inf):
-    """sum_i w_i exp(u_i B / lambda), added in node order, with expm =
-    linalg.exponentials_of(B) and mu = linalg.log_norm(B), or inf, which
-    bounds no term: the whole rule is then the head.
+def _weighted_sum(B, lam, nodes, weights, expm, mu, tol):
+    """sum_i w_i exp(t_i B), t_i = u_i / lambda, over the head of the
+    rule, added in node order, with expm = linalg.exponentials_of(B).
 
-    Only the head of the rule is exponentiated first: the nodes up to the
-    last one whose bound b_i (_term_bounds) is at least HEAD_CUTOFF.  The
-    tail is dropped when every tail bound is below 2^-54 times the
-    smallest absolute real or imaginary part of the head sum.  Each tail
-    term's parts are then below half the spacing of the doubles on either
-    side of the head sum's part, so round-to-nearest leaves that part
-    unchanged as each is added, and the sum of the whole rule in node
-    order is the head sum bit for bit.  Otherwise, as when a part is 0
-    (a diagonal B) or the bounds do not decay (mu near lambda, or a
-    non-normal B), the tail is exponentiated and added after the head:
-    the full rule's additions in its order.  A real B, whose sum has no
-    imaginary part, takes its whole rule as the head.  The nodes go to
-    expm in stacks of up to linalg.STACK_CHUNK_BYTES (at least one node
-    each): one call per part at small n, and O(STACK_CHUNK_BYTES + n^2)
-    memory at any n."""
+    The head drops the longest tail of nodes whose bounds w_i e^(t_i mu)
+    sum to at most tol, but keeps node 0.  With mu >= mu_2(B) the dropped
+    terms sum to at most tol in the 2-norm (linalg.log_norm), and none is
+    computed.  An inf or NaN bound (e^(t_i mu) overflowing, or meeting a
+    zero weight) keeps every node up to its own.  The head goes to expm
+    in stacks of up to linalg.STACK_CHUNK_BYTES (at least one node each):
+    one call at small n, O(STACK_CHUNK_BYTES + n^2) memory at any n."""
     ts = nodes / lam
-    bounds = _term_bounds(B, ts, weights, mu)
-    big = np.flatnonzero(~(bounds < HEAD_CUTOFF))
-    head = big[-1] + 1 if len(big) else 0
-    total = _running_sum(expm, ts[:head], weights[:head],
-                         np.zeros(B.shape, dtype=np.complex128))
-    if head < len(ts):
-        floor = min(np.abs(total.real).min(), np.abs(total.imag).min())
-        if not bounds[head:].max() < 2.0 ** -54 * floor:
-            total = _running_sum(expm, ts[head:], weights[head:], total)
-    return total
-
-
-def _running_sum(expm, ts, weights, total):
-    """total + sum_i w_i expm(ts)[i], added in order, by stacks of up to
-    linalg.STACK_CHUNK_BYTES."""
-    chunk = max(1, linalg.STACK_CHUNK_BYTES // (16 * total.size))
-    for start in range(0, len(ts), chunk):
-        stop = start + chunk
+    with np.errstate(over="ignore", invalid="ignore"):
+        tails = np.cumsum((weights * np.exp(ts * mu))[::-1])[::-1]
+    # the tail sums never grow along the rule, so the head is a prefix
+    head = max(1, np.count_nonzero(~(tails <= tol)))
+    total = np.zeros(B.shape, dtype=np.complex128)
+    chunk = max(1, linalg.STACK_CHUNK_BYTES // (16 * B.size))
+    for start in range(0, head, chunk):
+        stop = min(start + chunk, head)
         stack = expm(ts[start:stop])
         stack *= weights[start:stop, None, None]
         stack[0] += total
@@ -178,68 +147,6 @@ def _running_sum(expm, ts, weights, total):
         # over a (k, 1, 1) stack would sum pairwise)
         total = np.add.accumulate(stack, axis=0, out=stack)[-1].copy()
     return total
-
-
-def _term_bounds(B, ts, weights, mu):
-    """b_i = w_i (2 e^(t_i mu) + 2^-960) for each node t_i = u_i / lambda,
-    or inf at every node where B is real or g_i > 2 below at the largest
-    t_i; inf and NaN (e^(t_i mu) overflowing where w_i is 0) are never
-    below the cutoff, so such nodes are never skipped.  Every real and
-    imaginary part of the computed term fl(w_i E_i), E_i = expm(ts)[i],
-    is at most b_i when ||E_i||_2 <= g_i e^(t_i mu_2(B)) and g_i <= 2.
-
-    g_i is bounded by first-order rounding bounds (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002), with u = 2^-53,
-    N = ||t_i B||_1, and s <= ceil(log2(N / theta13))_+ + 1 the slice's
-    squarings, so 2^s <= k = max(4 N / theta13, 2).  _dropped_squarings
-    only takes squarings off that norm count: at ||X||_1 <= theta13 its
-    ell term is already below u.  The +1 covers the rounding of N and
-    log2.
-
-    - mu is the top eigenvalue of the rounded Hermitian part from a
-      backward stable solver: |mu - mu_2(B)| <= (n + 1) u ||B||_F <=
-      (n + 1) sqrt(n) u ||B||_1, a factor e^((n + 1) sqrt(n) u N).
-    - The scaling rule keeps the Pade-13 approximant's backward error
-      within u (Higham 2005; Al-Mohy and Higham 2009): r(X) =
-      exp(X + dX), ||dX||_1 <= u ||X||_1, for X = 2^-s t B.  So
-      ||r(X)||_2 <= e^(mu_2(X) + sqrt(n) u ||X||_1), and its 2^s-th power
-      is at most e^(t mu_2(B)) e^(sqrt(n) u N).
-    - The powers, coefficient products and LU solve that evaluate r(X)
-      err by rho ||r(X)||_2 in the 2-norm, rho = O(n^2 u) times the
-      condition of the denominator q13(X), which the scaling rule keeps
-      small (Higham 2005, section 2).
-    - A complex product errs by |fl(R R) - R R| <= gamma_(n+2) |R| |R|
-      entrywise, and || |R| ||_2 <= sqrt(n) ||R||_2, so ||fl(R R)||_2 <=
-      (1 + delta) ||R||_2^2 with delta = n gamma_(n+2) <= 3.03 n^2 u.  With
-      c_j = (1 + delta) ||R_j||_2 the squarings give c_(j+1) <= c_j^2, so
-      ||E_i||_2 <= ((1 + rho)(1 + delta))^(2^s) ||r(X)||_2^(2^s).
-    - The weight product adds a factor 1 + u; an entry's real and
-      imaginary parts are at most its modulus, at most ||E_i||_2.
-    - Gradual underflow adds absolute errors of about n 2^-1073 per
-      squaring, each doubled by the later ones: below 2^-1000 for
-      n <= linalg.MAX_DIMENSION and s <= 52, whence the 2^-960.
-
-    Allowing rho + delta <= 64 n^2 u, ln g_i <= (n + 2) sqrt(n) u N +
-    64 n^2 u k + u.  On the semigroup benchmark's generators (n <= 8,
-    ||B|| / lambda <= 3) that is below 4e-9, so the flat 2 also leaves
-    room for constants these first-order bounds understate, and for the
-    rounding of b_i itself, whose exp argument is at most 745 in
-    magnitude where it neither overflows nor rounds to 0.  g_i <= 2 also
-    keeps s within the kernel's 52 squarings, so no skipped slice would
-    have raised Overflow.  The bounds are taken under np.errstate:
-    e^(t_i mu) may overflow, and meet a zero weight."""
-    n = B.shape[0]
-    u = 0.5 * linalg.EPS
-    # g_i grows with t_i: the largest node's bounds every node's.  A real
-    # B's rule sums to a real matrix, whose zero imaginary parts no tail
-    # test passes, so its nodes all go in the head too.
-    N = float(ts.max()) * float(linalg._norm1(B))
-    k = max(4.0 * N / linalg._THETA13, 2.0)
-    if not B.imag.any() or not (n + 2) * math.sqrt(n) * u * N \
-            + 64 * n * n * u * k + u <= math.log(2.0):
-        return np.full(len(ts), np.inf)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return weights * (2.0 * np.exp(ts * mu) + 2.0 ** -960)
 
 
 def _simpson_estimates(B, lam, panels, u_max):
@@ -296,10 +203,20 @@ def _settle(estimates, m, max_m, rule):
 def _gauss_laguerre(B, lam, power, expm, mu):
     """(value, m) of Gauss-Laguerre with weight u^power e^-u on a validated
     B and lambda, with expm = linalg.exponentials_of(B) and
-    mu = linalg.log_norm(B)."""
+    mu = linalg.log_norm(B).
+
+    The rules approximate (lambda (lambda I - B)^-1)^(power + 1), of 2-norm
+    at least rho = (lambda / (lambda + ||B||_F))^(power + 1), as
+    lambda / ||lambda I - B||_2 is its base's smallest singular value.
+    Each rule drops terms summing to at most 2^-53 rho (_weighted_sum),
+    bounded with mu + (n + 1) eps ||B||_F, which covers mu's rounding."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(B))
+        mu += (B.shape[0] + 1) * linalg.EPS * norm
+        tol = 2.0 ** -53 * (lam / (lam + norm)) ** (power + 1.0)
     m = START_NODE_COUNT
     rules = (_weighted_sum(B, lam, *laguerre_rule(m << k, power=power), expm,
-                           mu)
+                           mu, tol)
              for k in itertools.count())
     return _settle(rules, m, MAX_NODE_COUNT,
                    f"gauss_laguerre with weight u^{power:g} e^-u")

@@ -13,6 +13,7 @@ from abelerg import (certify, cli, errors, linalg, matrixio, oscillator,
                      semigroup)
 from test_certify import norm_overflow_matrices
 from test_linalg import _failing
+from test_semigroup import assert_one_call_per_rule, kernel_calls
 
 
 def write_matrix(tmp_path, name, M):
@@ -284,16 +285,11 @@ def test_semigroup_request_takes_one_schur_form_and_two_solves(
 def test_semigroup_request_at_n_1_runs_gauss_laguerre_once(
         tmp_path, monkeypatch):
     # at n = 1 the power integral is the Gauss-Laguerre average itself:
-    # settling at m takes m0 + 2 m0 + ... + 2m expm for Gauss-Laguerre, and
-    # Simpson one for its first stride and one per grid, from m0 panels up
-    # to twice where it settled; integrating the power again took as many
-    # as Gauss-Laguerre once more
-    calls = []
-
-    def counted(B, _func=linalg.exponentials_of):
-        expm = _func(B)
-        return lambda ts: calls.extend(ts) or expm(ts)
-    monkeypatch.setattr(linalg, "exponentials_of", counted)
+    # B's map takes one kernel call per rule, of m0, 2 m0, ..., 2m nodes,
+    # and C's map Simpson's first stride and one slice per grid, from m0
+    # panels up to twice where it settled; integrating the power again
+    # took as many rules as Gauss-Laguerre once more
+    maps = kernel_calls(monkeypatch)
     path = write_matrix(tmp_path, "b.json",
                         [[-1.0, 0.5, 0.0], [0.0, -2.0, 0.3], [0.1, 0.0, -0.5]])
     out = tmp_path / "report.json"
@@ -301,10 +297,12 @@ def test_semigroup_request_at_n_1_runs_gauss_laguerre_once(
                     "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["power_integral_nodes"] == report["gauss_laguerre_nodes"]
+    gauss_laguerre, simpson = maps
+    assert_one_call_per_rule(gauss_laguerre, 1.0, 0.0,
+                             report["gauss_laguerre_nodes"])
     m0 = semigroup.START_NODE_COUNT
-    gauss_laguerre = 4 * report["gauss_laguerre_nodes"] - m0
-    simpson = 1 + (2 * report["simpson_panels"] // m0).bit_length()
-    assert len(calls) == gauss_laguerre + simpson
+    assert sum(map(len, simpson)) == \
+        1 + (2 * report["simpson_panels"] // m0).bit_length()
 
 
 def test_semigroup_nodes_flag_is_gone(tmp_path):

@@ -576,14 +576,16 @@ def test_exponentials_of_reused_past_52_squarings():
 
 def test_weighted_sum_chunks_match_one_expm_per_node(monkeypatch):
     # 3 nodes per stack: 10 nodes take four calls, the last one partial;
-    # the sum adds in node order, so it equals the per-node loop bit for bit
+    # the sum adds in node order, so it equals the per-node loop bit for
+    # bit (mu = inf bounds no term, so no node is dropped)
     nodes, weights = semigroup.laguerre_rule(10)
     for B in _expm_cases():
         B = B.astype(np.complex128)
         n = B.shape[0]
         monkeypatch.setattr(linalg, "STACK_CHUNK_BYTES", 3 * 16 * n * n + 1)
         chunked = semigroup._weighted_sum(B, 2.0, nodes, weights,
-                                          linalg.exponentials_of(B))
+                                          linalg.exponentials_of(B),
+                                          np.inf, 0.0)
         reference = np.zeros_like(B)
         for u_i, w_i in zip(nodes, weights):
             reference += w_i * linalg.matrix_exponential(B, u_i / 2.0)
@@ -599,7 +601,8 @@ def test_weighted_sum_of_a_scalar_adds_in_node_order():
     for u_i, w_i in zip(nodes, weights):
         reference += w_i * linalg.matrix_exponential(B, u_i / 2.0)
     assert np.array_equal(semigroup._weighted_sum(
-        B, 2.0, nodes, weights, linalg.exponentials_of(B)), reference)
+        B, 2.0, nodes, weights, linalg.exponentials_of(B), np.inf, 0.0),
+        reference)
 
 
 def test_matrix_exponentials_overflow_names_first_t():

@@ -194,6 +194,32 @@ def count_expm_calls(monkeypatch):
     return calls
 
 
+def kernel_calls(monkeypatch):
+    """Wrap linalg.exponentials_of; the list gets one list per map, in the
+    order the maps are made, of the ts of each of that map's calls."""
+    maps = []
+    original = linalg.exponentials_of
+
+    def recorded(B):
+        expm, calls = original(B), []
+        maps.append(calls)
+        return lambda ts: calls.append(np.array(ts)) or expm(ts)
+
+    monkeypatch.setattr(linalg, "exponentials_of", recorded)
+    return maps
+
+
+def assert_one_call_per_rule(calls, lam, power, m):
+    """calls holds one kernel call per Gauss-Laguerre rule, of m0, 2 m0,
+    ..., 2m nodes, each call's ts a prefix of its rule's nodes / lambda."""
+    sizes = [semigroup.START_NODE_COUNT << k for k in range(len(calls))]
+    assert sizes[-1] == 2 * m
+    for ts, size in zip(calls, sizes):
+        nodes, _ = semigroup.laguerre_rule(size, power=power)
+        assert 0 < len(ts) <= size
+        assert np.array_equal(ts, nodes[:len(ts)] / lam)
+
+
 def test_simpson_doubles_until_self_check_passes():
     closed = semigroup.abel_average_closed(STIFF, 1.0)
     quad, panels = simpson(STIFF, 1.0)
@@ -235,23 +261,29 @@ def test_simpson_takes_one_binary_powering_per_run(monkeypatch):
 
 
 def test_gauss_laguerre_runs_once_at_m_and_2m(monkeypatch):
-    # STIFF settles at the starting count: m and 2m nodes, each taken once
-    calls = count_expm_calls(monkeypatch)
+    # STIFF settles at the starting count: the rules of m and 2m nodes, each
+    # in one kernel call
+    maps = kernel_calls(monkeypatch)
     _, nodes = semigroup.abel_average_quadrature(STIFF, 1.0)
-    m = semigroup.START_NODE_COUNT
-    assert nodes == m
-    assert len(calls) == 3 * m
+    (calls,) = maps
+    assert nodes == semigroup.START_NODE_COUNT
+    assert len(calls) == 2
+    assert_one_call_per_rule(calls, 1.0, 0.0, nodes)
 
 
 def test_gauss_laguerre_doubles_until_self_check_passes(monkeypatch):
     # ||B|| / lambda = 20: 64 against 128 nodes disagree, 128 against 256
-    # agree; settling at m takes m0 + 2 m0 + ... + 2m = 4m - m0 expm calls
-    calls = count_expm_calls(monkeypatch)
+    # agree; settling at m takes the rules of m0, 2 m0, ..., 2m nodes, one
+    # kernel call each, and no t twice
+    maps = kernel_calls(monkeypatch)
     B = np.array([[-20.0]])
     quad, nodes = semigroup.abel_average_quadrature(B, 1.0)
+    (calls,) = maps
     assert nodes == 128
-    assert len(calls) == 4 * nodes - semigroup.START_NODE_COUNT
-    assert len(set(calls)) == len(calls)
+    assert len(calls) == 3
+    assert_one_call_per_rule(calls, 1.0, 0.0, nodes)
+    ts = np.concatenate(calls)
+    assert len(set(ts)) == len(ts)
     assert abs(quad[0, 0] - 1.0 / 21.0) <= 1e-8 / 21.0
 
 
@@ -312,28 +344,37 @@ def _tail_cases():
     yield STIFF, 1.0
 
 
-def test_weighted_sum_head_matches_the_full_rule(monkeypatch):
-    # the tail is dropped only where no tail term can change a bit of the
-    # sum: every rule equals the full rule, while each rule of the 21
-    # normal generators skips nodes (22 to 54 of 64 or 128 exponentiated)
-    skipped = 0
-    for B, lam in _tail_cases():
+def test_gauss_laguerre_drops_less_than_the_integrals_norm(monkeypatch):
+    # rho = (lambda / (lambda + ||B||_F))^(p + 1) bounds the norm of the
+    # integral from below; each rule drops terms summing to at most
+    # 2^-53 rho, so it stays within 2^-52 rho of the full rule, while every
+    # rule of the 21 normal generators skips nodes
+    full_map = linalg.exponentials_of
+    rules = []
+    original = semigroup._weighted_sum
+
+    def recorded(*args):
+        rules.append((args[2], args[3], original(*args)))
+        return rules[-1][2]
+
+    monkeypatch.setattr(semigroup, "_weighted_sum", recorded)
+    maps = kernel_calls(monkeypatch)
+    for i, (B, lam) in enumerate(_tail_cases()):
         B = linalg.as_matrix(B, square=True)
-        expm = linalg.exponentials_of(B)
-        mu = linalg.log_norm(B)
+        closed = semigroup.abel_average_closed(B, lam)
         for power in (0.0, 3.0):
-            for m in (64, 128):
-                nodes, weights = semigroup.laguerre_rule(m, power=power)
-                calls = count_expm_calls(monkeypatch)
-                value = semigroup._weighted_sum(
-                    B, lam, nodes, weights, linalg.exponentials_of(B), mu)
-                monkeypatch.undo()
-                assert np.array_equal(
-                    value, reference_weighted_sum(B, lam, nodes, weights,
-                                                  expm))
-                assert calls == list(nodes[:len(calls)] / lam)
-                skipped += len(calls) < m
-    assert skipped == 4 * 21
+            rho = (lam / (lam + np.linalg.norm(B))) ** (power + 1.0)
+            assert rho <= np.linalg.norm(
+                np.linalg.matrix_power(closed, int(power) + 1), 2)
+            rules.clear()
+            _, m = semigroup._gauss_laguerre(
+                B, lam, power, linalg.exponentials_of(B), linalg.log_norm(B))
+            assert_one_call_per_rule(maps[-1], lam, power, m)
+            for (nodes, weights, value), ts in zip(rules, maps[-1]):
+                full = reference_weighted_sum(B, lam, nodes, weights,
+                                              full_map(B))
+                assert np.linalg.norm(value - full, 2) <= 2.0 ** -52 * rho
+                assert len(ts) < len(nodes) or i >= 21
 
 
 def test_gauss_laguerre_skips_the_tail_of_a_normal_generator(monkeypatch):
@@ -346,46 +387,29 @@ def test_gauss_laguerre_skips_the_tail_of_a_normal_generator(monkeypatch):
     assert len(calls) < 3 * semigroup.START_NODE_COUNT
 
 
-def test_gauss_laguerre_falls_back_on_a_zero_component(monkeypatch):
-    # the same decay, but a diagonal B leaves the head sum's off-diagonal
-    # entries exactly 0, which any tail term could change: each rule takes
-    # its head, then its tail.  A real B's sum has no imaginary part at
-    # all, so each of its rules goes whole, in one call
-    original = linalg.exponentials_of
-    stacks = []
-
-    def counted(B):
-        expm = original(B)
-        return lambda ts: stacks.append(len(ts)) or expm(ts)
-
-    monkeypatch.setattr(linalg, "exponentials_of", counted)
-    for B, calls_per_rule in (
-            (np.diag([-1.0 + 0.3j, -0.6 - 0.2j, -1.5 + 0.5j]), 2),
-            (STIFF, 1)):
-        stacks.clear()
-        _, nodes = semigroup.abel_average_quadrature(B, 1.0)
-        assert nodes == semigroup.START_NODE_COUNT
-        assert sum(stacks) == 3 * semigroup.START_NODE_COUNT
-        assert len(stacks) == 2 * calls_per_rule
-
-
-def test_weighted_sum_keeps_nodes_whose_rounding_factor_passes_two(
+def test_gauss_laguerre_skips_the_tail_of_a_diagonal_or_real_generator(
         monkeypatch):
-    # a normal B with eigenvalues -0.5 + 1e12 i and -0.8 - 3e11 i: e^(t mu)
-    # decays and the head's sum has no zero part, so 33 of the 64 nodes
-    # would be dropped, but ||t B||_1 reaches 3e14, where the kernel's
-    # squarings may round by more than the bound's factor 2 allows
-    Q, _ = np.linalg.qr(np.array([[1.0, 2.0j], [0.5, -1.0]]))
-    B = (Q * np.array([-0.5 + 1e12j, -0.8 - 3e11j])) @ Q.conj().T
-    nodes, weights = semigroup.laguerre_rule(64)
-    calls = count_expm_calls(monkeypatch)
-    value = semigroup._weighted_sum(B, 1.0, nodes, weights,
-                                    linalg.exponentials_of(B),
-                                    linalg.log_norm(B))
-    assert len(calls) == 64
-    monkeypatch.undo()
-    assert np.array_equal(value, reference_weighted_sum(
-        B, 1.0, nodes, weights, linalg.exponentials_of(B)))
+    # their sums hold exact zeros (a diagonal B's off-diagonal entries, a
+    # real B's imaginary parts), which the bound against the integral's
+    # norm does not look at: each rule skips nodes, in one kernel call
+    for B in (np.diag([-1.0 + 0.3j, -0.6 - 0.2j, -1.5 + 0.5j]), STIFF):
+        maps = kernel_calls(monkeypatch)
+        _, nodes = semigroup.abel_average_quadrature(B, 1.0)
+        monkeypatch.undo()
+        (calls,) = maps
+        assert nodes == semigroup.START_NODE_COUNT
+        assert len(calls) == 2
+        assert_one_call_per_rule(calls, 1.0, 0.0, nodes)
+        assert sum(map(len, calls)) < 3 * nodes
+
+
+def test_gauss_laguerre_keeps_node_0_of_every_rule():
+    # e^(-40000 u_i) is below 2^-53 rho at every node, and 0 in doubles at
+    # node 0 of the 64-node rule but not at that of the 128-node rule: with
+    # no node kept every rule would be 0 and settle at once, as the full
+    # rules do not
+    with pytest.raises(QuadratureUnstable, match=r"1024 and 2048"):
+        semigroup.abel_average_quadrature(np.array([[-40000.0]]), 1.0)
 
 
 def test_log_norm_is_the_top_eigenvalue_of_the_hermitian_part(
@@ -424,13 +448,15 @@ def test_log_norm_rejects_bad_input():
 
 def test_gauss_laguerre_cap_raises_quadrature_unstable(monkeypatch):
     # with the cap at the starting count, only 64 against 128 nodes runs
-    calls = count_expm_calls(monkeypatch)
+    maps = kernel_calls(monkeypatch)
     m = semigroup.START_NODE_COUNT
     monkeypatch.setattr(semigroup, "MAX_NODE_COUNT", m)
     with pytest.raises(QuadratureUnstable,
                        match=r"gauss_laguerre with weight u\^0 .*64 and 128"):
         semigroup.abel_average_quadrature(np.array([[-20.0]]), 1.0)
-    assert len(calls) == 3 * m
+    (calls,) = maps
+    assert len(calls) == 2
+    assert_one_call_per_rule(calls, 1.0, 0.0, m)
 
 
 def test_simpson_cap_raises_quadrature_unstable(monkeypatch):

@@ -17,12 +17,13 @@ against two checkouts' src/ (chosen by PYTHONPATH) compare with
 ``diff -r``: any changed report, CSV, exit code or message shows.
 
 The corpus covers certify, abel-power, cesaro, semigroup (several lambda
-and n, dimensions 1 to 64, a strongly non-normal generator, and the
-numerical failures: overflow, a divergent integral, a resolvent pole, an
-unsettled Simpson rule and an underflowed power), oscillator (with its gap underflow and tail-bound
-overflow), generate, the input errors (malformed matrix files among
-them), and finite matrices whose products or 2-norm overflow, so every
-failure message the CLI prints shows in stderr.txt.  Exits 0 when
+and n, dimensions 1 to 64, a strongly non-normal generator, a complex
+diagonal one, and the numerical failures: overflow, a divergent
+integral, a resolvent pole, an unsettled Simpson rule and an underflowed
+power), oscillator (with its gap underflow and tail-bound overflow),
+generate, the input errors (malformed matrix files among them), and
+finite matrices whose products or 2-norm overflow, so every failure
+message the CLI prints shows in stderr.txt.  Exits 0 when
 every request exits with the code the corpus expects (0, 2 or 3), and 1
 when any exits otherwise or raises.
 """
@@ -134,6 +135,13 @@ def corpus():
     add("semigroup-nonnormal-1e4",
         ["semigroup", write_matrix("nonnormal-1e4", stable_generator(
             4, 4, 1e4)), "--lambda", "1", "--n", "2"])
+    # a diagonal generator's sums are exactly 0 off the diagonal; the
+    # Gauss-Laguerre tail bound does not look at them, so its rules skip
+    # nodes as a dense one's do
+    add("semigroup-complex-diagonal",
+        ["semigroup", write_matrix("complex-diagonal", np.diag(
+            [-1.0 + 0.3j, -0.6 - 0.2j, -1.5 + 0.5j])), "--lambda", "1",
+         "--n", "3"])
     for c in ("1e18", "1e20"):
         path = write_matrix(f"jordan-{c}", jordan_generator(21, float(c)))
         add(f"semigroup-overflow-{c}",
