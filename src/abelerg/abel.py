@@ -52,7 +52,7 @@ class ConvergenceReport:
 
     steps is the exponent 2^k reached when convergence (or divergence) was
     declared.  history has one (exponent, defect_bound) row per doubling,
-    where defect_bound is the upper bound that linalg.norm_at_most takes
+    where defect_bound is the upper bound that linalg._norm_at_most takes
     of the Cauchy increment ||M^(2^(k+1)) - M^(2^k)||_2 (the Frobenius
     norm, or the exact 2-norm for M of size 2x2 or 1x1), or inf on blow-up.
     final_defect is the exact SVD 2-norm of the last increment, or inf on
@@ -104,13 +104,14 @@ def power_iterate(M, tol=DEFAULT_TOL):
     ||L^2 - L|| <= 10 tol of the candidate L; and the fixed-point identity
     ||M L - L|| <= 10 tol.  The last two reject spurious fixed points of
     squaring (for instance a sign-alternating factor, whose even powers
-    are constant).  Each test is linalg.norm_at_most, which decides as the
-    SVD 2-norm would but mostly from O(n^2) bounds, so an SVD is taken only
-    for the reported final_defect and for the rare test the bounds leave
-    open (every test of a 2x2 or smaller M takes one, as norm_at_most does
-    there).  Divergence is an in-band result: reason "blow_up" when any
-    entry climbs past BLOW_UP_THRESHOLD, "no_cauchy" when
-    DEFAULT_MAX_DOUBLINGS doublings do not settle it.
+    are constant).  Each test is linalg._norm_at_most, which decides as
+    the SVD 2-norm would but mostly from O(n^2) bounds, so an SVD is taken
+    only for the reported final_defect and for the rare test the bounds
+    leave open (every test of a 2x2 or smaller M takes one, as
+    _norm_at_most does there).  The tests run under this function's
+    np.errstate, as _norm_at_most asks.  Divergence is an in-band result:
+    reason "blow_up" when any entry climbs past BLOW_UP_THRESHOLD,
+    "no_cauchy" when DEFAULT_MAX_DOUBLINGS doublings do not settle it.
     """
     M = linalg.as_matrix(M, square=True)
     tol = linalg.check_tolerance("tol", tol)
@@ -119,7 +120,6 @@ def power_iterate(M, tol=DEFAULT_TOL):
     exponent = 1
     previous = 0.0  # no bound before the first doubling to halve
     floor = 8.0 * M.shape[0] * linalg.EPS
-    svd_per_test = max(M.shape) <= linalg.EXACT_NORM_MAX_DIMENSION
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(DEFAULT_MAX_DOUBLINGS):
             Q = P @ P
@@ -131,23 +131,15 @@ def power_iterate(M, tol=DEFAULT_TOL):
                     converged=False, limit=None, steps=exponent,
                     final_defect=float("inf"), history=history,
                     divergence_reason="blow_up")
-            # the gate shows Q finite, so the tests skip norm_at_most's
-            # checks; the Cauchy test is norm_at_most's, with its bracket
-            # taken here and a NormTest only where an SVD decides
+            # the gate shows Q finite, so the tests need no checks
             increment = Q - P
-            cauchy = norm = None
-            if not svd_per_test:
-                lower, upper = linalg._norm_bracket(increment)
-                cauchy = linalg._bracket_decides(lower, upper, tol)
-            if cauchy is None:
-                test = linalg._norm_at_most(increment, tol)
-                cauchy, upper, norm = test.at_most, test.upper, test.norm
+            cauchy, upper, norm = linalg._norm_at_most(increment, tol)
             history.append((exponent, upper))
             if (cauchy
                     and (upper <= 0.5 * previous or upper
                          <= floor * max(1.0, np.linalg.norm(Q)))
-                    and linalg._norm_at_most(Q @ Q - Q, 10.0 * tol)
-                    and linalg._norm_at_most(M @ Q - Q, 10.0 * tol)):
+                    and linalg._norm_at_most(Q @ Q - Q, 10.0 * tol)[0]
+                    and linalg._norm_at_most(M @ Q - Q, 10.0 * tol)[0]):
                 return ConvergenceReport(
                     converged=True, limit=Q, steps=exponent,
                     final_defect=_exact_norm(increment, norm),

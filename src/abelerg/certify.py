@@ -401,10 +401,14 @@ MAX_INSTANCE_COUNT = 1000
 def generate_instances(seed, count=200, dims=(2, 16), kinds=DEFAULT_KIND_CYCLE):
     """Generate structured random matrices S J S^{-1} with known verdicts.
 
-    kinds are cycled in order; dims is the inclusive dimension range.  The
-    returned Instance records carry the expected spectral verdict so tests
-    can assert both internal agreement and intent.
+    seed is an integer >= 0, or a nonempty list or tuple of them, so the
+    instances are reproducible from it.  kinds are cycled in order; dims is
+    the inclusive dimension range.  The returned Instance records carry the
+    expected spectral verdict so tests can assert both internal agreement
+    and intent.
     """
+    for entry in seed if isinstance(seed, (list, tuple)) and seed else [seed]:
+        linalg.check_count("seed", entry, 0)
     count = linalg.check_count("count", count, 1, MAX_INSTANCE_COUNT)
     rng = np.random.default_rng(seed)
     if not kinds:

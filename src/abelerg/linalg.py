@@ -8,16 +8,16 @@ through handles taken once at import, not through scipy.linalg's
 per-call wrappers; solve_linear and eigendecompose check each routine's
 info themselves.  A LAPACK failure (a nonzero info, or numpy's
 LinAlgError, a ValueError) leaves this module as NoConvergence, a
-numerical error.  Public functions validate their arguments; a private
-kernel (_norm_at_most) skips that for callers whose own checks already
-show the matrix finite.  Matrix exponentials come from one
-batched scaling-and-squaring kernel that takes a whole stack of exp(t B)
-in one Pade-13 pass, built from the powers of a power-of-two multiple of
-B.  exponentials_of(B) validates B and takes those powers once, and
-returns the map ts -> stack, so a caller that exponentiates one B many
-times pays for them once; matrix_exponential(B, t) is that map's one
-call at one t.  log_norm(B) bounds every slice's norm: ||exp(t B)||_2 <=
-e^(t mu_2(B)) for t >= 0.
+numerical error.  Public functions validate their arguments; the one
+"small norm" test, _norm_at_most, is private and skips that for callers
+whose own checks already show the matrix finite.  Matrix exponentials
+come from one batched scaling-and-squaring kernel that takes a whole
+stack of exp(t B) in one Pade-13 pass, built from the powers of a
+power-of-two multiple of B.  exponentials_of(B) validates B and takes
+those powers once, and returns the map ts -> stack, so a caller that
+exponentiates one B many times pays for them once;
+matrix_exponential(B, t) is that map's one call at one t.  log_norm(B)
+bounds every slice's norm: ||exp(t B)||_2 <= e^(t mu_2(B)) for t >= 0.
 """
 
 import functools
@@ -25,7 +25,6 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -39,12 +38,12 @@ EPS = float(np.finfo(np.float64).eps)
 MAX_DIMENSION = 512
 
 # Relative margin by which the O(mn) norm bounds must clear a threshold
-# before norm_at_most trusts them.  Rounding moves the bounds and the SVD
+# before _norm_at_most trusts them.  Rounding moves the bounds and the SVD
 # norm by about n * eps relative, so far less than this: a decision the
 # bounds take is the decision the SVD would take.
 NORM_BOUND_MARGIN = 1e-8
 
-# norm_at_most takes the SVD 2-norm outright of matrices no larger than
+# _norm_at_most takes the SVD 2-norm outright of matrices no larger than
 # this (2x2).  Their SVD costs about 20 us, so power_iterate on them keeps
 # one exact norm per test: its history rows are the exact increments, and
 # condition (i) keeps the one SVD per doubling that the benchmark's
@@ -521,77 +520,35 @@ def operator_norms(stack):
         return np.linalg.svd(stack, compute_uv=False).max(axis=-1)
 
 
-@dataclass(frozen=True)
-class NormTest:
-    """Outcome of norm_at_most; true exactly when the norm is small.
-
-    upper is the O(mn) upper bound on ||A||_2, or the SVD 2-norm itself for
-    a matrix no larger than EXACT_NORM_MAX_DIMENSION; norm is the SVD
-    2-norm when one was taken, else None.
-    """
-
-    at_most: bool
-    upper: float
-    norm: Optional[float]
-
-    def __bool__(self):
-        return self.at_most
-
-
-def norm_at_most(A, bound):
-    """Decide ||A||_2 <= bound as operator_norm would, mostly without an SVD.
-
-    This is the package's one test of "small norm".  It brackets the
-    2-norm in O(mn) work (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 6):
+def _norm_at_most(A, bound):
+    """(at_most, upper, norm): whether ||A||_2 <= bound, decided as
+    operator_norm would, mostly without an SVD.  This is the package's one
+    test of "small norm", on a complex128 A and a float bound >= 0 whose
+    callers' own checks stand for argument checks.  A matrix no larger than
+    EXACT_NORM_MAX_DIMENSION takes the SVD outright.  Otherwise one pass
+    of |A|^2 brackets the 2-norm in O(mn) work (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 6):
 
         max column 2-norm <= ||A||_2 <= ||A||_F
 
-    and answers from the bracket when it clears the bound by the relative
-    NORM_BOUND_MARGIN, else from operator_norm.  Matrices no larger than
-    EXACT_NORM_MAX_DIMENSION go straight to operator_norm, and their upper
-    is that norm.
+    and the bracket answers when it clears the bound by the relative
+    NORM_BOUND_MARGIN, else operator_norm does.  upper is ||A||_F, or the
+    SVD 2-norm where the SVD was taken outright; norm is the SVD 2-norm
+    when one was taken, else None.  Run under np.errstate with over
+    ignored: squares overflow before the entries do, and an infinite
+    bracket falls to operator_norm, which also rejects a non-finite A.
     """
-    A = as_matrix(A)
-    bound = check_real("bound", bound)
-    if bound < 0.0:
-        raise ValueError(f"bound must be >= 0, got {bound}")
-    return _norm_at_most(A, bound)
-
-
-def _norm_at_most(A, bound):
-    """norm_at_most of a complex128 matrix A and a float bound >= 0, without
-    their checks.  A non-finite A still fails: its bounds are inf or NaN,
-    so it reaches operator_norm, which rejects it."""
     if max(A.shape) <= EXACT_NORM_MAX_DIMENSION:
         norm = operator_norm(A)
-        return NormTest(norm <= bound, norm, norm)
-    with np.errstate(over="ignore"):
-        lower, upper = _norm_bracket(A)
-    at_most = _bracket_decides(lower, upper, bound)
-    if at_most is not None:
-        return NormTest(at_most, upper, None)
-    norm = operator_norm(A)
-    return NormTest(norm <= bound, upper, norm)
-
-
-def _norm_bracket(A):
-    """(max column 2-norm, Frobenius norm) of A, which bracket ||A||_2,
-    from one pass of |A|^2.  Run under np.errstate with over ignored:
-    squares overflow before the entries do, and the bracket is then
-    inf."""
+        return norm <= bound, norm, norm
     mags = np.abs(A)
     column_squares = (mags * mags).sum(axis=0)
-    return math.sqrt(column_squares.max()), math.sqrt(column_squares.sum())
-
-
-def _bracket_decides(lower, upper, bound):
-    """||A||_2 <= bound as a finite bracket (lower, upper) of _norm_bracket
-    decides it, clearing bound by the relative NORM_BOUND_MARGIN; None
-    when it does not."""
+    lower = math.sqrt(column_squares.max())
+    upper = math.sqrt(column_squares.sum())
     if upper < math.inf:
         if lower * (1.0 - NORM_BOUND_MARGIN) > bound:
-            return False
+            return False, upper, None
         if upper * (1.0 + NORM_BOUND_MARGIN) <= bound:
-            return True
-    return None
+            return True, upper, None
+    norm = operator_norm(A)
+    return norm <= bound, upper, norm

@@ -189,7 +189,10 @@ def _settle(estimates, m, max_m, rule):
     while True:
         fine = next(estimates)
         scale = max(linalg.operator_norm(fine), np.finfo(np.float64).tiny)
-        if linalg.norm_at_most(coarse - fine, SELF_CHECK_TOL * scale):
+        with np.errstate(over="ignore"):
+            settled = linalg._norm_at_most(coarse - fine,
+                                           SELF_CHECK_TOL * scale)[0]
+        if settled:
             return fine, m
         if 2 * m > max_m:
             disagreement = linalg.operator_norm(coarse - fine) / scale

@@ -308,6 +308,25 @@ def test_generate_instances_rejects_bad_arguments():
         certify.generate_instances(1, count=4, kinds=("no_such_kind",))
 
 
+@pytest.mark.parametrize("seed", [None, -1, [1, -2], []],
+                         ids=["none", "negative", "negative-entry", "empty"])
+def test_generate_instances_rejects_bad_seed(seed):
+    # None drew OS entropy, so the instances could not be reproduced; -1
+    # and [1, -2] raised numpy's message, which did not name the argument
+    with pytest.raises(ValueError, match=r"^seed must be "):
+        certify.generate_instances(seed, count=1)
+
+
+def test_generate_instances_takes_list_and_tuple_seeds():
+    # the benchmark seeds each instance from a list such as [seed, 1, i]
+    first = certify.generate_instances([3, 1, 4], count=2)
+    second = certify.generate_instances((3, 1, 4), count=2)
+    for a, b in zip(first, second):
+        assert np.array_equal(a.matrix, b.matrix)
+    assert not np.array_equal(
+        first[0].matrix, certify.generate_instances(3, count=1)[0].matrix)
+
+
 def test_verify_equivalence_rejects_empty_matrix():
     # used to fail inside numpy with "zero-size array to reduction"
     with pytest.raises(ValueError, match="nonempty"):

@@ -251,6 +251,12 @@ def test_size_flags_below_one_are_input_errors(tmp_path, capsys):
     assert "N must be >= 1" in capsys.readouterr().err
 
 
+def test_generate_negative_seed_is_an_input_error(capsys):
+    # numpy's own message, "expected non-negative integer", named no flag
+    assert run_cli(["generate", "--seed", "-1", "--count", "1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
 def test_semigroup_settles_truncated_oscillator_generator(tmp_path):
     # diag(-2n), n < 16, at lambda = 1: ||B|| / lambda = 30, which 64
     # against 128 Gauss-Laguerre nodes cannot resolve within the self-check

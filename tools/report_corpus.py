@@ -189,6 +189,8 @@ def corpus():
            ("generate-count-0", ["generate", "--seed", "1", "--count", "0"]),
            ("generate-count-negative",
             ["generate", "--seed", "1", "--count", "-1"]),
+           ("generate-seed-negative",
+            ["generate", "--seed", "-1", "--count", "1"]),
            ("semigroup-n-0", ["semigroup", small, "--lambda", "1",
                               "--n", "0"]),
            ("semigroup-n-not-integer", ["semigroup", small, "--lambda", "1",
