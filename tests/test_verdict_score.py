@@ -37,9 +37,20 @@ def test_every_cell_is_exact_in_binary64():
 def test_check_flags_rises_and_missing_counts_only():
     baseline = {"line": {"cells": 10, "wrong_i": 3, "flip_i": 1}}
     assert verdict_score.rises(
-        {"line": {"cells": 12, "wrong_i": 3, "flip_i": 0}}, baseline) == []
+        {"line": {"cells": 10, "wrong_i": 3, "flip_i": 0}}, baseline) == []
     assert verdict_score.rises(
         {"line": {"cells": 10, "wrong_i": 4, "flip_ii": 0}}, baseline) == [
-            "line.wrong_i: 4, baseline 3", "line.flip_ii: 0, baseline None"]
+            "line.wrong_i: 4, baseline 3", "line.flip_i: None, baseline 1",
+            "line.flip_ii: 0, baseline None"]
     assert verdict_score.rises({"near1": {"wrong_ii": 0}}, baseline) == [
-        "near1.wrong_ii: 0, baseline None"]
+        "line.cells: None, baseline 10", "line.wrong_i: None, baseline 3",
+        "line.flip_i: None, baseline 1", "near1.wrong_ii: 0, baseline None"]
+
+
+def test_check_flags_a_change_of_cells_either_way():
+    # fewer cells would lower every count and hide wrong verdicts
+    baseline = {"line": {"cells": 10, "wrong_i": 3}}
+    for cells in (9, 11):
+        assert verdict_score.rises(
+            {"line": {"cells": cells, "wrong_i": 0}}, baseline) == [
+                f"line.cells: {cells}, baseline 10"]
