@@ -55,7 +55,8 @@ class ConvergenceReport:
     where defect_bound is the upper bound that linalg._norm_at_most takes
     of the Cauchy increment ||M^(2^(k+1)) - M^(2^k)||_2 (the Frobenius
     norm, or the exact 2-norm for M of size 2x2 or 1x1), or inf on blow-up.
-    final_defect is the exact SVD 2-norm of the last increment, or inf on
+    final_defect is the deciding test's bound on the last increment: its
+    SVD 2-norm where that test took one, else the last row, or inf on
     blow-up.  divergence_reason is "blow_up" or "no_cauchy" when converged
     is False.
     """
@@ -106,9 +107,9 @@ def power_iterate(M, tol=DEFAULT_TOL):
     squaring (for instance a sign-alternating factor, whose even powers
     are constant).  Each test is linalg._norm_at_most, which decides as
     the SVD 2-norm would but mostly from O(n^2) bounds, so an SVD is taken
-    only for the reported final_defect and for the rare test the bounds
-    leave open (every test of a 2x2 or smaller M takes one, as
-    _norm_at_most does there).  The tests run under this function's
+    only for the rare test the bounds leave open (every test of a 2x2 or
+    smaller M takes one, as _norm_at_most does there), and final_defect
+    is the last Cauchy test's own number.  The tests run under this function's
     np.errstate, as _norm_at_most asks.  Divergence is an in-band result:
     reason "blow_up" when any entry climbs past BLOW_UP_THRESHOLD,
     "no_cauchy" when DEFAULT_MAX_DOUBLINGS doublings do not settle it.
@@ -132,9 +133,9 @@ def power_iterate(M, tol=DEFAULT_TOL):
                     final_defect=float("inf"), history=history,
                     divergence_reason="blow_up")
             # the gate shows Q finite, so the tests need no checks
-            increment = Q - P
-            cauchy, upper, norm = linalg._norm_at_most(increment, tol)
+            cauchy, upper, norm = linalg._norm_at_most(Q - P, tol)
             history.append((exponent, upper))
+            defect = norm if norm is not None else upper
             if (cauchy
                     and (upper <= 0.5 * previous or upper
                          <= floor * max(1.0, np.linalg.norm(Q)))
@@ -142,20 +143,14 @@ def power_iterate(M, tol=DEFAULT_TOL):
                     and linalg._norm_at_most(M @ Q - Q, 10.0 * tol)[0]):
                 return ConvergenceReport(
                     converged=True, limit=Q, steps=exponent,
-                    final_defect=_exact_norm(increment, norm),
-                    history=history)
+                    final_defect=defect, history=history)
             P = Q
             previous = upper
             exponent *= 2
     return ConvergenceReport(
         converged=False, limit=None, steps=exponent,
-        final_defect=_exact_norm(increment, norm), history=history,
+        final_defect=defect, history=history,
         divergence_reason="no_cauchy")
-
-
-def _exact_norm(X, norm):
-    """||X||_2: norm, the SVD norm a test of X took, or a new SVD."""
-    return norm if norm is not None else linalg.operator_norm(X)
 
 
 def riesz_projection_at_one(T, rank_tol):

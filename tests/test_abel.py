@@ -218,7 +218,13 @@ def test_power_iterate_matches_svd_per_doubling_reference():
         assert rep.converged == converged
         assert rep.steps == steps
         assert rep.divergence_reason == reason
-        assert rep.final_defect == history[-1][1]
+        # final_defect is the last Cauchy test's own bound: exact where
+        # that test took an SVD, as every test of a 2x2 or smaller does
+        exact = history[-1][1]
+        assert exact * (1.0 - 1e-12) <= rep.final_defect \
+            <= rep.history[-1][1]
+        if A.shape[0] <= linalg.EXACT_NORM_MAX_DIMENSION:
+            assert rep.final_defect == exact
         if converged:
             assert np.array_equal(rep.limit, limit)
         else:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from abelerg import abel, certify, linalg
-from abelerg.errors import Overflow
+from abelerg.errors import Overflow, ResolventPole
 
 
 def jordan_block():
@@ -38,6 +38,97 @@ def test_condition_i_resolvent_pole_recorded():
     cert = certify.check_power_convergence(np.diag([2.0]), alphas=(0.5,))
     assert cert.verdict == certify.VERDICT_DIVERGED
     assert cert.per_alpha[0].outcome == "resolvent_pole"
+
+
+def count_power_iterations(monkeypatch):
+    """A list that grows by one entry per abel.power_iterate call."""
+    calls = []
+    original = abel.power_iterate
+    monkeypatch.setattr(abel, "power_iterate",
+                        lambda A, tol: calls.append(1) or original(A, tol))
+    return calls
+
+
+def test_condition_i_stops_at_the_first_divergence(monkeypatch):
+    # the eigenvalue 1.5 escapes at alpha = 0.1; 0.5 and 0.9 never run
+    calls = count_power_iterations(monkeypatch)
+    cert = certify.check_power_convergence(np.diag([1.5, 0.3]),
+                                           certify.DEFAULT_ALPHAS)
+    assert cert.verdict == certify.VERDICT_DIVERGED
+    assert [ev.alpha for ev in cert.per_alpha] == [0.1]
+    assert len(cert.witnesses) == 1 and cert.max_limit_mismatch is None
+    assert len(calls) == 1
+
+
+def test_condition_i_stops_at_a_pole_of_the_smallest_alpha(monkeypatch):
+    # 1/alpha = 10 is the eigenvalue 10 at alpha = 0.1
+    calls = count_power_iterations(monkeypatch)
+    cert = certify.check_power_convergence(np.diag([10.0, 0.3]),
+                                           (0.9, 0.5, 0.1))
+    assert cert.verdict == certify.VERDICT_DIVERGED
+    assert [(ev.alpha, ev.outcome) for ev in cert.per_alpha] == [
+        (0.1, "resolvent_pole")]
+    assert cert.witnesses == [{"kind": "resolvent_pole", "value": 0.1}]
+    assert calls == []
+
+
+def reference_condition_i(T, alphas, tol=abel.DEFAULT_TOL):
+    """Condition (i) without the early stop: every alpha in ascending
+    order, and the limit mismatch by operator_norm.  Returns the verdict,
+    the per-alpha (alpha, outcome, steps) rows and the limits."""
+    rows, limits = [], []
+    for a in sorted(alphas):
+        try:
+            report = abel.power_iterate(abel.abel_average(T, a), tol)
+        except ResolventPole:
+            rows.append((a, "resolvent_pole", None))
+            continue
+        rows.append((a, "converged" if report.converged
+                     else report.divergence_reason, report.steps))
+        if report.converged:
+            limits.append(report.limit)
+    converged = len(limits) == len(rows) and all(
+        linalg.operator_norm(L - K) <= 10.0 * tol
+        for i, L in enumerate(limits) for K in limits[i + 1:])
+    verdict = certify.VERDICT_CONVERGED_ALL if converged \
+        else certify.VERDICT_DIVERGED
+    return verdict, rows, limits
+
+
+def test_condition_i_verdicts_match_the_every_alpha_reference():
+    matrices = [inst.matrix for inst in
+                certify.generate_instances(3, count=120, dims=(2, 16))]
+    matrices += [np.diag([complex(1.0, b), 0.3])
+                 for b in (1e-5, 1e-7, 1e-10)]
+    # every alpha converges, to limits of norm 2e6 that differ by 2.3e-9
+    matrices.append(np.array([[1.0, 1e6, 0.0], [0.0, 0.5, 0.0],
+                              [0.0, 0.0, 0.2]]))
+    verdicts, pairs, bound = set(), 0, 10.0 * abel.DEFAULT_TOL
+    for T in matrices:
+        cert = certify.check_power_convergence(T, certify.DEFAULT_ALPHAS)
+        verdict, rows, limits = reference_condition_i(
+            T, certify.DEFAULT_ALPHAS)
+        assert cert.verdict == verdict
+        ran = [(ev.alpha, ev.outcome, ev.steps) for ev in cert.per_alpha]
+        assert ran == rows[:len(ran)]
+        # every alpha up to the first failure ran, and none after it
+        assert len(ran) == next(
+            (i + 1 for i, row in enumerate(rows) if row[1] != "converged"),
+            len(rows))
+        for i, L in enumerate(limits):
+            for K in limits[i + 1:]:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    at_most = linalg._norm_at_most(L - K, bound)[0]
+                assert at_most == (linalg.operator_norm(L - K) <= bound)
+                pairs += 1
+        verdicts.add(verdict)
+    assert verdicts == {certify.VERDICT_CONVERGED_ALL,
+                        certify.VERDICT_DIVERGED}
+    assert pairs > 0
+    # the last matrix fails on its limits alone
+    assert cert.witnesses == [
+        {"kind": "limit_mismatch", "value": cert.max_limit_mismatch}]
+    assert cert.max_limit_mismatch > bound
 
 
 def test_condition_ii_holds_on_projection_like_matrix():

@@ -146,6 +146,18 @@ def test_certify_custom_alphas(tmp_path):
     assert alphas == [0.25, 0.75]
 
 
+def test_certify_runs_alphas_in_ascending_order(tmp_path):
+    path = write_matrix(tmp_path, "m.json", np.diag([1.0, 0.5]))
+    out = tmp_path / "report.json"
+    code = run_cli(["certify", path, "--alpha", "0.9", "--alpha", "0.1",
+                    "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    alphas = [row["alpha"] for row in report["condition_i"]["per_alpha"]]
+    assert alphas == [0.1, 0.9]
+    assert report["tolerances_used"]["alphas"] == [0.9, 0.1]
+
+
 def test_parser_state_does_not_leak_between_requests(tmp_path):
     # main reuses one parser per process; an earlier --alpha must not
     # become a later request's default
@@ -172,7 +184,7 @@ def test_abel_power_writes_history(tmp_path):
         lines = handle.read().splitlines()
     assert lines[0] == "exponent,defect_bound"
     assert len(lines) >= 3
-    # rows are upper bounds; the report's final_defect is the exact 2-norm
+    # rows are upper bounds; final_defect is the deciding test's bound
     assert float(lines[-1].split(",")[1]) >= report["final_defect"]
     limit = matrixio.matrix_from_payload(report["limit"])
     assert np.allclose(limit, np.diag([1.0, 0.0]), atol=1e-8)

@@ -42,6 +42,11 @@ each next to the scipy or numpy call it wraps or stands for:
                       report holding an n x n matrix; json.dumps of it
                       with sorted keys
 
+condition_i times certify.check_power_convergence at the default alphas
+on one seeded "holds" and one seeded "escape" instance of
+certify.generate_instances at n = 64 and 128: the first runs every alpha
+and compares the limits, the second stops at the alpha that diverges.
+
 After one untimed call, every call is timed R times, and the minimum and
 median are printed in microseconds.  Set OPENBLAS_NUM_THREADS=1 for
 timings comparable with the benchmark's.  The script asserts nothing
@@ -57,11 +62,12 @@ import time
 import numpy as np
 import scipy.linalg
 
-from abelerg import abel, linalg, matrixio, semigroup
+from abelerg import abel, certify, linalg, matrixio, semigroup
 
 DIMENSIONS = (2, 8, 16, 32, 64)
 SMALL_DIMENSIONS = (2, 8, 16)
 CHECK_DIMENSIONS = (2, 4, 8)
+CONDITION_I_DIMENSIONS = (64, 128)
 
 
 def stable_generator(rng, n):
@@ -166,13 +172,25 @@ def main(argv=None):
             B, 1.0, 0.0, lambda t: ts.extend(t) or expm(t), mu)
         laguerres[f"n{n}"].update(nodes=4 * m - semigroup.START_NODE_COUNT,
                                   exponentiated_nodes=len(ts))
+    condition_i = {}
+    for n in CONDITION_I_DIMENSIONS:
+        for kind in ("holds", "escape"):
+            T = certify.generate_instances(
+                n, count=1, dims=(n, n), kinds=(kind,))[0].matrix
+            low, mid = time_call(lambda: certify.check_power_convergence(
+                T, certify.DEFAULT_ALPHAS), args.repeats)
+            condition_i[f"{kind}_n{n}"] = {
+                "n": n, "min_us": round(low, 1), "median_us": round(mid, 1),
+                "verdict": certify.check_power_convergence(
+                    T, certify.DEFAULT_ALPHAS).verdict}
     print(json.dumps({
         "what": "in-process time per call: maps of "
                 "linalg.exponentials_of (timings_us), the small kernels "
                 "next to their scipy or numpy references "
                 "(small_kernels_us), semigroup.check (semigroup_check_us), "
-                "its truncated Simpson (simpson_us) and its Gauss-Laguerre "
-                "average (gauss_laguerre_us)",
+                "its truncated Simpson (simpson_us), its Gauss-Laguerre "
+                "average (gauss_laguerre_us) and condition (i) "
+                "(condition_i_us)",
         "repeats": args.repeats,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "numpy": np.__version__,
@@ -180,7 +198,8 @@ def main(argv=None):
         "small_kernels_us": small,
         "semigroup_check_us": checks,
         "simpson_us": simpsons,
-        "gauss_laguerre_us": laguerres}, indent=1))
+        "gauss_laguerre_us": laguerres,
+        "condition_i_us": condition_i}, indent=1))
     return 0
 
 
