@@ -83,7 +83,8 @@ def _check_alphas(alphas):
 
 
 def check_power_convergence(T, alphas, tol=abel.DEFAULT_TOL):
-    """Condition (i): iterate the powers of A_alpha, alpha ascending.
+    """Condition (i): iterate the powers of A_alpha, each distinct alpha
+    once, ascending.
 
     Verdict is "converged_all" only if every alpha converges and all the
     limits agree pairwise to 10 * tol, each pair by linalg._norm_at_most;
@@ -97,7 +98,7 @@ def check_power_convergence(T, alphas, tol=abel.DEFAULT_TOL):
     T = linalg.as_matrix(T, square=True)
     per_alpha = []
     limits = []
-    for a in sorted(_check_alphas(alphas)):
+    for a in sorted(set(_check_alphas(alphas))):
         try:
             A = abel.abel_average(T, a)
         except ResolventPole:
@@ -292,7 +293,7 @@ def _similarity(rng, n, cond):
     Q1, _ = np.linalg.qr(A)
     A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     Q2, _ = np.linalg.qr(A)
-    sigma = np.logspace(0.0, np.log10(cond), n) if n > 1 else np.ones(1)
+    sigma = np.logspace(0.0, np.log10(cond), n)
     return (Q1 * sigma) @ Q2.conj().T
 
 
@@ -305,8 +306,6 @@ def _jordan(blocks, n):
             if j + 1 < size:
                 J[i + j, i + j + 1] = 1.0
         i += size
-    if i != n:
-        raise ValueError(f"block sizes sum to {i}, expected {n}")
     return J
 
 

@@ -207,8 +207,8 @@ def build_parser():
     p.set_defaults(func=cmd_semigroup)
 
     p = sub.add_parser("oscillator",
-                       help="truncated oscillator model: resolvent gaps, "
-                            "series constant, Hermite residuals")
+                       help="truncated oscillator model: resolvent gaps "
+                            "and series constant")
     p.add_argument("--lambda", dest="lam", type=float, default=2.0,
                    help="resolvent parameter lambda > 1")
     p.add_argument("--m", type=int, default=4,

@@ -38,9 +38,5 @@ class Overflow(AbelergError):
     """An intermediate value left the representable floating-point range."""
 
 
-class GridTooCoarse(AbelergError):
-    """A finite-difference residual exceeded its step-size error budget."""
-
-
 class ParseError(ValueError):
     """A matrix file violates the strict JSON schema: an input error."""

@@ -14,6 +14,7 @@ import pytest
 
 from abelerg import abel, certify, cli, linalg, matrixio, oscillator, semigroup
 from abelerg.errors import DecompositionFails
+from test_oscillator import gram_defect
 
 SUITE_SEED = 20260817
 SUITE_ALPHAS = (0.1, 0.5, 0.9)
@@ -225,11 +226,11 @@ def test_hermite():
         worst_residual = max(worst_residual, oscillator.eigen_residual(n))
     assert worst_residual <= 1e-4
 
-    gram_defect = oscillator.gram_defect(10)
-    assert gram_defect <= 1e-6
+    defect = gram_defect(10)
+    assert defect <= 1e-6
     print(f"\nPASS Hermite functions satisfy the eigenvalue equation to "
           f"{worst_residual:.1e} for n = 0..10 and are orthonormal to "
-          f"{gram_defect:.1e}")
+          f"{defect:.1e}")
 
 
 def test_report_determinism(tmp_path):

@@ -60,6 +60,20 @@ def test_condition_i_stops_at_the_first_divergence(monkeypatch):
     assert len(calls) == 1
 
 
+def test_condition_i_runs_a_repeated_alpha_once(monkeypatch):
+    # alpha = 0.5 given three times used to run three identical iterations
+    # and compare three identical limits
+    calls = count_power_iterations(monkeypatch)
+    report = certify.verify_equivalence(np.diag([1.0, 0.5, 0.2]),
+                                        alphas=(0.5, 0.5, 0.5))
+    ci = report.condition_i
+    assert ci.verdict == certify.VERDICT_CONVERGED_ALL
+    assert [ev.alpha for ev in ci.per_alpha] == [0.5]
+    assert ci.max_limit_mismatch == 0.0
+    assert len(calls) == 1
+    assert report.tolerances_used["alphas"] == [0.5, 0.5, 0.5]
+
+
 def test_condition_i_stops_at_a_pole_of_the_smallest_alpha(monkeypatch):
     # 1/alpha = 10 is the eigenvalue 10 at alpha = 0.1
     calls = count_power_iterations(monkeypatch)

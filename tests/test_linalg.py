@@ -78,8 +78,6 @@ COUNT_ARGUMENTS = {
         "n", lambda v: oscillator.hermite_function(v, 0.5)),
     "oscillator.eigen_residual": (
         "n", lambda v: oscillator.eigen_residual(v)),
-    "oscillator.gram_defect": (
-        "count", lambda v: oscillator.gram_defect(v)),
     "oscillator.check": (
         "m", lambda v: oscillator.check(2.0, v, 8)),
 }

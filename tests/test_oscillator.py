@@ -5,6 +5,21 @@ from abelerg import oscillator
 from abelerg.errors import Overflow
 
 
+def gram_defect(count):
+    """max |<x_j, x_k> - delta_jk| over the first count Hermite functions.
+
+    The inner products are trapezoidal sums on eigen_residual's grid, under
+    its reach rule for the top mode count - 1: count <= 25.
+    """
+    oscillator._check_reach(count - 1)
+    t = oscillator._grid()
+    weights = np.full(t.size, t[1] - t[0])
+    weights[[0, -1]] *= 0.5
+    rows = np.stack([oscillator.hermite_function(n, t) for n in range(count)])
+    gram = (rows * weights) @ rows.T
+    return float(np.max(np.abs(gram - np.eye(count))))
+
+
 def test_model_validation_and_eigenvalues():
     with pytest.raises(ValueError):
         oscillator.DiagonalOscillator(truncation=1)
@@ -101,17 +116,17 @@ def test_hermite_parity():
 def test_hermite_orthonormal_on_fine_grid():
     # the Gram matrix is taken on 24001 points 1e-3 apart on [-12, 12]
     assert np.array_equal(oscillator._grid(), np.linspace(-12.0, 12.0, 24001))
-    assert oscillator.gram_defect(10) <= 1e-6
+    assert gram_defect(10) <= 1e-6
 
 
 def test_gram_defect_window_validation():
-    # eigen_residual's reach rule for the top mode count - 1; counts past
-    # it used to cut the functions off at the grid's edge, and 80 and 200
-    # returned defects of 0.22 and 0.59 for orthonormal functions
-    assert oscillator.gram_defect(25) <= 1e-6
+    # all 25 modes that eigen_residual's reach rule admits are orthonormal
+    # on its grid; counts past it would cut the functions off at the
+    # grid's edge, and 80 and 200 gave defects of 0.22 and 0.59
+    assert gram_defect(25) <= 1e-6
     for count in (26, 80, 200):
         with pytest.raises(ValueError, match="turning point"):
-            oscillator.gram_defect(count)
+            gram_defect(count)
 
 
 def test_hermite_large_n_stays_finite():
@@ -145,7 +160,13 @@ def test_eigen_residual_scales_with_step():
 
 def test_eigen_residual_window_validation():
     # the fixed grid on [-12, 12] reaches 5 past the turning point
-    # sqrt(2n + 1) up to n = 24
+    # sqrt(2n + 1) up to n = 24, and each such mode's residual stays
+    # below 1e-3 times the budget 100 h^2 (2n + 3)^2, h^2 times the
+    # scale of x_n's fourth derivative
+    h = oscillator.GRID_STEP
+    for n in range(25):
+        budget = 100.0 * h * h * (2.0 * n + 3.0) ** 2
+        assert oscillator.eigen_residual(n) <= 1e-3 * budget
     assert oscillator.eigen_residual(24) <= 1e-4
     for n in (25, 30):
         with pytest.raises(ValueError, match="turning point"):
@@ -207,9 +228,8 @@ def test_check_is_the_model_quantities():
         assert {key: fields[key] for key in expected} == expected
     assert sum("gap underflowed" in text for text in messages) >= 20
     assert sum("tail bound" in text for text in messages) == 20
-    assert fields["eigen_residuals"] == {
-        str(n): oscillator.eigen_residual(n) for n in range(7)}
-    assert fields["gram_defect"] == oscillator.gram_defect(10)
+    # and nothing else: the grid checks that no input enters are tests
+    assert set(fields) == {"lambda", "m", "truncation"} | set(expected)
 
 
 def test_check_validates_truncation_then_lambda_then_m():

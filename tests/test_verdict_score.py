@@ -34,6 +34,17 @@ def test_every_cell_is_exact_in_binary64():
                     exact_product(S, part(J), S_inv), (family, k)
 
 
+def test_volterra_cell_is_exact_in_binary64():
+    # I - (L + I/2)/N rounds nowhere: 1 - 1/(2N) on the diagonal and
+    # -1/N below it, so its truth (holds: I - T is invertible) is exact
+    (T, holds), n = verdict_score.DIRECT_SUM[3], verdict_score.VOLTERRA_N
+    assert holds and T.shape == (n, n)
+    assert exact_product(T) == [
+        [Fraction(2 * n - 1, 2 * n) if i == j else
+         Fraction(-1, n) if i > j else Fraction(0) for j in range(n)]
+        for i in range(n)]
+
+
 def test_check_flags_rises_and_missing_counts_only():
     baseline = {"line": {"cells": 10, "wrong_i": 3, "flip_i": 1}}
     assert verdict_score.rises(

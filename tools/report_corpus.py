@@ -102,7 +102,9 @@ def corpus():
     first = os.path.join("inputs", "instance-00.json")
     for name, flags in (("rank-tol-1e-8", ["--rank-tol", "1e-8"]),
                         ("rank-tol-1e-6", ["--rank-tol", "1e-6"]),
-                        ("two-alphas", ["--alpha", "0.3", "--alpha", "0.7"])):
+                        ("two-alphas", ["--alpha", "0.3", "--alpha", "0.7"]),
+                        ("repeated-alpha",
+                         ["--alpha", "0.5", "--alpha", "0.5"])):
         add(f"certify-{name}", ["certify", first] + flags)
     for k, z in enumerate((1 + 1e-5j, 1 + 1e-7j, 1 + 1e-10j, 1 + 1e-11)):
         add(f"certify-near-boundary-{k}",

@@ -3,7 +3,7 @@
 
     PYTHONPATH=src python3 tools/verdict_score.py [--check FILE]
 
-Each family is T = S J S^-1 with S = [[2, 1, 0], [1, 1, 0], [0, 0, 1]]
+Four families are T = S J S^-1 with S = [[2, 1, 0], [1, 1, 0], [0, 0, 1]]
 (determinant 1) and a dyadic J, so T is exact in binary64 and its true
 verdict is a fact about the float matrix itself.  With d = 2^-k for
 k = 5, 10, ..., 50 (ten cells per family):
@@ -13,10 +13,26 @@ k = 5, 10, ..., 50 (ten cells per family):
     escape  J = diag(1, 1 + d, 1/4)              fails
     jordan  J = [[1, d, 0], [0, 1, 0], [0, 0, 1/4]]   fails
 
+A fifth family, direct_sum, holds six fixed matrices that probe the test
+of condition (ii) for the direct sum Ker(I - T) + Im(I - T): four where
+it holds, although rank(I - T) and rank((I - T)^2), each at its own
+relative threshold, come out different, and two Jordan blocks at 1
+where it fails.  Each is exact in binary64 (the Volterra section's entries are
+1 - 1/256 and -1/128):
+
+    diag(1 + 1e-6 i, 0.3)                     holds
+    [[0.5, 1000], [0, 0.5]]                   holds
+    [[1, 1e6, 0], [0, 0.5, 0], [0, 0, 0.2]]   holds
+    I - (L + I/2)/128, L the 128 x 128 strictly lower triangle of ones
+        (a section of I - V, V the Volterra operator)   holds
+    [[1, 1], [0, 1]]                          fails
+    [[1, 1e-6], [0, 1]]                       fails
+
 Every cell runs through certify.verify_equivalence at its defaults, and so
 do three relatives that keep both conditions exactly: Q T Q* (Q one Haar
-unitary per cell, drawn in cell order from numpy's default_rng(11)), the
-transpose and the complex conjugate.  Per family the score counts
+unitary per cell, drawn in cell order from numpy's default_rng(11), the
+direct_sum cells after the other four families'), the transpose and the
+complex conjugate.  Per family the score counts
 
     cells       cells scored
     wrong_i     cells where "(i) says converged_all" is not the truth
@@ -56,6 +72,17 @@ S_INV = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
 FAMILIES = ("line", "near1", "escape", "jordan")
 KS = range(5, 55, 5)
 UNITARY_SEED = 11
+VOLTERRA_N = 128
+# (T, whether (ii) truly holds) of each direct_sum cell
+DIRECT_SUM = (
+    (np.diag([1.0 + 1e-6j, 0.3]), True),
+    (np.array([[0.5, 1000.0], [0.0, 0.5]]), True),
+    (np.array([[1.0, 1e6, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.2]]), True),
+    (np.eye(VOLTERRA_N) - (np.tril(np.ones((VOLTERRA_N, VOLTERRA_N)), -1)
+                           + np.eye(VOLTERRA_N) / 2.0) / VOLTERRA_N, True),
+    (np.array([[1.0, 1.0], [0.0, 1.0]]), False),
+    (np.array([[1.0, 1e-6], [0.0, 1.0]]), False),
+)
 
 
 def jordan_form(family, d):
@@ -91,16 +118,23 @@ def verdicts(T):
             report.agree)
 
 
+def cells(family):
+    """(T, whether (ii) truly holds) of each cell of a family."""
+    if family == "direct_sum":
+        return DIRECT_SUM
+    return [(S @ J @ S_INV, truth) for J, truth in
+            (jordan_form(family, 2.0 ** -k) for k in KS)]
+
+
 def score():
-    """{family: {count: value}} over every cell, in FAMILIES order."""
+    """{family: {count: value}} over every cell, in FAMILIES order and
+    then direct_sum."""
     rng = np.random.default_rng(UNITARY_SEED)
     result = {}
-    for family in FAMILIES:
+    for family in FAMILIES + ("direct_sum",):
         counts = dict.fromkeys(("cells", "wrong_i", "wrong_ii", "wrong_both",
                                 "disagree", "flip_i", "flip_ii"), 0)
-        for k in KS:
-            J, truth = jordan_form(family, 2.0 ** -k)
-            T = S @ J @ S_INV
+        for T, truth in cells(family):
             Q = haar_unitary(rng, len(T))
             says_i, says_ii, agree = verdicts(T)
             others = [verdicts(R)[:2] for R in relatives(T, Q)]
