@@ -161,7 +161,8 @@ def riesz_projection_at_one(T, rank_tol):
     diag(I_k, 0) by [K V].  Fails loudly, with DecompositionFails, exactly
     when the two subspaces do not decompose the space: dimensions short of
     n, a stacked basis with sigma_min <= rank_tol * sigma_max, or a
-    projection whose idempotency defect exceeds 1e-8.
+    projection whose idempotency defect exceeds 1e-8 max(1, 1/sigma_min),
+    where 1/sigma_min >= ||E|| since E = K (W^-1)[:k] and K is orthonormal.
     """
     T = linalg.as_matrix(T, square=True)
     n = T.shape[0]
@@ -182,9 +183,11 @@ def riesz_projection_at_one(T, rank_tol):
     Winv = linalg.solve_linear(W, np.eye(n, dtype=np.complex128))
     E = W[:, :k] @ Winv[:k, :]
     defect = linalg.operator_norm(E @ E - E)
-    if defect > 1e-8:
+    budget = 1e-8 * max(1.0, 1.0 / s[-1])
+    if defect > budget:
         raise DecompositionFails(
-            f"projection idempotency defect {defect:.3e} exceeds 1e-8")
+            f"projection idempotency defect {defect:.3e} exceeds "
+            f"{budget:.3e}")
     return RieszProjection(matrix=E, kernel=K, image=V,
                            idempotency_defect=float(defect))
 

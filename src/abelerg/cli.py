@@ -20,9 +20,6 @@ EXIT_COMPUTED = 0
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL_FAILURE = 3
 
-HISTORY_SUFFIX = ".history.csv"
-DEFAULT_HISTORY_PATH = "abel_power_history.csv"
-
 
 def _single_alpha(values, default):
     if not values:
@@ -76,9 +73,6 @@ def cmd_abel_power(args):
     alpha = _single_alpha(args.alpha, 0.5)
     A = abel.abel_average(T, alpha)
     result = abel.power_iterate(A, tol=args.tol)
-    csv_path = (args.out + HISTORY_SUFFIX) if args.out \
-        else DEFAULT_HISTORY_PATH
-    matrixio.write_history_csv(csv_path, result.history)
     report = _report_skeleton("abel-power", {
         "matrix": matrixio.matrix_fingerprint(T),
         "alpha": alpha, "tol": args.tol,
@@ -90,7 +84,7 @@ def cmd_abel_power(args):
     report["final_defect"] = result.final_defect
     report["limit"] = matrixio.serialize_matrix(result.limit) \
         if result.converged else None
-    report["history_csv_path"] = csv_path
+    report["history"] = result.history
     return report
 
 
@@ -177,8 +171,8 @@ def build_parser():
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("abel-power",
-                       help="iterate powers of one Abel average, with a "
-                            "CSV convergence history")
+                       help="iterate powers of one Abel average, with its "
+                            "per-doubling convergence history")
     _add_matrix_argument(p)
     p.add_argument("--alpha", action="append", type=float, default=None,
                    help="Abel parameter in (0, 1) (default 0.5)")

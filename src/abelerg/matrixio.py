@@ -1,4 +1,4 @@
-"""Strict matrix JSON format, canonical report serialization, CSV history.
+"""Strict matrix JSON format and canonical report serialization.
 
 The matrix interchange format is a JSON object with exactly the keys
 "rows", "cols", and "data", where data is the row-major flattened list of
@@ -10,7 +10,6 @@ Reports are serialized canonically (sorted keys, fixed float format) so
 that byte-identical inputs produce byte-identical output files.
 """
 
-import csv
 import hashlib
 import json
 import math
@@ -197,11 +196,3 @@ def write_report(path, report):
         handle.write(text)
     return text
 
-
-def write_history_csv(path, history):
-    """Write (exponent, defect_bound) rows with a fixed header, LF line ends."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["exponent", "defect_bound"])
-        for exponent, bound in history:
-            writer.writerow([int(exponent), format(float(bound), ".17g")])

@@ -316,6 +316,18 @@ def test_riesz_projection_commutes_and_projects():
         assert np.linalg.norm(E @ T - E, 2) <= 1e-9
 
 
+def test_riesz_projection_idempotency_is_relative_to_its_norm():
+    # ||E|| = 2e6: rounding leaves E^2 - E near 1e-4, far above 1e-8 but
+    # within 1e-8 ||E||, and the direct sum holds
+    T = np.array([[1.0, 1e6, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.2]])
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    proj = abel.riesz_projection_at_one(Q @ T @ Q.conj().T, 1e-8)
+    assert proj.kernel.shape[1] == 1
+    assert 1e-8 < proj.idempotency_defect <= 1e-8 * np.linalg.norm(
+        proj.matrix, 2)
+
+
 def test_spectral_map_values():
     # f_{1/2}(0) = 1/2, f_alpha(1) = 1 for every alpha
     assert abs(abel.spectral_map(0.0, 0.5) - 0.5) <= 1e-15

@@ -165,6 +165,20 @@ def test_condition_ii_jordan_rank_pair():
     assert (cert.rank_first, cert.rank_second) == (1, 0)
 
 
+def test_condition_ii_stack_defect_witness():
+    # rank pair [1, 1], but the kernel and image of I - T are 1.5e-8 apart
+    # in angle: the stacked basis has sigma_min / sigma_max = 7.5e-9
+    T = np.array([[1.0 - 1.5e-8, -1.0], [0.0, 1.0]])
+    result = certify.verify_equivalence(T)
+    cert = result.condition_ii
+    assert cert.verdict == certify.VERDICT_DECOMPOSITION_FAILS
+    assert (cert.rank_first, cert.rank_second) == (1, 1)
+    assert [w["kind"] for w in cert.witnesses] == ["stack_defect"]
+    assert "sigma_min/sigma_max = 7.500e-09" in cert.witnesses[0]["value"]
+    assert result.condition_i.verdict == certify.VERDICT_DIVERGED
+    assert result.agree
+
+
 @pytest.mark.parametrize("bad", [0.0, float("nan"), float("inf"), 1.0, 1e300])
 def test_condition_ii_rejects_bad_tolerances(bad):
     T = np.diag([1.0, 0.5])

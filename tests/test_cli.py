@@ -193,16 +193,19 @@ def test_abel_power_writes_history(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["converged"] is True
-    csv_path = report["history_csv_path"]
-    assert csv_path == str(out) + ".history.csv"
-    with open(csv_path) as handle:
-        lines = handle.read().splitlines()
-    assert lines[0] == "exponent,defect_bound"
-    assert len(lines) >= 3
+    rows = report["history"]
+    assert len(rows) >= 2
+    assert all(isinstance(exponent, int) for exponent, _ in rows)
     # rows are upper bounds; final_defect is the deciding test's bound
-    assert float(lines[-1].split(",")[1]) >= report["final_defect"]
+    assert rows[-1][1] >= report["final_defect"]
     limit = matrixio.matrix_from_payload(report["limit"])
     assert np.allclose(limit, np.diag([1.0, 0.0]), atol=1e-8)
+    # A_0.5 of [[1.5]] is [[2]]: the last row is the blow-up, as "inf"
+    path = write_matrix(tmp_path, "grow.json", [[1.5]])
+    assert run_cli(["abel-power", path, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["divergence_reason"] == "blow_up"
+    assert report["history"][-1] == [report["steps"], "inf"]
 
 
 def test_abel_power_two_alphas_is_input_error(tmp_path):
@@ -500,14 +503,16 @@ def test_bad_alpha_exit_two(tmp_path):
 
 
 def test_stdout_report_when_no_out_flag(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
     path = write_matrix(tmp_path, "m.json", np.diag([0.5]))
+    workdir = tmp_path / "workdir"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
     code = run_cli(["abel-power", path, "--alpha", "0.5"])
     assert code == 0
     captured = capsys.readouterr()
     report = json.loads(captured.out)
-    assert report["history_csv_path"] == "abel_power_history.csv"
-    assert (tmp_path / "abel_power_history.csv").exists()
+    assert report["history"]
+    assert list(workdir.iterdir()) == []
 
 
 def test_console_entry_point_help():
@@ -539,8 +544,7 @@ def test_cli_import_loads_no_scipy_special():
 
 
 def test_cli_reports_are_deterministic(tmp_path):
-    # every command, run twice on the same input to the same --out (the
-    # abel-power report names its CSV's path), writes the same bytes
+    # every command, run twice on the same input, writes the same bytes
     m = write_matrix(tmp_path, "m.json", [[1.0, 1.0], [0.0, 1.0]])
     b = write_matrix(tmp_path, "b.json", [[-1.0, 0.5], [0.0, -2.0]])
     out = tmp_path / "r.json"
@@ -550,8 +554,7 @@ def test_cli_reports_are_deterministic(tmp_path):
         outputs = []
         for _ in range(2):
             assert run_cli(args + ["--out", str(out)]) == 0
-            outputs.append(sorted((p.name, p.read_bytes())
-                                  for p in tmp_path.glob("r.json*")))
+            outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1], args[0]
 
 

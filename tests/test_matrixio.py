@@ -204,16 +204,6 @@ def test_matrix_fingerprint_ignores_memory_layout():
         matrixio.matrix_fingerprint(M.real.astype(np.complex128))
 
 
-def test_write_history_csv_format(tmp_path):
-    path = tmp_path / "history.csv"
-    matrixio.write_history_csv(path, [(1, 0.5), (2, 0.25),
-                                      (4, float("inf"))])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "exponent,defect_bound"
-    assert lines[1] == "1,0.5"
-    assert lines[3] == "4,inf"
-
-
 def test_write_report_round_trips(tmp_path):
     path = tmp_path / "report.json"
     report = {"command": "certify", "value": 0.1 + 0.2}

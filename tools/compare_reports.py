@@ -9,13 +9,12 @@ every entry of that matrix), so one line covers the field in every report.
 For every field whose value differs, the script prints how many reports it
 differs in and, when the values are floats, the largest absolute change
 |a - b| and the largest relative change |a - b| / max(|a|, |b|).  Every
-other file (history CSVs, exit_codes.txt, stderr.txt, inputs/) is
-compared byte for byte, and a differing text file shows its differing
-lines.
+other file (exit_codes.txt, stderr.txt, inputs/) is compared byte for
+byte, and a differing text file shows its differing lines.
 
 Exits 0 when only float fields differ (or nothing does), 1 when a
-non-float field, a CSV, an exit code, a stderr line, an input or the set
-of files differs, and 2 on bad usage.
+non-float field, an exit code, a stderr line, an input or the set of
+files differs, and 2 on bad usage.
 """
 
 import json

@@ -105,7 +105,8 @@ def small_cases(rng, n):
     report = {"command": "abel-power", "alpha": 0.5, "converged": True,
               "steps": result.steps, "divergence_reason": None,
               "final_defect": result.final_defect,
-              "limit": matrixio.serialize_matrix(result.limit)}
+              "limit": matrixio.serialize_matrix(result.limit),
+              "history": result.history}
     return (
         ("solve_linear", lambda: linalg.solve_linear(A, eye),
          lambda: scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), eye), 1),

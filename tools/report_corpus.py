@@ -8,13 +8,13 @@ OUTDIR as the working directory, so no report holds a path outside it.
 OUTDIR, which must be new or empty, receives:
 
     inputs/          the matrix files, written here with json.dumps
-    reports/         each request's report, and abel-power's history CSV
+    reports/         each request's report, NAME.json
     exit_codes.txt   one line per request: its name and exit code
     stderr.txt       what each request printed to stderr, by name
 
 Nothing in OUTDIR depends on OUTDIR's own path or on the time, so two runs
 against two checkouts' src/ (chosen by PYTHONPATH) compare with
-``diff -r``: any changed report, CSV, exit code or message shows.
+``diff -r``: any changed report, exit code or message shows.
 
 The corpus covers certify, abel-power, cesaro, semigroup (several lambda
 and n, dimensions 1 to 64, a strongly non-normal generator, a complex
@@ -25,7 +25,8 @@ generate, the input errors (malformed matrix files among them), and
 finite matrices whose products or 2-norm overflow, so every failure
 message the CLI prints shows in stderr.txt.  Exits 0 when
 every request exits with the code the corpus expects (0, 2 or 3), and 1
-when any exits otherwise or raises.
+when any exits otherwise or raises, or when a request left a file in
+OUTDIR besides its report.
 """
 
 import contextlib
@@ -109,6 +110,10 @@ def corpus():
     for k, z in enumerate((1 + 1e-5j, 1 + 1e-7j, 1 + 1e-10j, 1 + 1e-11)):
         add(f"certify-near-boundary-{k}",
             ["certify", write_matrix(f"near-boundary-{k}", np.diag([z, 0.3]))])
+    # rank pair [1, 1], but the stacked kernel/image basis has
+    # sigma_min / sigma_max = 7.5e-9: condition (ii)'s stack_defect witness
+    add("certify-stack-defect",
+        ["certify", write_matrix("stack-defect", [[1 - 1.5e-8, -1], [0, 1]])])
 
     # finite entries whose intermediate products leave the double range
     for name, M, expected in (
@@ -233,6 +238,18 @@ def run(name, argv):
     return code, err.getvalue()
 
 
+def side_files():
+    """Paths in the working directory that are neither an input, a
+    report nor one of the two logs."""
+    extra = sorted(set(os.listdir(".")) - {"inputs", "reports",
+                                           "exit_codes.txt", "stderr.txt"})
+    extra += [os.path.join("reports", name)
+              for name in sorted(os.listdir("reports"))
+              if not (name.endswith(".json")
+                      and os.path.isfile(os.path.join("reports", name)))]
+    return extra
+
+
 def main(argv):
     if len(argv) != 2:
         print(f"usage: {argv[0]} OUTDIR", file=sys.stderr)
@@ -254,6 +271,7 @@ def main(argv):
                               for line in err.splitlines())
             if code != expected:
                 unexpected.append(f"{name}: exit {code}, expected {expected}")
+    unexpected.extend(f"side file: {path}" for path in side_files())
     for line in unexpected:
         print(line, file=sys.stderr)
     return 1 if unexpected else 0
