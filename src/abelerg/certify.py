@@ -211,10 +211,10 @@ def _sweep_sup(T, steps, alphas=None):
 
     weighted 1 / (k + 1) without alphas (Cesaro) and 1 - alpha with them
     (Abel, all alphas as one stacked recurrence).  The sums fill a buffer
-    of linalg.STACK_CHUNK_BYTES, or of one step if more; one batched SVD
-    call takes the norms of those that differ from the sum before, as a
-    repeated sum cannot raise the sup when no weight grows with k.  +inf
-    if a sum overflows, since every later sum is then non-finite too.
+    of linalg.STACK_CHUNK_BYTES, or of one step if more.  Only those that
+    differ from the sum before can raise the sup, as no weight grows with
+    k, and _raise_sup takes exact norms only of those whose bound can.
+    +inf if a sum overflows, since every later sum is then non-finite too.
     """
     n = T.shape[0]
     m = 1 if alphas is None else len(alphas)
@@ -239,11 +239,54 @@ def _sweep_sup(T, steps, alphas=None):
             # +0, and x + -x rounds to +0)
             rows, cols = np.nonzero((sums != buffer[:i]).any(axis=(2, 3)))
             buffer[0] = buffer[i]
-            norms = linalg.operator_norms(sums[rows, cols])
-            weighted = norms / (rows + k - i + 2) if alphas is None \
-                else (1.0 - alphas[cols]) * norms
-            sup = float(weighted.max(initial=sup))
+            if alphas is None:
+                counts = rows + (k - i + 2)
+                sup = _raise_sup(sums, rows, cols, sup,
+                                 lambda norms, at: norms / counts[at])
+            else:
+                weights = 1.0 - alphas[cols]
+                sup = _raise_sup(sums, rows, cols, sup,
+                                 lambda norms, at: weights[at] * norms)
     return sup
+
+
+def _raise_sup(sums, rows, cols, sup, weigh):
+    """max(sup, the weighted norms of sums[rows, cols]) as the same float,
+    with SVDs only of the sums whose upper bound can still raise it.
+
+    weigh(values, at) weights the values of sums[rows[at], cols[at]] by a
+    positive factor or divisor, so it rounds monotonically.  The bound
+    ||S* S||_F^(1/2) >= ||S||_2 (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 6; equal at rank one) is widened by
+    linalg.NORM_BOUND_MARGIN, far above its rounding of about n^2 eps.
+    Exact norms go in descending order of weighted bound, in blocks of 1,
+    2, 4, ..., until the next bound is at most the sup.  A Gram product
+    that overflows (inf, or inf - inf = NaN) reads +inf; one that
+    underflows needs ||S||_2 < 1e-70, below S_0 = I's weighted norm.  The
+    Gram products go in sub-stacks of STACK_CHUNK_BYTES / 8 bytes.
+    """
+    count, n = len(rows), sums.shape[-1]
+    squares = np.empty(count)
+    chunk = max(1, linalg.STACK_CHUNK_BYTES // (128 * n * n))
+    for j in range(0, count, chunk):
+        part = sums[rows[j:j + chunk], cols[j:j + chunk]]
+        gram = part.conj().swapaxes(1, 2) @ part
+        flat = gram.view(np.float64)
+        squares[j:j + chunk] = np.einsum("kij,kij->k", flat, flat)
+    bounds = weigh(np.sqrt(np.sqrt(squares)) * (1.0 + linalg.NORM_BOUND_MARGIN),
+                   slice(None))
+    bounds[np.isnan(bounds)] = math.inf
+    order = np.argsort(-bounds)
+    descending = bounds[order]
+    taken, block = 0, 1
+    while True:
+        stop = min(taken + block, np.count_nonzero(descending > sup))
+        if stop <= taken:
+            return sup
+        at = order[taken:stop]
+        norms = linalg.operator_norms(sums[rows[at], cols[at]])
+        sup = float(weigh(norms, at).max(initial=sup))
+        taken, block = stop, 2 * block
 
 
 def cesaro_sup_estimate(T, N_max):

@@ -289,6 +289,18 @@ def test_sweeps_match_per_prefix_reference():
     assert_sweeps_match_reference(T, 100)
 
 
+@pytest.mark.parametrize("T", [
+    [[0.0, 1e160], [0.0, 0.0]],
+    [[0.0, 1e160 * (1.0 + 1.0j)], [0.0, 0.0]],
+    certify.generate_instances(1, count=1, kinds=("escape",))[0].matrix,
+], ids=["real", "complex", "escape"])
+def test_sweeps_match_reference_where_gram_bounds_overflow(T):
+    # finite sums whose S* S overflows to inf, or to inf - inf = NaN; a
+    # NaN bound sorted last would skip the sums that set the sup (the
+    # escape instance's reaches 8.4e272 in the Cesaro sweep)
+    assert_sweeps_match_reference(T, 1000)
+
+
 def test_sweep_memory_is_bounded():
     # one buffer of STACK_CHUNK_BYTES (here a single 1 MiB sum) and a few
     # n x n matrices whatever N_max; keeping every sum would take 50
@@ -329,18 +341,37 @@ def test_abel_sweep_norms_only_changed_sums(monkeypatch):
         S = S + P
     sizes = count_normed_matrices(monkeypatch)
     sup = certify.abel_partial_sup_estimate(np.eye(2), (0.5,), N_max)
-    assert sum(sizes) == distinct < 100
+    # the bound of s I is 2^(1/4) s, weighted 0.5; after the largest sum
+    # sets the sup near 0.5 * 2, the bounds of I and 1.5 I fall below it
+    # and every other distinct sum's bound stays above, in calls of 1, 2,
+    # 4, ... sums
+    assert distinct < 100
+    assert sizes == [1, 2, 4, 8, 16, distinct - 33]
     assert sup == reference_abel_partial_sup(np.eye(2), (0.5,), N_max)
 
 
-def test_zero_matrix_norms_one_sum_per_alpha(monkeypatch):
-    # every sum is I, so each alpha's sweep has one distinct sum
+def test_zero_matrix_norms_only_the_heaviest_sum(monkeypatch):
+    # every sum is I, so each alpha's sweep has one distinct sum; the one
+    # weighted 1 - 0.1 sets the sup, and the weighted bounds 3^(1/4) / 2
+    # and 3^(1/4) / 10 of the others fall below it
     T = np.zeros((3, 3))
     alphas = (0.1, 0.5, 0.9)
     sizes = count_normed_matrices(monkeypatch)
     sup = certify.abel_partial_sup_estimate(T, alphas, 1000)
-    assert sum(sizes) == len(alphas)
-    assert sup == reference_abel_partial_sup(T, alphas, 1000)
+    assert sizes == [1]
+    assert sup == reference_abel_partial_sup(T, alphas, 1000) == 0.9
+
+
+def test_cesaro_sweep_norms_few_of_a_gentle_instances_sums(monkeypatch):
+    # the averages approach a rank-one projection, where the bound
+    # ||S* S||_F^(1/2) is the norm itself, so most of the 1000 sums' bounds
+    # fall below the sup
+    T = certify.generate_instances(0, count=1, dims=(8, 8),
+                                   kinds=("gentle",))[0].matrix
+    sizes = count_normed_matrices(monkeypatch)
+    sup = certify.cesaro_sup_estimate(T, 1000)
+    assert sum(sizes) <= 50
+    assert sup == reference_cesaro_sup(T, 1000)
 
 
 def test_alpha_grid_is_validated_before_any_sweep(monkeypatch):

@@ -648,6 +648,20 @@ def test_operator_norm_matches_largest_singular_value():
         assert linalg.operator_norm(A[:, :1]) == np.linalg.norm(A[:, :1], 2)
 
 
+@pytest.mark.parametrize("n", [2, 9, 16])
+def test_operator_norms_of_a_sub_stack_are_the_stack_entries(n):
+    # the cesaro sweeps take the norms of a chosen few sums of a stack and
+    # rely on getting the bits the whole stack's call would give
+    rng = np.random.default_rng(n)
+    stack = rng.normal(size=(40, n, n)) + 1j * rng.normal(size=(40, n, n))
+    stack[::7] *= rng.uniform(0.0, 1e3, size=(6, 1, 1))
+    full = linalg.operator_norms(stack)
+    assert full.tolist() == [linalg.operator_norm(A) for A in stack]
+    for at in (rng.permutation(40)[:13], np.arange(3, 40, 5), [17]):
+        assert linalg.operator_norms(stack[at]).tolist() \
+            == full[at].tolist()
+
+
 def _norm_test_cases():
     rng = np.random.default_rng(29)
     cases = [np.zeros((3, 3)), np.zeros((1, 1))]

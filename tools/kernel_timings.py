@@ -47,6 +47,13 @@ on one seeded "holds" and one seeded "escape" instance of
 certify.generate_instances at n = 64 and 128: the first runs every alpha
 and compares the limits, the second stops at the alpha that diverges.
 
+sweeps times certify.cesaro_sup_estimate and
+certify.abel_partial_sup_estimate (at the default alphas) at N_max = 1000
+on one seeded "gentle" instance at n = 4, 8 and 16, the sweeps of a
+cesaro request, and prints how many exact norms each takes of the sums it
+forms (N_max for the Cesaro sweep, one per alpha and k <= N_max for the
+Abel sweep).
+
 After one untimed call, every call is timed R times, and the minimum and
 median are printed in microseconds.  Set OPENBLAS_NUM_THREADS=1 for
 timings comparable with the benchmark's.  The script asserts nothing
@@ -68,6 +75,8 @@ DIMENSIONS = (2, 8, 16, 32, 64)
 SMALL_DIMENSIONS = (2, 8, 16)
 CHECK_DIMENSIONS = (2, 4, 8)
 CONDITION_I_DIMENSIONS = (64, 128)
+SWEEP_DIMENSIONS = (4, 8, 16)
+SWEEP_N_MAX = 1000
 
 
 def stable_generator(rng, n):
@@ -118,6 +127,25 @@ def small_cases(rng, n):
          lambda: M @ M, doublings),
         ("canonical_json", lambda: matrixio.canonical_json(report),
          lambda: json.dumps(report, sort_keys=True), 1))
+
+
+def count_exact_norms(call):
+    """call() once with linalg.operator_norms counting the matrices it is
+    handed; returns that count."""
+    count = 0
+    norms = linalg.operator_norms
+
+    def counted(stack):
+        nonlocal count
+        count += len(stack)
+        return norms(stack)
+
+    linalg.operator_norms = counted
+    try:
+        call()
+    finally:
+        linalg.operator_norms = norms
+    return count
 
 
 def main(argv=None):
@@ -184,14 +212,29 @@ def main(argv=None):
                 "n": n, "min_us": round(low, 1), "median_us": round(mid, 1),
                 "verdict": certify.check_power_convergence(
                     T, certify.DEFAULT_ALPHAS).verdict}
+    sweeps = {}
+    for n in SWEEP_DIMENSIONS:
+        T = certify.generate_instances(
+            n, count=1, dims=(n, n), kinds=("gentle",))[0].matrix
+        alphas = certify.DEFAULT_ALPHAS
+        for name, call, sums in (
+                ("cesaro", lambda: certify.cesaro_sup_estimate(
+                    T, SWEEP_N_MAX), SWEEP_N_MAX),
+                ("abel", lambda: certify.abel_partial_sup_estimate(
+                    T, alphas, SWEEP_N_MAX), len(alphas) * (SWEEP_N_MAX + 1))):
+            low, mid = time_call(call, args.repeats)
+            sweeps[f"{name}_n{n}"] = {
+                "n": n, "min_us": round(low, 1), "median_us": round(mid, 1),
+                "sums": sums, "exact_norms": count_exact_norms(call)}
     print(json.dumps({
         "what": "in-process time per call: maps of "
                 "linalg.exponentials_of (timings_us), the small kernels "
                 "next to their scipy or numpy references "
                 "(small_kernels_us), semigroup.check (semigroup_check_us), "
                 "its truncated Simpson (simpson_us), its Gauss-Laguerre "
-                "average (gauss_laguerre_us) and condition (i) "
-                "(condition_i_us)",
+                "average (gauss_laguerre_us), condition (i) "
+                "(condition_i_us) and the cesaro sweeps, with the exact "
+                "norms they take of the sums they form (sweeps_us)",
         "repeats": args.repeats,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "numpy": np.__version__,
@@ -200,7 +243,8 @@ def main(argv=None):
         "semigroup_check_us": checks,
         "simpson_us": simpsons,
         "gauss_laguerre_us": laguerres,
-        "condition_i_us": condition_i}, indent=1))
+        "condition_i_us": condition_i,
+        "sweeps_us": sweeps}, indent=1))
     return 0
 
 
