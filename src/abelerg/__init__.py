@@ -28,7 +28,6 @@ from .oscillator import (
     hermite_function,
 )
 from .semigroup import (
-    abel_average_closed,
     abel_average_quadrature,
     abel_power_quadrature,
     laguerre_rule,
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DiagonalOscillator",
     "abel_average",
-    "abel_average_closed",
     "abel_average_quadrature",
     "abel_power_quadrature",
     "cesaro_average",

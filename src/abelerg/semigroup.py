@@ -95,13 +95,8 @@ def _golub_welsch(m, p):
     return nodes, weights
 
 
-def abel_average_closed(B, lam):
-    """lambda (lambda I - B)^{-1}, the resolvent form of the Abel average."""
-    return _resolvent(linalg.as_matrix(B, square=True),
-                      linalg.check_real("lambda", lam, 0.0))
-
-
 def _resolvent(B, lam):
+    """lambda (lambda I - B)^{-1}, the resolvent form of the Abel average."""
     eye = np.eye(B.shape[0], dtype=np.complex128)
     try:
         return linalg.solve_linear(lam * eye - B, lam * eye)

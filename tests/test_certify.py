@@ -294,11 +294,97 @@ def test_sweeps_match_per_prefix_reference():
     [[0.0, 1e160 * (1.0 + 1.0j)], [0.0, 0.0]],
     certify.generate_instances(1, count=1, kinds=("escape",))[0].matrix,
 ], ids=["real", "complex", "escape"])
-def test_sweeps_match_reference_where_gram_bounds_overflow(T):
+def test_sweeps_match_reference_where_gram_bounds_overflow(monkeypatch, T):
     # finite sums whose S* S overflows to inf, or to inf - inf = NaN; a
     # NaN bound sorted last would skip the sums that set the sup (the
-    # escape instance's reaches 8.4e272 in the Cesaro sweep)
+    # escape instance's reaches 8.4e272 in the Cesaro sweep).  Scaled by
+    # a power of two, their bounds stay finite, so few take exact norms
+    sizes = count_normed_matrices(monkeypatch)
     assert_sweeps_match_reference(T, 1000)
+    assert sum(sizes) <= 20
+
+
+def scaled_to_norm(T, norm):
+    return T * (norm / np.linalg.norm(T, 2))
+
+
+def complex_normal(seed, n):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+# (T, the Cesaro and the Abel sweep's row-steps as inclusive ranges): a
+# row-step is one sum of one row, 1000 and 3 x 1001 with no row settled
+SETTLING_CASES = {
+    # a real T keeps the imaginary parts of its sums at 0, and a sum
+    # with a zero part never settles; nor does one of an upper-triangular
+    # T, below its diagonal
+    "real": (scaled_to_norm(np.random.default_rng(1).normal(size=(5, 5)),
+                            0.9), (1000, 1000), (3003, 3003)),
+    "upper_triangular": (scaled_to_norm(np.triu(complex_normal(2, 5)), 0.9),
+                         (1000, 1000), (3003, 3003)),
+    # ||T||_2 = 1.21, so 0.9 ||T||_2 >= 1 and the alpha = 0.9 row keeps
+    # every step, as the Cesaro row does; alpha = 0.1 and 0.5 settle
+    "gentle_alpha_0.9_unsettled": (
+        certify.generate_instances(12, count=1, dims=(4, 4),
+                                   kinds=("gentle",))[0].matrix,
+        (1000, 1000), (1003, 3002)),
+    # ||T||_2 = 0.9: the Cesaro row settles too
+    "contraction": (scaled_to_norm(complex_normal(3, 5), 0.9), (1, 999),
+                    (3, 3002)),
+}
+
+
+def count_row_steps(monkeypatch):
+    """Wrap certify._raise_sup, which receives every flushed buffer of
+    sums; the list collects the row-steps (sums) of each flush."""
+    steps = []
+    raise_sup = certify._raise_sup
+
+    def counted(sums, *args):
+        steps.append(sums.shape[0] * sums.shape[1])
+        return raise_sup(sums, *args)
+
+    monkeypatch.setattr(certify, "_raise_sup", counted)
+    return steps
+
+
+@pytest.mark.parametrize("case", sorted(SETTLING_CASES))
+def test_sweeps_match_reference_where_rows_settle(monkeypatch, case):
+    T, (cesaro_low, cesaro_high), (abel_low, abel_high) = SETTLING_CASES[case]
+    assert_sweeps_match_reference(T, 1000)
+    steps = count_row_steps(monkeypatch)
+    certify.cesaro_sup_estimate(T, 1000)
+    assert cesaro_low <= sum(steps) <= cesaro_high
+    steps.clear()
+    certify.abel_partial_sup_estimate(T, (0.1, 0.5, 0.9), 1000)
+    assert abel_low <= sum(steps) <= abel_high
+
+
+def test_a_row_settles_only_with_growth_below_one_and_no_zero_part():
+    # the sweeps check no row whose growth is 1 or more, so they cannot
+    # show that such a row never settles; a zero part has no gap below it
+    P = np.full((4, 2, 2), 1e-30 + 1e-30j)
+    sums = np.full((4, 2, 2), 1.0 + 1.0j)
+    sums[3, 0, 1] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        settled, _, _ = certify._settled(
+            P, sums, np.array([0.5, 0.999, 1.0, 0.5]), np.zeros(4))
+    assert settled.tolist() == [True, True, False, False]
+
+
+def test_sweeps_raise_nothing_where_the_norm_of_T_overflows(monkeypatch):
+    # ||T||_2 = 2.1e308 reads inf, so no row settles, and taking it
+    # raises nothing.  T is nilpotent, so the sums stay finite; the
+    # Cesaro sums' norms overflow, where the reference raises
+    T = np.array([[0.0, 1.5e308, 1.5e308], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    steps = count_row_steps(monkeypatch)
+    assert certify.abel_partial_sup_estimate(T, (0.1, 0.5), 1000) \
+        == reference_abel_partial_sup(T, (0.1, 0.5), 1000)
+    assert sum(steps) == 2 * 1001
+    assert certify.cesaro_sup_estimate(T, 1000) == math.inf
+    with pytest.raises(Overflow):
+        reference_cesaro_sup(T, 1000)
 
 
 def test_sweep_memory_is_bounded():
@@ -372,6 +458,19 @@ def test_cesaro_sweep_norms_few_of_a_gentle_instances_sums(monkeypatch):
     sup = certify.cesaro_sup_estimate(T, 1000)
     assert sum(sizes) <= 50
     assert sup == reference_cesaro_sup(T, 1000)
+
+
+@pytest.mark.parametrize("seed", [0, 8])
+def test_abel_sweep_steps_few_of_a_gentle_instances_sums(monkeypatch, seed):
+    # seed 0 is the instance above, seed 8 tools/kernel_timings.py's at
+    # n = 8; each alpha's row leaves once no later step can change its
+    # sum, alpha = 0.9 by step 410 or so, out of 3 x 1001 row-steps
+    T = certify.generate_instances(seed, count=1, dims=(8, 8),
+                                   kinds=("gentle",))[0].matrix
+    steps = count_row_steps(monkeypatch)
+    sup = certify.abel_partial_sup_estimate(T, (0.1, 0.5, 0.9), 1000)
+    assert sum(steps) <= 800
+    assert sup == reference_abel_partial_sup(T, (0.1, 0.5, 0.9), 1000)
 
 
 def test_alpha_grid_is_validated_before_any_sweep(monkeypatch):

@@ -126,8 +126,8 @@ REAL_ARGUMENTS = {
         "t", lambda v: linalg.matrix_exponential(np.eye(2), v)),
     "semigroup.laguerre_rule": (
         "power", lambda v: semigroup.laguerre_rule(4, v)),
-    "semigroup.abel_average_closed": (
-        "lambda", lambda v: semigroup.abel_average_closed(-np.eye(2), v)),
+    "semigroup.check": (
+        "lambda", lambda v: semigroup.check(-np.eye(2), v, 1)),
     "oscillator.check": (
         "lambda", lambda v: oscillator.check(v, 4, 8)),
 }

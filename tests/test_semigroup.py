@@ -28,6 +28,12 @@ def stable_generator(rng, n, lam=1.0):
     return S @ np.diag(re + 1j * im) @ np.linalg.inv(S)
 
 
+def abel_average_closed(B, lam):
+    """lambda (lambda I - B)^(-1), the closed form the quadratures are
+    checked against, by the resolvent solve semigroup.check takes it by."""
+    return semigroup._resolvent(linalg.as_matrix(B, square=True), lam)
+
+
 def simpson(B, lam):
     """(value, panels) of truncated Simpson on B, as check() takes it."""
     B = linalg.as_matrix(B, square=True)
@@ -93,15 +99,17 @@ def test_laguerre_rule_integrates_monomials_exactly():
 
 def test_abel_average_closed_scalar_oracle():
     # B = [[-1]], lambda = 1: average is 1/(1+1) = 1/2
-    A = semigroup.abel_average_closed(np.array([[-1.0]]), 1.0)
+    A = abel_average_closed(np.array([[-1.0]]), 1.0)
     assert abs(A[0, 0] - 0.5) <= 1e-15
 
 
 def test_abel_average_closed_pole():
     with pytest.raises(ResolventPole):
-        semigroup.abel_average_closed(np.array([[2.0]]), 2.0)
+        abel_average_closed(np.array([[2.0]]), 2.0)
+    with pytest.raises(ResolventPole):
+        semigroup.check(np.array([[2.0]]), 2.0, 1)
     with pytest.raises(ValueError):
-        semigroup.abel_average_closed(np.array([[-1.0]]), 0.0)
+        semigroup.check(np.array([[-1.0]]), 0.0, 1)
 
 
 def test_quadrature_matches_closed_form():
@@ -110,7 +118,7 @@ def test_quadrature_matches_closed_form():
         for _ in range(5):
             n = int(rng.integers(2, 6))
             B = stable_generator(rng, n, lam)
-            closed = semigroup.abel_average_closed(B, lam)
+            closed = abel_average_closed(B, lam)
             quad, _ = semigroup.abel_average_quadrature(B, lam)
             rel = np.linalg.norm(quad - closed, 2) / np.linalg.norm(closed, 2)
             assert rel <= 1e-8
@@ -119,7 +127,7 @@ def test_quadrature_matches_closed_form():
 def test_simpson_agrees_with_closed_form():
     rng = np.random.default_rng(103)
     B = stable_generator(rng, 3)
-    closed = semigroup.abel_average_closed(B, 1.0)
+    closed = abel_average_closed(B, 1.0)
     quad, _ = simpson(B, 1.0)
     rel = np.linalg.norm(quad - closed, 2) / np.linalg.norm(closed, 2)
     assert rel <= 1e-6
@@ -132,7 +140,7 @@ def test_simpson_horizon_covers_growing_semigroups(B):
     # cuts the integrand at e^(-40 (1 - w)), e^-4 at w = 0.9, and the
     # self-check cannot see the tail it dropped (1.8e-2 relative there)
     B = np.array(B)
-    closed = semigroup.abel_average_closed(B, 1.0)
+    closed = abel_average_closed(B, 1.0)
     quad, _ = simpson(B, 1.0)
     rel = np.linalg.norm(quad - closed, 2) / np.linalg.norm(closed, 2)
     assert rel <= 1e-6
@@ -146,7 +154,7 @@ def test_power_quadrature_settles_on_peaked_weights(B, n):
     # Gauss-Laguerre integrates against the weight u^(n-1) e^-u itself,
     # however far out it peaks, so it settles at the starting node count
     B = np.array(B, dtype=np.complex128)
-    exact = np.linalg.matrix_power(semigroup.abel_average_closed(B, 1.0), n)
+    exact = np.linalg.matrix_power(abel_average_closed(B, 1.0), n)
     quad, nodes = semigroup.abel_power_quadrature(B, 1.0, n)
     assert nodes == semigroup.START_NODE_COUNT
     rel = np.linalg.norm(quad - exact, 2) / np.linalg.norm(exact, 2)
@@ -221,7 +229,7 @@ def assert_one_call_per_rule(calls, lam, power, m):
 
 
 def test_simpson_doubles_until_self_check_passes():
-    closed = semigroup.abel_average_closed(STIFF, 1.0)
+    closed = abel_average_closed(STIFF, 1.0)
     quad, panels = simpson(STIFF, 1.0)
     assert panels in [semigroup.START_NODE_COUNT * 2 ** k
                       for k in range(1, 8)]
@@ -361,7 +369,7 @@ def test_gauss_laguerre_drops_less_than_the_integrals_norm(monkeypatch):
     maps = kernel_calls(monkeypatch)
     for i, (B, lam) in enumerate(_tail_cases()):
         B = linalg.as_matrix(B, square=True)
-        closed = semigroup.abel_average_closed(B, lam)
+        closed = abel_average_closed(B, lam)
         for power in (0.0, 3.0):
             rho = (lam / (lam + np.linalg.norm(B))) ** (power + 1.0)
             assert rho <= np.linalg.norm(
@@ -666,7 +674,7 @@ def test_gauss_laguerre_settles_on_stiff_generators():
         Q, _ = np.linalg.qr(rng.normal(size=(n, n))
                             + 1j * rng.normal(size=(n, n)))
         B = (Q * values) @ Q.conj().T
-        closed = semigroup.abel_average_closed(B, lam)
+        closed = abel_average_closed(B, lam)
         for power in (1, 4):
             quad, _ = semigroup.abel_power_quadrature(B, lam, power)
             ref = np.linalg.matrix_power(closed, power)
@@ -683,7 +691,7 @@ def test_power_quadrature_scalar_oracle():
 def test_power_quadrature_matches_matrix_power():
     rng = np.random.default_rng(107)
     B = stable_generator(rng, 4)
-    closed = semigroup.abel_average_closed(B, 1.0)
+    closed = abel_average_closed(B, 1.0)
     for n in (1, 2, 4, 8):
         P, _ = semigroup.abel_power_quadrature(B, 1.0, n)
         ref = np.linalg.matrix_power(closed, n)
@@ -718,7 +726,7 @@ def test_ergodic_projection_kernel_of_generator():
     W = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     Q, _ = np.linalg.qr(W)
     B = Q @ B @ Q.conj().T
-    rep = abel.power_iterate(semigroup.abel_average_closed(B, 1.0))
+    rep = abel.power_iterate(abel_average_closed(B, 1.0))
     assert rep.converged
     L = rep.limit
     assert np.linalg.norm(B @ L, 2) <= 1e-8
@@ -730,6 +738,6 @@ def test_ergodic_projection_shift_generator_diverges_cleanly():
     # B = [[0,1],[0,0]]: 0 is a defective eigenvalue of the generator,
     # the scaled resolvent has a Jordan block at 1 and powers blow up
     B = np.array([[0.0, 1.0], [0.0, 0.0]])
-    rep = abel.power_iterate(semigroup.abel_average_closed(B, 1.0))
+    rep = abel.power_iterate(abel_average_closed(B, 1.0))
     assert not rep.converged
     assert rep.limit is None

@@ -50,9 +50,10 @@ and compares the limits, the second stops at the alpha that diverges.
 sweeps times certify.cesaro_sup_estimate and
 certify.abel_partial_sup_estimate (at the default alphas) at N_max = 1000
 on one seeded "gentle" instance at n = 4, 8 and 16, the sweeps of a
-cesaro request, and prints how many exact norms each takes of the sums it
-forms (N_max for the Cesaro sweep, one per alpha and k <= N_max for the
-Abel sweep).
+cesaro request.  It prints the sums each could form (N_max for the Cesaro
+sweep, one per alpha and k <= N_max for the Abel sweep), the row-steps it
+takes (the sums it forms before each row leaves the stack) and the exact
+norms it takes of those.
 
 After one untimed call, every call is timed R times, and the minimum and
 median are printed in microseconds.  Set OPENBLAS_NUM_THREADS=1 for
@@ -129,23 +130,29 @@ def small_cases(rng, n):
          lambda: json.dumps(report, sort_keys=True), 1))
 
 
-def count_exact_norms(call):
-    """call() once with linalg.operator_norms counting the matrices it is
-    handed; returns that count."""
-    count = 0
-    norms = linalg.operator_norms
+def count_sweep_work(call):
+    """call() once, counting the sums that certify._raise_sup receives (the
+    row-steps) and the matrices that linalg.operator_norms is handed;
+    returns (row-steps, exact norms)."""
+    steps = norms = 0
+    raise_sup, operator_norms = certify._raise_sup, linalg.operator_norms
 
-    def counted(stack):
-        nonlocal count
-        count += len(stack)
-        return norms(stack)
+    def counted_sums(sums, *args):
+        nonlocal steps
+        steps += sums.shape[0] * sums.shape[1]
+        return raise_sup(sums, *args)
 
-    linalg.operator_norms = counted
+    def counted_norms(stack):
+        nonlocal norms
+        norms += len(stack)
+        return operator_norms(stack)
+
+    certify._raise_sup, linalg.operator_norms = counted_sums, counted_norms
     try:
         call()
     finally:
-        linalg.operator_norms = norms
-    return count
+        certify._raise_sup, linalg.operator_norms = raise_sup, operator_norms
+    return steps, norms
 
 
 def main(argv=None):
@@ -223,9 +230,11 @@ def main(argv=None):
                 ("abel", lambda: certify.abel_partial_sup_estimate(
                     T, alphas, SWEEP_N_MAX), len(alphas) * (SWEEP_N_MAX + 1))):
             low, mid = time_call(call, args.repeats)
+            row_steps, exact_norms = count_sweep_work(call)
             sweeps[f"{name}_n{n}"] = {
                 "n": n, "min_us": round(low, 1), "median_us": round(mid, 1),
-                "sums": sums, "exact_norms": count_exact_norms(call)}
+                "sums": sums, "row_steps": row_steps,
+                "exact_norms": exact_norms}
     print(json.dumps({
         "what": "in-process time per call: maps of "
                 "linalg.exponentials_of (timings_us), the small kernels "
@@ -233,8 +242,8 @@ def main(argv=None):
                 "(small_kernels_us), semigroup.check (semigroup_check_us), "
                 "its truncated Simpson (simpson_us), its Gauss-Laguerre "
                 "average (gauss_laguerre_us), condition (i) "
-                "(condition_i_us) and the cesaro sweeps, with the exact "
-                "norms they take of the sums they form (sweeps_us)",
+                "(condition_i_us) and the cesaro sweeps, with the sums "
+                "they form and the exact norms they take (sweeps_us)",
         "repeats": args.repeats,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "numpy": np.__version__,
