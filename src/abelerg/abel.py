@@ -158,10 +158,11 @@ def riesz_projection_at_one(T, rank_tol):
 
     Built by stacking orthonormal bases K of the kernel and V of the image
     of I - T, both at the relative rank threshold rank_tol, and conjugating
-    diag(I_k, 0) by [K V].  Fails loudly, with DecompositionFails, exactly
-    when the two subspaces do not decompose the space: dimensions short of
-    n, a stacked basis with sigma_min <= rank_tol * sigma_max, or a
-    projection whose idempotency defect exceeds 1e-8 max(1, 1/sigma_min),
+    diag(I_k, 0) by [K V], which is square: K and V are the n - r and r
+    columns of one rank split of I - T.  Fails loudly, with
+    DecompositionFails, exactly when the two subspaces do not decompose
+    the space: a stacked basis with sigma_min <= rank_tol * sigma_max, or
+    a projection whose idempotency defect exceeds 1e-8 max(1, 1/sigma_min),
     where 1/sigma_min >= ||E|| since E = K (W^-1)[:k] and K is orthonormal.
     """
     T = linalg.as_matrix(T, square=True)
@@ -169,10 +170,7 @@ def riesz_projection_at_one(T, rank_tol):
     M = np.eye(n, dtype=np.complex128) - T
     K = linalg.kernel_basis(M, rank_tol)
     V = linalg.image_basis(M, rank_tol)
-    k, v = K.shape[1], V.shape[1]
-    if k + v != n:
-        raise DecompositionFails(
-            f"dim Ker(I-T) + dim Im(I-T) = {k} + {v} != {n}")
+    k = K.shape[1]
     W = np.hstack([K, V])
     with linalg.lapack_errors:
         s = np.linalg.svd(W, compute_uv=False)

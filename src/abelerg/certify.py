@@ -224,7 +224,7 @@ def _sweep_sup(T, steps, alphas=None):
     check, would settle a row, but no more than twice as many steps on as
     the last check came after the one before.
     """
-    n = T.shape[0]
+    n, real = T.shape[0], not T.imag.any()
     scales = np.ones(1) if alphas is None else alphas
     size = min(steps + 1, max(
         1, linalg.STACK_CHUNK_BYTES // (16 * len(scales) * n * n)))
@@ -250,7 +250,8 @@ def _sweep_sup(T, steps, alphas=None):
             i += 1
             np.add(buffer[i - 1], P, out=buffer[i])
             if k == check_at:
-                settled, norms, fall = _settled(P, buffer[i], growth, drift)
+                settled, norms, fall = _settled(
+                    P, buffer[i], growth, drift, real)
                 # steps until ||P||_F falls by fall at the rate seen since
                 # the last check; a row that does not decay waits 2 * span
                 span = k - last_k
@@ -292,14 +293,16 @@ def _sweep_sup(T, steps, alphas=None):
     return sup
 
 
-def _settled(P, sums, growth, drift):
+def _settled(P, sums, growth, drift, real):
     """(settled, norms, fall) of the rows of the stacks P_k and S_k.
 
     A row at scale s is settled when no later step can change its sum: its
     growth s (||T||_2 + mu ||T||_F)(1 + mu)^2 < 1, mu =
     linalg.NORM_BOUND_MARGIN, and (1 + mu) ||P_k||_F + drift < h, half the
     gap below the smallest real or imaginary part of S_k (none below a 0,
-    so a row whose sum has a zero part does not settle).
+    so a row whose sum has a zero part does not settle).  Where real says
+    T is real, h takes only the real parts: each imaginary part of P T
+    sums products with a factor 0, so every P and S keeps them at 0.
     The growth bounds ||fl(s fl(P T))||_F / ||P||_F: the product's rounding
     is at most sqrt(2) (n + 2) eps |P||T| (Higham, Accuracy and Stability
     of Numerical Algorithms, ch. 3), far below mu ||P||_F ||T||_F, and
@@ -318,7 +321,8 @@ def _settled(P, sums, growth, drift):
     scaled = np.ldexp(parts, -e[:, None, None])
     norms = np.ldexp(np.sqrt(np.einsum("kij,kij->k", scaled, scaled)),
                      e) * (1.0 + linalg.NORM_BOUND_MARGIN)
-    low = np.abs(sums.view(np.float64)).min(axis=(1, 2))
+    low = np.abs(sums.real if real else sums.view(np.float64)).min(
+        axis=(1, 2))
     half_gap = 0.5 * (low - np.nextafter(low, 0.0))
     settled = (growth < 1.0) & (norms + drift < half_gap)
     return settled, norms, np.log((half_gap - drift) / norms)

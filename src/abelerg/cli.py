@@ -77,14 +77,10 @@ def cmd_abel_power(args):
         "matrix": matrixio.matrix_fingerprint(T),
         "alpha": alpha, "tol": args.tol,
     })
+    report.update(dataclasses.asdict(result))
     report["alpha"] = alpha
-    report["converged"] = result.converged
-    report["steps"] = result.steps
-    report["divergence_reason"] = result.divergence_reason
-    report["final_defect"] = result.final_defect
     report["limit"] = matrixio.serialize_matrix(result.limit) \
         if result.converged else None
-    report["history"] = result.history
     return report
 
 

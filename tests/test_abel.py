@@ -328,6 +328,17 @@ def test_riesz_projection_idempotency_is_relative_to_its_norm():
         proj.matrix, 2)
 
 
+def test_riesz_projection_rejects_a_defect_past_its_budget():
+    # Ker(I - T) and Im(I - T) meet at an angle of about 2.4e-8: the
+    # stacked basis passes (sigma_min / sigma_max = 1.2e-8 > 1e-8), but
+    # rounding leaves E^2 - E at 0.69, above 1e-8 / sigma_min = 0.59
+    rng = np.random.default_rng(132934)
+    Q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    T = Q @ np.array([[1.0 - 2.4e-8, -1.0], [0.0, 1.0]]) @ Q.conj().T
+    with pytest.raises(DecompositionFails, match="^projection idempotency"):
+        abel.riesz_projection_at_one(T, 1e-8)
+
+
 def test_spectral_map_values():
     # f_{1/2}(0) = 1/2, f_alpha(1) = 1 for every alpha
     assert abs(abel.spectral_map(0.0, 0.5) - 0.5) <= 1e-15

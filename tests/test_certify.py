@@ -313,14 +313,20 @@ def complex_normal(seed, n):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
 
+REAL_T = scaled_to_norm(np.random.default_rng(1).normal(size=(5, 5)), 0.9)
+
 # (T, the Cesaro and the Abel sweep's row-steps as inclusive ranges): a
 # row-step is one sum of one row, 1000 and 3 x 1001 with no row settled
 SETTLING_CASES = {
-    # a real T keeps the imaginary parts of its sums at 0, and a sum
-    # with a zero part never settles; nor does one of an upper-triangular
-    # T, below its diagonal
-    "real": (scaled_to_norm(np.random.default_rng(1).normal(size=(5, 5)),
-                            0.9), (1000, 1000), (3003, 3003)),
+    # a real T keeps the imaginary parts of its sums at 0, so its rows
+    # settle by the real parts alone (75 and 115 row-steps)
+    "real": (REAL_T, (1, 100), (3, 150)),
+    # imaginary parts 1e-14 of the real ones count, so the rows settle
+    # later than the real T's (126 and 195)
+    "nearly_real": (REAL_T + 1e-14j * np.random.default_rng(4).normal(
+        size=(5, 5)), (101, 999), (151, 3002)),
+    # a sum with a zero part never settles, as one of an upper-triangular
+    # T has below its diagonal
     "upper_triangular": (scaled_to_norm(np.triu(complex_normal(2, 5)), 0.9),
                          (1000, 1000), (3003, 3003)),
     # ||T||_2 = 1.21, so 0.9 ||T||_2 >= 1 and the alpha = 0.9 row keeps
@@ -363,14 +369,21 @@ def test_sweeps_match_reference_where_rows_settle(monkeypatch, case):
 
 def test_a_row_settles_only_with_growth_below_one_and_no_zero_part():
     # the sweeps check no row whose growth is 1 or more, so they cannot
-    # show that such a row never settles; a zero part has no gap below it
+    # show that such a row never settles; a zero part has no gap below it,
+    # save the imaginary parts of a real T's sums
     P = np.full((4, 2, 2), 1e-30 + 1e-30j)
     sums = np.full((4, 2, 2), 1.0 + 1.0j)
     sums[3, 0, 1] = 1.0
+    growth, drift = np.array([0.5, 0.999, 1.0, 0.5]), np.zeros(4)
     with np.errstate(divide="ignore", invalid="ignore"):
-        settled, _, _ = certify._settled(
-            P, sums, np.array([0.5, 0.999, 1.0, 0.5]), np.zeros(4))
-    assert settled.tolist() == [True, True, False, False]
+        settled, _, _ = certify._settled(P, sums, growth, drift, False)
+        assert settled.tolist() == [True, True, False, False]
+        P, sums = P.real + 0j, sums.real + 0j
+        sums[3, 0, 1] = 0.0
+        settled, _, _ = certify._settled(P, sums, growth, drift, False)
+        assert settled.tolist() == [False] * 4
+        settled, _, _ = certify._settled(P, sums, growth, drift, True)
+        assert settled.tolist() == [True, True, False, False]
 
 
 def test_sweeps_raise_nothing_where_the_norm_of_T_overflows(monkeypatch):
@@ -555,6 +568,8 @@ def test_generate_instances_rejects_bad_arguments():
             1, count=certify.MAX_INSTANCE_COUNT + 1)
     with pytest.raises(ValueError):
         certify.generate_instances(1, count=4, kinds=("no_such_kind",))
+    with pytest.raises(ValueError, match="kinds must be nonempty"):
+        certify.generate_instances(1, count=4, kinds=())
 
 
 @pytest.mark.parametrize("seed", [None, -1, [1, -2], []],

@@ -168,6 +168,12 @@ def test_solve_linear_singular_raises():
         linalg.solve_linear(A, np.eye(2))
 
 
+def test_solve_linear_rejects_a_rhs_of_other_height():
+    with pytest.raises(ValueError, match=re.escape(
+            "right-hand side has 3 rows, expected 2")):
+        linalg.solve_linear(np.eye(2), np.ones((3, 1)))
+
+
 def test_solve_linear_random_residuals():
     rng = np.random.default_rng(42)
     for _ in range(25):

@@ -61,6 +61,12 @@ def test_parse_matrix_rejects_malformed_entries():
         matrixio.parse_matrix('{"rows":1.5,"cols":1,"data":[[1,0]]}')
 
 
+def test_parse_matrix_rejects_data_that_is_not_a_list():
+    with pytest.raises(ParseError, match=re.escape(
+            '"data" must be a list of [re, im] pairs')):
+        matrixio.parse_matrix('{"rows":1,"cols":1,"data":{"0":[1,0]}}')
+
+
 @pytest.mark.parametrize("bad", [
     [True, 0], ["a", 0], [1, 0, 0], 1, [1e400, 0], [0, -10 ** 400]])
 def test_parse_matrix_names_first_bad_entry(bad):
@@ -127,6 +133,22 @@ def test_parsed_integer_entries_serialize_as_floats():
         "[[9007199254740992, -9007199254740992], "
         "[1.1805916207174113e+21, -1.1805916207174113e+21], "
         "[-1.8446744073709552e+19, 1.8446744073709552e+19], [3, -3]]")
+
+
+def test_serialize_matrix_rejects_non_matrices():
+    with pytest.raises(ValueError, match="expected a 2d array"):
+        matrixio.serialize_matrix(np.ones(3))
+
+
+def test_canonical_json_rejects_non_string_keys():
+    with pytest.raises(ValueError, match="report keys must be strings"):
+        matrixio.canonical_json({"report": {1: "one"}})
+
+
+def test_canonical_json_rejects_unserializable_types():
+    with pytest.raises(ValueError,
+                       match="cannot serialize object of type set"):
+        matrixio.canonical_json({"value": {1, 2}})
 
 
 def test_canonical_json_sorts_keys_and_formats():

@@ -565,6 +565,17 @@ def test_simpson_product_overflow_raises(monkeypatch):
             simpson(STIFF, 1.0)
 
 
+def test_simpson_sum_overflow_raises():
+    # -I + c N, N the 24 x 24 upper shift: exp(u C) and the first grid's
+    # geometric sum stay finite, but the grid's weighted sum does not
+    B = -np.eye(24) + 5e13 * np.diag(np.ones(23), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow, match="the Simpson sum left the "
+                                           "representable range"):
+            simpson(B, 1.0)
+
+
 def _geometric_grid_cases():
     # a normal generator and one with eigenvector condition 1e4, spectral
     # radius / lambda 2 as the semigroup benchmark draws it at its stiffest

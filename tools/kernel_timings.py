@@ -49,11 +49,12 @@ and compares the limits, the second stops at the alpha that diverges.
 
 sweeps times certify.cesaro_sup_estimate and
 certify.abel_partial_sup_estimate (at the default alphas) at N_max = 1000
-on one seeded "gentle" instance at n = 4, 8 and 16, the sweeps of a
-cesaro request.  It prints the sums each could form (N_max for the Cesaro
-sweep, one per alpha and k <= N_max for the Abel sweep), the row-steps it
-takes (the sums it forms before each row leaves the stack) and the exact
-norms it takes of those.
+on one seeded "gentle" instance at n = 4, 8 and 16, and on the real part
+of the one at n = 8 (real_n8), the sweeps of a cesaro request.  It
+prints the sums each could form (N_max for the Cesaro sweep, one per
+alpha and k <= N_max for the Abel sweep), the row-steps it takes (the
+sums it forms before each row leaves the stack) and the exact norms it
+takes of those.
 
 After one untimed call, every call is timed R times, and the minimum and
 median are printed in microseconds.  Set OPENBLAS_NUM_THREADS=1 for
@@ -220,9 +221,11 @@ def main(argv=None):
                 "verdict": certify.check_power_convergence(
                     T, certify.DEFAULT_ALPHAS).verdict}
     sweeps = {}
-    for n in SWEEP_DIMENSIONS:
-        T = certify.generate_instances(
-            n, count=1, dims=(n, n), kinds=("gentle",))[0].matrix
+    inputs = {f"n{n}": certify.generate_instances(
+        n, count=1, dims=(n, n), kinds=("gentle",))[0].matrix
+        for n in SWEEP_DIMENSIONS}
+    inputs["real_n8"] = inputs["n8"].real
+    for label, T in inputs.items():
         alphas = certify.DEFAULT_ALPHAS
         for name, call, sums in (
                 ("cesaro", lambda: certify.cesaro_sup_estimate(
@@ -231,9 +234,9 @@ def main(argv=None):
                     T, alphas, SWEEP_N_MAX), len(alphas) * (SWEEP_N_MAX + 1))):
             low, mid = time_call(call, args.repeats)
             row_steps, exact_norms = count_sweep_work(call)
-            sweeps[f"{name}_n{n}"] = {
-                "n": n, "min_us": round(low, 1), "median_us": round(mid, 1),
-                "sums": sums, "row_steps": row_steps,
+            sweeps[f"{name}_{label}"] = {
+                "n": len(T), "min_us": round(low, 1),
+                "median_us": round(mid, 1), "sums": sums, "row_steps": row_steps,
                 "exact_norms": exact_norms}
     print(json.dumps({
         "what": "in-process time per call: maps of "

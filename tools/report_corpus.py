@@ -16,12 +16,13 @@ Nothing in OUTDIR depends on OUTDIR's own path or on the time, so two runs
 against two checkouts' src/ (chosen by PYTHONPATH) compare with
 ``diff -r``: any changed report, exit code or message shows.
 
-The corpus covers certify, abel-power, cesaro, semigroup (several lambda
-and n, dimensions 1 to 64, a strongly non-normal generator, a complex
-diagonal one, and the numerical failures: overflow, a divergent
-integral, a resolvent pole, an unsettled Simpson rule and an underflowed
-power), oscillator (with its gap underflow and tail-bound overflow),
-generate, the input errors (malformed matrix files among them), and
+The corpus covers certify, abel-power, cesaro (a real matrix among its
+inputs), semigroup (several lambda and n, dimensions 1 to 64, a strongly
+non-normal generator, a complex diagonal one, and the numerical
+failures: overflow, a divergent integral, a resolvent pole, an unsettled
+Simpson rule and an underflowed power), oscillator (with its gap
+underflow and tail-bound overflow), generate, the input errors
+(malformed matrix files among them), and
 finite matrices whose products or 2-norm overflow, so every failure
 message the CLI prints shows in stderr.txt.  Exits 0 when
 every request exits with the code the corpus expects (0, 2 or 3), and 1
@@ -99,6 +100,12 @@ def corpus():
         # geometric sum: Omega_alpha takes in the left half-plane
         add(f"cesaro-1000-{i:02d}", ["cesaro", path, "--n", "1000"],
             3 if i == 1 else 0)
+    # a real T keeps its sums' imaginary parts at 0, so its sweeps settle
+    # by the real parts alone
+    real = certify.generate_instances(8, count=1, dims=(8, 8),
+                                      kinds=("gentle",))[0].matrix.real
+    add("cesaro-1000-real",
+        ["cesaro", write_matrix("sweep-real", real), "--n", "1000"])
 
     first = os.path.join("inputs", "instance-00.json")
     for name, flags in (("rank-tol-1e-8", ["--rank-tol", "1e-8"]),
