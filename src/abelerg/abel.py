@@ -8,7 +8,8 @@ the resolvent-weighted mean of the powers of T.  Powers of A_alpha either
 converge to the projection onto Ker(I - T) along Im(I - T) or they do not
 converge at all; this module computes the averages, iterates their powers
 with a certificate of what happened, and builds that projection directly
-from kernel/image bases so the two routes can be compared.
+from the kernels of I - T and its adjoint so the two routes can be
+compared.
 """
 
 from dataclasses import dataclass
@@ -38,11 +39,12 @@ def check_alpha(alpha):
 @dataclass(frozen=True)
 class RieszProjection:
     """Projection E onto Ker(I - T) along Im(I - T), with the orthonormal
-    kernel and image bases (columns) it was built from as witnesses."""
+    bases (columns) of the kernels of I - T and of its adjoint it was
+    built from as witnesses: E = kernel (cokernel* kernel)^-1 cokernel*."""
 
     matrix: np.ndarray
     kernel: np.ndarray
-    image: np.ndarray
+    cokernel: np.ndarray
     idempotency_defect: float
 
 
@@ -154,39 +156,46 @@ def power_iterate(M, tol=DEFAULT_TOL):
 
 
 def riesz_projection_at_one(T, rank_tol):
-    """Projection onto Ker(I - T) along Im(I - T) from rank-revealing bases.
+    """Projection onto Ker(I - T) along Im(I - T) from the kernel pairing.
 
-    Built by stacking orthonormal bases K of the kernel and V of the image
-    of I - T, both at the relative rank threshold rank_tol, and conjugating
-    diag(I_k, 0) by [K V], which is square: K and V are the n - r and r
-    columns of one rank split of I - T.  Fails loudly, with
-    DecompositionFails, exactly when the two subspaces do not decompose
-    the space: a stacked basis with sigma_min <= rank_tol * sigma_max, or
-    a projection whose idempotency defect exceeds 1e-8 max(1, 1/sigma_min),
-    where 1/sigma_min >= ||E|| since E = K (W^-1)[:k] and K is orthonormal.
+    X and Y are orthonormal bases of the kernels of M = I - T and of M*
+    (so Y spans Im(M)-perp), both at the relative rank threshold rank_tol.
+    The sum is direct iff the k x k pairing C = Y* X is nonsingular, and
+    then E = X C^-1 Y* (Golub & Van Loan, Matrix Computations, 4th ed.,
+    section 7.2.2).  s = sigma_min(C), the sine of the smallest angle
+    between Ker M and Im M, gives the stacked basis [X, basis of Im M]
+    sigma_min/sigma_max = s / (1 + c) and 1/sigma_min = sqrt(1 + c) / s,
+    c = sqrt(1 - s^2).  Fails loudly, with DecompositionFails, exactly
+    when the two subspaces do not decompose the space: kernels of
+    different dimensions, sigma_min/sigma_max <= rank_tol, or an
+    idempotency defect above 1e-8 max(1, 1/sigma_min) >= 1e-8 ||E||.
     """
     T = linalg.as_matrix(T, square=True)
-    n = T.shape[0]
-    M = np.eye(n, dtype=np.complex128) - T
-    K = linalg.kernel_basis(M, rank_tol)
-    V = linalg.image_basis(M, rank_tol)
-    k = K.shape[1]
-    W = np.hstack([K, V])
+    M = np.eye(T.shape[0], dtype=np.complex128) - T
+    X = linalg.kernel_basis(M, rank_tol)
+    Y = linalg.kernel_basis(M.conj().T, rank_tol)
+    if X.shape[1] != Y.shape[1]:
+        raise DecompositionFails(
+            f"kernels of I - T and its adjoint differ in dimension "
+            f"({X.shape[1]} against {Y.shape[1]})")
+    C = Y.conj().T @ X
+    # C's singular values are cosines, so at most 1; an empty C has none
     with linalg.lapack_errors:
-        s = np.linalg.svd(W, compute_uv=False)
-    if s[-1] <= rank_tol * s[0]:
+        s = float(np.linalg.svd(C, compute_uv=False).min(initial=1.0))
+    c = np.sqrt(1.0 - s * s)
+    if s <= rank_tol * (1.0 + c):
         raise DecompositionFails(
             f"stacked kernel/image basis is numerically singular "
-            f"(sigma_min/sigma_max = {s[-1] / s[0]:.3e})")
-    Winv = linalg.solve_linear(W, np.eye(n, dtype=np.complex128))
-    E = W[:, :k] @ Winv[:k, :]
+            f"(sigma_min/sigma_max = {s / (1.0 + c):.3e})")
+    with linalg.lapack_errors:
+        E = X @ np.linalg.solve(C, Y.conj().T)
     defect = linalg.operator_norm(E @ E - E)
-    budget = 1e-8 * max(1.0, 1.0 / s[-1])
+    budget = 1e-8 * max(1.0, np.sqrt(1.0 + c) / s)
     if defect > budget:
         raise DecompositionFails(
             f"projection idempotency defect {defect:.3e} exceeds "
             f"{budget:.3e}")
-    return RieszProjection(matrix=E, kernel=K, image=V,
+    return RieszProjection(matrix=E, kernel=X, cokernel=Y,
                            idempotency_defect=float(defect))
 
 

@@ -133,19 +133,19 @@ def check_power_convergence(T, alphas, tol=abel.DEFAULT_TOL):
         [{"kind": "limit_mismatch", "value": mismatch}], mismatch)
 
 
-def _rank_pair(T, zeta, rank_tol):
-    """rank(M) and rank(M^2) for M = zeta I - T; equal if zeta is semisimple.
+def _rank_pair(T, rank_tol):
+    """rank(M) and rank(M^2) for M = I - T; equal if 1 is semisimple.
 
     The second threshold is rank_tol * sigma_max(M)^2, the natural scale of
     a squared matrix, so a roundoff-sized M^2 does not read as full rank.
     Raises Overflow when M^2 leaves the representable range.
     """
-    M = zeta * np.eye(T.shape[0], dtype=np.complex128) - T
+    M = np.eye(T.shape[0], dtype=np.complex128) - T
     smax = linalg.operator_norm(M)
     with np.errstate(over="ignore", invalid="ignore"):
         M2 = M @ M
     if not np.isfinite(M2).all():
-        raise Overflow(f"({zeta} I - T)^2 overflowed")
+        raise Overflow("(I - T)^2 overflowed")
     return (linalg.numerical_rank(M, rank_tol * smax),
             linalg.numerical_rank(M2, rank_tol * smax * smax))
 
@@ -155,8 +155,10 @@ def check_spectral_condition(T, tol=abel.DEFAULT_TOL, rank_tol=CERTIFY_RANK_TOL)
 
     Three sub-checks, reported in witness order: (a) every eigenvalue has
     Re <= 1 + tol * ||T||; (b) rank(I - T) = rank((I - T)^2), which in
-    finite dimension says the eigenvalue 1 is semisimple; (c) the stacked
-    kernel/image basis is invertible, so Ker(I - T) + Im(I - T) is direct.
+    finite dimension says the eigenvalue 1 is semisimple; (c) the k x k
+    pairing Y* X of orthonormal bases X of Ker(I - T) and Y of
+    Ker((I - T)*) is invertible, so Ker(I - T) + Im(I - T) is direct
+    (abel.riesz_projection_at_one).
     """
     T = linalg.as_matrix(T, square=True)
     tol = linalg.check_tolerance("tol", tol)
@@ -171,7 +173,7 @@ def check_spectral_condition(T, tol=abel.DEFAULT_TOL, rank_tol=CERTIFY_RANK_TOL)
             {"kind": "offending_eigenvalue", "value": complex(eig.values[0])})
         return ConditionIICertificate(
             VERDICT_SPECTRUM_ESCAPES, witnesses, max_re, None, None)
-    rank_first, rank_second = _rank_pair(T, 1.0, rank_tol)
+    rank_first, rank_second = _rank_pair(T, rank_tol)
     if rank_first != rank_second:
         witnesses.append(
             {"kind": "rank_pair", "value": [rank_first, rank_second]})

@@ -281,7 +281,7 @@ def test_riesz_projection_diag_oracle():
     proj = abel.riesz_projection_at_one(convergent_diag(), 2 * linalg.EPS)
     assert np.allclose(proj.matrix, np.diag([1.0, 0.0]), atol=1e-12)
     assert proj.kernel.shape[1] == 1
-    assert proj.image.shape[1] == 1
+    assert proj.cokernel.shape[1] == 1
     assert proj.idempotency_defect <= 1e-12
 
 
@@ -328,14 +328,129 @@ def test_riesz_projection_idempotency_is_relative_to_its_norm():
         proj.matrix, 2)
 
 
-def test_riesz_projection_rejects_a_defect_past_its_budget():
+def test_riesz_projection_holds_at_an_angle_its_stack_budget_rejected():
     # Ker(I - T) and Im(I - T) meet at an angle of about 2.4e-8: the
-    # stacked basis passes (sigma_min / sigma_max = 1.2e-8 > 1e-8), but
-    # rounding leaves E^2 - E at 0.69, above 1e-8 / sigma_min = 0.59
+    # stacked basis passes (sigma_min / sigma_max = 1.2e-8 > 1e-8), and
+    # E = X (Y* X)^-1 Y* comes back with E^2 - E near 0.08, within
+    # 1e-8 / sigma_min = 0.59; inverting the stacked basis left 0.69
     rng = np.random.default_rng(132934)
     Q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     T = Q @ np.array([[1.0 - 2.4e-8, -1.0], [0.0, 1.0]]) @ Q.conj().T
+    proj = abel.riesz_projection_at_one(T, 1e-8)
+    assert proj.kernel.shape[1] == proj.cokernel.shape[1] == 1
+    s = abs((proj.cokernel.conj().T @ proj.kernel)[0, 0])
+    assert abs(s - 2.4e-8) <= 1e-16
+    assert proj.idempotency_defect <= 1e-8 * np.sqrt(2.0) / s
+
+
+def test_riesz_projection_rejects_a_defect_past_its_budget(monkeypatch):
+    # the budget is 1e-8 / sigma_min of the stacked basis, 1e-8
+    # sqrt(1 + c) / s with c = sqrt(1 - s^2), about 1.4e-5 at s = 1e-3; a
+    # defect forced just past it is DecompositionFails, one just within
+    # it is not
+    T = sheared(np.random.default_rng(5), [1e-3], 2)
+    proj = abel.riesz_projection_at_one(T, 1e-8)
+    s = abs((proj.cokernel.conj().T @ proj.kernel)[0, 0])
+    budget = 1e-8 * np.sqrt(1.0 + np.sqrt(1.0 - s * s)) / s
+    monkeypatch.setattr(linalg, "operator_norm", lambda A: 0.999 * budget)
+    abel.riesz_projection_at_one(T, 1e-8)
+    monkeypatch.setattr(linalg, "operator_norm", lambda A: 1.001 * budget)
     with pytest.raises(DecompositionFails, match="^projection idempotency"):
+        abel.riesz_projection_at_one(T, 1e-8)
+
+
+def sheared(rng, angles, m):
+    """Q (B(d_1) + ... + B(d_k) + C) Q*, with B(d) = [[1 - d, -1], [0, 1]],
+    whose I - B(d) has kernel and image at an angle of about d, an m x m
+    contraction C and a seeded unitary Q."""
+    k = len(angles)
+    n = 2 * k + m
+    T = np.zeros((n, n), dtype=np.complex128)
+    for i, d in enumerate(angles):
+        T[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[1.0 - d, -1.0], [0.0, 1.0]]
+    T[2 * k:, 2 * k:] = random_contraction(rng, m, radius=0.5)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return Q @ T @ Q.conj().T
+
+
+def stacked_reference(T, rank_tol):
+    """E, sigma_min / sigma_max and 1 / sigma_min of the stacked basis
+    W = [K V] of the kernel and image of I - T: E = K (W^-1)[:k]."""
+    M = np.eye(len(T)) - T
+    K = linalg.kernel_basis(M, rank_tol)
+    W = np.hstack([K, linalg.image_basis(M, rank_tol)])
+    s = np.linalg.svd(W, compute_uv=False)
+    return K @ np.linalg.inv(W)[:K.shape[1]], s[-1] / s[0], 1.0 / s[-1]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_riesz_projection_matches_the_stacked_basis(k):
+    # with s = sigma_min(Y* X), the stack has sigma_min / sigma_max =
+    # s / (1 + c) and 1 / sigma_min = sqrt(1 + c) / s, c = sqrt(1 - s^2);
+    # both routes round like eps / s, and at s = 1e-2 the stack's ratio
+    # and s / 2 already differ by s^2 / 4
+    rng = np.random.default_rng(40 + k)
+    for _ in range(12):
+        angles = 10.0 ** rng.uniform(-7.0, -2.0, k)
+        T = sheared(rng, angles, int(rng.integers(1, 4)))
+        proj = abel.riesz_projection_at_one(T, 1e-8)
+        assert proj.kernel.shape[1] == proj.cokernel.shape[1] == k
+        E, ratio, inverse = stacked_reference(T, 1e-8)
+        s = np.linalg.svd(proj.cokernel.conj().T @ proj.kernel,
+                          compute_uv=False).min(initial=1.0)
+        c = np.sqrt(1.0 - s * s)
+        rtol = 1e-14 / s
+        assert np.linalg.norm(proj.matrix - E, 2) <= rtol * max(
+            1.0, np.linalg.norm(E, 2))
+        assert abs(s / (1.0 + c) - ratio) <= rtol * ratio
+        assert abs(np.sqrt(1.0 + c) / s - inverse) <= rtol * inverse
+        if k:
+            # the stack_defect rule reads the stack's own ratio
+            with pytest.raises(DecompositionFails, match="^stacked"):
+                abel.riesz_projection_at_one(T, ratio * (1.0 + 1e-7))
+            abel.riesz_projection_at_one(T, ratio * (1.0 - 1e-7))
+
+
+def test_riesz_projection_takes_two_kernels_one_norm_and_k_by_k_work(
+        monkeypatch):
+    # n = 5, k = 1: the kernels of I - T and its adjoint and the norm of
+    # E^2 - E are the step's only n x n SVDs; its one solve is 1 x 1
+    T = sheared(np.random.default_rng(7), [1e-3], 3)
+    calls = {"kernel_basis": 0, "image_basis": 0, "operator_norm": 0,
+             "solve_linear": 0}
+    for name in calls:
+        def counted(*args, _name=name, _func=getattr(linalg, name)):
+            calls[_name] += 1
+            return _func(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    shapes = {"svd": [], "solve": []}
+    for name in shapes:
+        def recorded(A, *args, _name=name, _func=getattr(np.linalg, name),
+                     **kwargs):
+            shapes[_name].append(A.shape)
+            return _func(A, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    abel.riesz_projection_at_one(T, 1e-8)
+    assert calls == {"kernel_basis": 2, "image_basis": 0, "operator_norm": 1,
+                     "solve_linear": 0}
+    assert sorted(shapes["svd"]) == [(1, 1), (5, 5), (5, 5), (5, 5)]
+    assert shapes["solve"] == [(1, 1)]
+
+
+def test_riesz_projection_rejects_kernels_of_different_dimensions(
+        monkeypatch):
+    # the rank splits of I - T and its adjoint come from two SVDs; should
+    # they disagree, the step fails naming both dimensions
+    bases = []
+
+    def kernel_basis(A, rank_tol, _func=linalg.kernel_basis):
+        bases.append(_func(A, rank_tol))
+        return bases[-1][:, :1] if len(bases) == 2 else bases[-1]
+
+    monkeypatch.setattr(linalg, "kernel_basis", kernel_basis)
+    T = np.diag([1.0, 1.0, 0.5])
+    with pytest.raises(DecompositionFails, match=r"^kernels of I - T and its "
+                       r"adjoint differ in dimension \(2 against 1\)$"):
         abel.riesz_projection_at_one(T, 1e-8)
 
 

@@ -47,6 +47,12 @@ on one seeded "holds" and one seeded "escape" instance of
 certify.generate_instances at n = 64 and 128: the first runs every alpha
 and compares the limits, the second stops at the alpha that diverges.
 
+riesz times abel.riesz_projection_at_one, condition (ii)'s direct-sum
+step, at certify.CERTIFY_RANK_TOL on the same seeded "holds" instance and
+on one seeded "contraction" instance at n = 64 and 128, printing the
+dimension of the kernel of I - T that each pairs with its adjoint's (the
+contraction has none).
+
 sweeps times certify.cesaro_sup_estimate and
 certify.abel_partial_sup_estimate (at the default alphas) at N_max = 1000
 on one seeded "gentle" instance at n = 4, 8 and 16, and on the real part
@@ -89,6 +95,13 @@ def stable_generator(rng, n):
     Q, _ = np.linalg.qr(rng.standard_normal((n, n))
                         + 1j * rng.standard_normal((n, n)))
     return (Q * mu) @ Q.conj().T
+
+
+def seeded_instance(n, kind):
+    """The n x n matrix of certify.generate_instances' one instance of
+    kind, seeded by n."""
+    return certify.generate_instances(
+        n, count=1, dims=(n, n), kinds=(kind,))[0].matrix
 
 
 def time_call(call, repeats):
@@ -212,18 +225,25 @@ def main(argv=None):
     condition_i = {}
     for n in CONDITION_I_DIMENSIONS:
         for kind in ("holds", "escape"):
-            T = certify.generate_instances(
-                n, count=1, dims=(n, n), kinds=(kind,))[0].matrix
+            T = seeded_instance(n, kind)
             low, mid = time_call(lambda: certify.check_power_convergence(
                 T, certify.DEFAULT_ALPHAS), args.repeats)
             condition_i[f"{kind}_n{n}"] = {
                 "n": n, "min_us": round(low, 1), "median_us": round(mid, 1),
                 "verdict": certify.check_power_convergence(
                     T, certify.DEFAULT_ALPHAS).verdict}
+    riesz = {}
+    for n in CONDITION_I_DIMENSIONS:
+        for kind in ("holds", "contraction"):
+            T = seeded_instance(n, kind)
+            low, mid = time_call(lambda: abel.riesz_projection_at_one(
+                T, certify.CERTIFY_RANK_TOL), args.repeats)
+            riesz[f"{kind}_n{n}"] = {
+                "n": n, "min_us": round(low, 1), "median_us": round(mid, 1),
+                "kernel_dimension": abel.riesz_projection_at_one(
+                    T, certify.CERTIFY_RANK_TOL).kernel.shape[1]}
     sweeps = {}
-    inputs = {f"n{n}": certify.generate_instances(
-        n, count=1, dims=(n, n), kinds=("gentle",))[0].matrix
-        for n in SWEEP_DIMENSIONS}
+    inputs = {f"n{n}": seeded_instance(n, "gentle") for n in SWEEP_DIMENSIONS}
     inputs["real_n8"] = inputs["n8"].real
     for label, T in inputs.items():
         alphas = certify.DEFAULT_ALPHAS
@@ -245,7 +265,8 @@ def main(argv=None):
                 "(small_kernels_us), semigroup.check (semigroup_check_us), "
                 "its truncated Simpson (simpson_us), its Gauss-Laguerre "
                 "average (gauss_laguerre_us), condition (i) "
-                "(condition_i_us) and the cesaro sweeps, with the sums "
+                "(condition_i_us), condition (ii)'s direct-sum step "
+                "(riesz_us) and the cesaro sweeps, with the sums "
                 "they form and the exact norms they take (sweeps_us)",
         "repeats": args.repeats,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
@@ -256,6 +277,7 @@ def main(argv=None):
         "simpson_us": simpsons,
         "gauss_laguerre_us": laguerres,
         "condition_i_us": condition_i,
+        "riesz_us": riesz,
         "sweeps_us": sweeps}, indent=1))
     return 0
 
