@@ -206,206 +206,67 @@ def verify_equivalence(T, alphas=DEFAULT_ALPHAS, tol=abel.DEFAULT_TOL,
                          "alphas": alphas})
 
 
-def _sweep_sup(T, steps, alphas=None):
-    """sup over k <= steps of the weighted norms of the running sums
+def _dyadic_sup(T, scales, last, weigh):
+    """max of weigh(norms, m) over m = 1, 2, 4, ... below last and m = last,
+    norms holding the 2-norm of the sum
 
-        S_k = P_0 + ... + P_k,   P_0 = I,   P_k = s P_(k-1) T,
+        S_m = I + sT + ... + (sT)^(m-1)
 
-    weighted 1 / (k + 1) at s = 1 without alphas (Cesaro) and 1 - alpha at
-    s = alpha with them (Abel, all alphas as one stacked recurrence, a row
-    each).  The sums fill a buffer of linalg.STACK_CHUNK_BYTES, or of one
-    step if more.  Only those that differ from the sum before can raise the
-    sup, as no weight grows with k, and _raise_sup takes exact norms only
-    of those whose bound can.  +inf if a sum overflows, since every later
-    sum is then non-finite too.
-
-    A row leaves the stack once _settled proves that no later step changes
-    its sum, which then cannot raise the sup: the buffered sums are
-    flushed, and the row is dropped.  The loop ends with the last row.  The
-    next check comes where ||P_k||_F, decaying as it did since the last
-    check, would settle a row, but no more than twice as many steps on as
-    the last check came after the one before.
+    for each s in scales, all scales as one stack.  S_last comes from
+    linalg.power_and_geometric_sum, the others by doubling: S_2m = S_m +
+    P_m S_m with P_m = (sT)^m, and P_2m = P_m P_m.  +inf once a sum or its
+    norm leaves the double range, or (sT)^last does.
     """
-    n, real = T.shape[0], not T.imag.any()
-    scales = np.ones(1) if alphas is None else alphas
-    size = min(steps + 1, max(
-        1, linalg.STACK_CHUNK_BYTES // (16 * len(scales) * n * n)))
-    # buffer[0] holds the sums before the buffered steps, first S_(-1) = 0
-    buffer = np.zeros((size + 1, len(scales), n, n), dtype=np.complex128)
-    P = np.array([np.eye(n, dtype=np.complex128)] * len(scales))
-    margin = linalg.NORM_BOUND_MARGIN
-    # each row's growth and drift (_settled); an infinite norm, taken
-    # without raising, settles no row
-    with np.errstate(over="ignore", divide="ignore"), linalg.lapack_errors:
-        norm = (np.linalg.svd(T, compute_uv=False)[0]
-                + margin * np.linalg.norm(T))
-        growth = scales * (norm * (1.0 + margin) ** 2)
-        drift = n * (n + 1) * 2.0 ** -1072 / (1.0 - growth)
-    sup, i, leave = 0.0, 0, None
-    # the step and the ||P||_F of the last check, first P_0 = I
-    last_k, last_norms = 0, np.full(len(scales), math.sqrt(n))
-    check_at = 1 if (growth < 1.0).any() else steps + 1
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(steps + 1):
-            if k:
-                P = P @ T if alphas is None else alphas[:, None, None] * (P @ T)
-            i += 1
-            np.add(buffer[i - 1], P, out=buffer[i])
-            if k == check_at:
-                settled, norms, fall = _settled(
-                    P, buffer[i], growth, drift, real)
-                # steps until ||P||_F falls by fall at the rate seen since
-                # the last check; a row that does not decay waits 2 * span
-                span = k - last_k
-                rate = np.log(norms / last_norms) / span
-                wait = np.where((rate < 0.0) & (fall < 0.0), fall / rate,
-                                2 * span)[(growth < 1.0) & ~settled]
-                check_at = k + int(np.fmin(np.ceil(wait), 2 * span).min(
-                    initial=steps + 1))
-                last_k, last_norms = k, norms
-                leave = settled if settled.any() else None
-            if i < size and k < steps and leave is None:
-                continue
-            sums = buffer[1:i + 1]
-            if not np.isfinite(sums).all():
-                return math.inf
-            # != is a bit test on finite sums that never hold -0 (I has
-            # +0, and x + -x rounds to +0)
-            rows, cols = np.nonzero((sums != buffer[:i]).any(axis=(2, 3)))
-            buffer[0] = buffer[i]
-            if alphas is None:
-                counts = rows + (k - i + 2)
-                sup = _raise_sup(sums, rows, cols, sup,
-                                 lambda norms, at: norms / counts[at])
-            else:
-                weights = 1.0 - alphas[cols]
-                sup = _raise_sup(sums, rows, cols, sup,
-                                 lambda norms, at: weights[at] * norms)
-            i = 0
-            if leave is not None:
-                keep = ~leave
-                if not keep.any():
-                    return sup
-                P, buffer, growth, drift, last_norms = (
-                    P[keep], buffer[:, keep], growth[keep], drift[keep],
-                    last_norms[keep])
-                if alphas is not None:
-                    alphas = alphas[keep]
-                leave = None
+    def top(S, m):
+        norms = np.array([linalg.operator_norm(A) for A in S])
+        return float(weigh(norms, m).max())
+
+    stack = scales[:, None, None] * T
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the last prefix first: its arrays are freed before the
+            # doubling makes its own
+            sup = top(linalg.power_and_geometric_sum(stack, last)[1], last)
+            S, m = np.zeros_like(stack) + np.eye(len(T)), 1
+            while m < last:
+                if m > 1:
+                    P = stack if m == 2 else P @ P
+                    S += P @ S
+                    if not np.isfinite(S).all():
+                        return math.inf
+                sup = max(sup, top(S, m))
+                m *= 2
+    except Overflow:
+        return math.inf
     return sup
 
 
-def _settled(P, sums, growth, drift, real):
-    """(settled, norms, fall) of the rows of the stacks P_k and S_k.
-
-    A row at scale s is settled when no later step can change its sum: its
-    growth s (||T||_2 + mu ||T||_F)(1 + mu)^2 < 1, mu =
-    linalg.NORM_BOUND_MARGIN, and (1 + mu) ||P_k||_F + drift < h, half the
-    gap below the smallest real or imaginary part of S_k (none below a 0,
-    so a row whose sum has a zero part does not settle).  Where real says
-    T is real, h takes only the real parts: each imaginary part of P T
-    sums products with a factor 0, so every P and S keeps them at 0.
-    The growth bounds ||fl(s fl(P T))||_F / ||P||_F: the product's rounding
-    is at most sqrt(2) (n + 2) eps |P||T| (Higham, Accuracy and Stability
-    of Numerical Algorithms, ch. 3), far below mu ||P||_F ||T||_F, and
-    1 + mu covers the rounding of the norms and of the scaling.  Underflow
-    adds less than 2 n (n + 1) 2^-1074 to ||P||_F a step, and drift is
-    twice the 1 / (1 - growth) steps' worth of that.  So every later P has
-    ||.||_F below h, and so has each of its parts; as the gap below a part
-    is never above the gap above it, nor shrinks as the part grows, S + P
-    rounds to S.  ||P_k||_F is taken of P_k scaled by 2^-e near its largest
-    part, so that no square that matters underflows.  norms holds the
-    (1 + mu) ||P_k||_F, and fall = log((h - drift) / norms) is negative
-    while they have still to fall.
-    """
-    parts = P.view(np.float64)
-    _, e = np.frexp(np.abs(parts).max(axis=(1, 2)))
-    scaled = np.ldexp(parts, -e[:, None, None])
-    norms = np.ldexp(np.sqrt(np.einsum("kij,kij->k", scaled, scaled)),
-                     e) * (1.0 + linalg.NORM_BOUND_MARGIN)
-    low = np.abs(sums.real if real else sums.view(np.float64)).min(
-        axis=(1, 2))
-    half_gap = 0.5 * (low - np.nextafter(low, 0.0))
-    settled = (growth < 1.0) & (norms + drift < half_gap)
-    return settled, norms, np.log((half_gap - drift) / norms)
-
-
-def _raise_sup(sums, rows, cols, sup, weigh):
-    """max(sup, the weighted norms of sums[rows, cols]) as the same float,
-    with SVDs only of the sums whose upper bound can still raise it.
-
-    weigh(values, at) weights the values of sums[rows[at], cols[at]] by a
-    positive factor or divisor, so it rounds monotonically.  The bound
-    ||S* S||_F^(1/2) >= ||S||_2 (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 6; equal at rank one) is widened by
-    linalg.NORM_BOUND_MARGIN, far above its rounding of about n^2 eps.
-    Exact norms go in descending order of weighted bound, in blocks of 1,
-    2, 4, ..., until the next bound is at most the sup.  The Gram products
-    go in sub-stacks of STACK_CHUNK_BYTES / 8 bytes.  A sub-stack where a
-    sum of squares overflows (inf, or inf - inf = NaN in a product:
-    ||S||_2 above about 1e77) is taken again with each sum scaled by 2^-e,
-    2^e being the power of two just above its largest real or imaginary
-    part, and each bound scaled back by 2^e: then nothing overflows, and
-    what underflows is far below the margin.  Where no part or product,
-    scaled or not, under- or overflows, the scaling commutes exactly with
-    the products, the sum of squares and both square roots, so the bound
-    is the same float.  A bound past the double range reads +inf.
-    Unscaled, a Gram product that underflows needs ||S||_2 < 1e-70, below
-    S_0 = I's weighted norm.
-    """
-    count, n = len(rows), sums.shape[-1]
-    squares, exponents = np.empty(count), np.zeros(count, dtype=int)
-    chunk = max(1, linalg.STACK_CHUNK_BYTES // (128 * n * n))
-
-    def gram_squares(part):
-        flat = (part.conj().swapaxes(1, 2) @ part).view(np.float64)
-        return np.einsum("kij,kij->k", flat, flat)
-
-    for j in range(0, count, chunk):
-        js = slice(j, j + chunk)
-        part = sums[rows[js], cols[js]]
-        squares[js] = gram_squares(part)
-        if not np.isfinite(squares[js]).all():
-            parts = part.view(np.float64)
-            _, exponents[js] = np.frexp(np.abs(parts).max(axis=(1, 2)))
-            np.ldexp(parts, -exponents[js, None, None], out=parts)
-            squares[js] = gram_squares(part)
-    bounds = weigh(np.ldexp(np.sqrt(np.sqrt(squares)), exponents)
-                   * (1.0 + linalg.NORM_BOUND_MARGIN), slice(None))
-    order = np.argsort(-bounds)
-    descending = bounds[order]
-    taken, block = 0, 1
-    while True:
-        stop = min(taken + block, np.count_nonzero(descending > sup))
-        if stop <= taken:
-            return sup
-        at = order[taken:stop]
-        norms = linalg.operator_norms(sums[rows[at], cols[at]])
-        sup = float(weigh(norms, at).max(initial=sup))
-        taken, block = stop, 2 * block
-
-
 def cesaro_sup_estimate(T, N_max):
-    """sup_{N <= N_max} of the Cesaro average norms, by a running sweep.
+    """sup of the Cesaro average norms ||S_N|| / N, sampled at N = 1, 2,
+    4, ... below N_max and at N_max.
 
-    A finite sweep cannot prove boundedness; treat the value as a
-    diagnostic.  Overflow inside the sweep is reported as +inf.
+    A finite sample cannot prove boundedness; treat the value as a
+    diagnostic.  Overflow is reported as +inf.
     """
     T = linalg.as_matrix(T, square=True)
     N_max = linalg.check_count("N_max", N_max, 1)
-    return _sweep_sup(T, N_max - 1)
+    return _dyadic_sup(T, np.ones(1), N_max, lambda norms, m: norms / m)
 
 
 def abel_partial_sup_estimate(T, alpha_grid, N_max):
-    """sup over the alpha grid and N <= N_max of the partial Abel sums.
+    """sup over the alpha grid of the partial Abel sums' norms
+    (1 - alpha) ||I + alpha T + ... + (alpha T)^(m-1)||, sampled at m = 1,
+    2, 4, ... below N_max + 1 and at N_max + 1.
 
-    Same finite-sweep caveat and +inf overflow convention as the Cesaro
-    estimate.
+    Same caveat and +inf overflow convention as the Cesaro estimate.
     """
     T = linalg.as_matrix(T, square=True)
     N_max = linalg.check_count("N_max", N_max, 0)
     alphas = np.array([abel.check_alpha(a) for a in alpha_grid])
-    return _sweep_sup(T, N_max, alphas) if alphas.size else 0.0
+    if not alphas.size:
+        return 0.0
+    return _dyadic_sup(T, alphas, N_max + 1,
+                       lambda norms, m: (1.0 - alphas) * norms)
 
 
 # ---------------------------------------------------------------------------

@@ -50,10 +50,9 @@ NORM_BOUND_MARGIN = 1e-8
 # self-test counts on a 2x2 certify (perfbench/test_spans.py).
 EXACT_NORM_MAX_DIMENSION = 2
 
-# Bytes of a stack of matrices that one batched call takes: the sweeps'
-# running sums for operator_norms, the Gauss-Laguerre nodes for the maps
-# of exponentials_of.  Such loops hold O(STACK_CHUNK_BYTES + n^2) memory
-# however many matrices they go through.
+# Bytes of a stack of matrices that one batched call takes: the
+# Gauss-Laguerre nodes for the maps of exponentials_of.  Such loops hold
+# O(STACK_CHUNK_BYTES + n^2) memory however many matrices they go through.
 STACK_CHUNK_BYTES = 1 << 20
 
 # complex128 LAPACK routines, looked up once: scipy.linalg.lu_factor,
@@ -469,14 +468,15 @@ def _dropped_squarings(powers, c, s):
 
 
 def power_and_geometric_sum(T, N):
-    """(T^N, I + T + ... + T^(N-1)) of a validated square T and N >= 1, by
-    O(log N) products: binary powering from the leading bit of N.
+    """(T^N, I + T + ... + T^(N-1)) of a validated square T, or of each
+    matrix of a stack of them, and N >= 1, by O(log N) products: binary
+    powering from the leading bit of N.
 
     Raises Overflow when either leaves the representable range; the
     products run under np.errstate, so no numpy warning escapes.
     """
-    P = np.eye(T.shape[0], dtype=np.complex128)
-    S = np.zeros_like(P)
+    P = np.eye(T.shape[-1], dtype=np.complex128)
+    S = np.zeros(T.shape, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         for bit in bin(N)[2:]:
             S += P @ S
@@ -511,13 +511,6 @@ def log_norm(B):
     if not math.isfinite(mu):
         raise Overflow("the logarithmic norm left the representable range")
     return mu
-
-
-def operator_norms(stack):
-    """operator_norm of each matrix in a (k, m, n) stack of finite entries,
-    bit for bit, by one batched SVD call."""
-    with lapack_errors:
-        return np.linalg.svd(stack, compute_uv=False).max(axis=-1)
 
 
 def _norm_at_most(A, bound):

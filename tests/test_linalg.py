@@ -622,12 +622,11 @@ def _lapack_fails(*args, **kwargs):
 
 @pytest.mark.parametrize("routine,call", [
     ("svd", lambda: linalg.operator_norm(np.eye(2))),
-    ("svd", lambda: linalg.operator_norms(np.eye(2)[None])),
     ("svd", lambda: linalg.numerical_rank(np.eye(2), 0.5)),
     ("svd", lambda: linalg.kernel_basis(np.eye(2), 1e-8)),
     ("svd", lambda: linalg.image_basis(np.eye(2), 1e-8)),
     ("solve", lambda: linalg.matrix_exponential(np.eye(2), 1.0))],
-    ids=["operator_norm", "operator_norms", "numerical_rank", "kernel_basis",
+    ids=["operator_norm", "numerical_rank", "kernel_basis",
          "image_basis", "matrix_exponential"])
 def test_lapack_failure_is_no_convergence(monkeypatch, routine, call):
     # LinAlgError is a ValueError, an input error to the CLI
@@ -647,25 +646,23 @@ def test_matrix_exponentials_rejects_bad_ts(ts):
         linalg.exponentials_of(np.eye(2))(ts)
 
 
+@pytest.mark.parametrize("N", [1, 2, 7, 1000])
+def test_power_and_geometric_sum_of_a_stack_is_each_matrix_s(N):
+    # the cesaro sups take every alpha's sums as one stack
+    A = _seeded_complex_matrices()[4]
+    A = A / np.linalg.norm(A, 2)
+    stack = np.array([0.1, 0.5, 0.9])[:, None, None] * A
+    P, S = linalg.power_and_geometric_sum(stack, N)
+    for k, T in enumerate(stack):
+        P_k, S_k = linalg.power_and_geometric_sum(T, N)
+        assert np.array_equal(P[k], P_k) and np.array_equal(S[k], S_k)
+
+
 def test_operator_norm_matches_largest_singular_value():
     # bit for bit numpy's 2-norm, the largest of the same singular values
     for A in _seeded_complex_matrices():
         assert linalg.operator_norm(A) == np.linalg.norm(A, 2)
         assert linalg.operator_norm(A[:, :1]) == np.linalg.norm(A[:, :1], 2)
-
-
-@pytest.mark.parametrize("n", [2, 9, 16])
-def test_operator_norms_of_a_sub_stack_are_the_stack_entries(n):
-    # the cesaro sweeps take the norms of a chosen few sums of a stack and
-    # rely on getting the bits the whole stack's call would give
-    rng = np.random.default_rng(n)
-    stack = rng.normal(size=(40, n, n)) + 1j * rng.normal(size=(40, n, n))
-    stack[::7] *= rng.uniform(0.0, 1e3, size=(6, 1, 1))
-    full = linalg.operator_norms(stack)
-    assert full.tolist() == [linalg.operator_norm(A) for A in stack]
-    for at in (rng.permutation(40)[:13], np.arange(3, 40, 5), [17]):
-        assert linalg.operator_norms(stack[at]).tolist() \
-            == full[at].tolist()
 
 
 def _norm_test_cases():

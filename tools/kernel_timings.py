@@ -56,11 +56,10 @@ contraction has none).
 sweeps times certify.cesaro_sup_estimate and
 certify.abel_partial_sup_estimate (at the default alphas) at N_max = 1000
 on one seeded "gentle" instance at n = 4, 8 and 16, and on the real part
-of the one at n = 8 (real_n8), the sweeps of a cesaro request.  It
-prints the sums each could form (N_max for the Cesaro sweep, one per
-alpha and k <= N_max for the Abel sweep), the row-steps it takes (the
-sums it forms before each row leaves the stack) and the exact norms it
-takes of those.
+of the one at n = 8 (real_n8), the sup estimates of a cesaro request.  It
+prints the prefix sums each samples from (N_max for the Cesaro sup, one
+per alpha and k <= N_max for the Abel sup) and the linalg.operator_norm
+calls it makes, one per sampled sum.
 
 After one untimed call, every call is timed R times, and the minimum and
 median are printed in microseconds.  Set OPENBLAS_NUM_THREADS=1 for
@@ -144,29 +143,23 @@ def small_cases(rng, n):
          lambda: json.dumps(report, sort_keys=True), 1))
 
 
-def count_sweep_work(call):
-    """call() once, counting the sums that certify._raise_sup receives (the
-    row-steps) and the matrices that linalg.operator_norms is handed;
-    returns (row-steps, exact norms)."""
-    steps = norms = 0
-    raise_sup, operator_norms = certify._raise_sup, linalg.operator_norms
+def count_norms(call):
+    """call() once, returning how many times it called
+    linalg.operator_norm."""
+    norms = 0
+    operator_norm = linalg.operator_norm
 
-    def counted_sums(sums, *args):
-        nonlocal steps
-        steps += sums.shape[0] * sums.shape[1]
-        return raise_sup(sums, *args)
-
-    def counted_norms(stack):
+    def counted(A):
         nonlocal norms
-        norms += len(stack)
-        return operator_norms(stack)
+        norms += 1
+        return operator_norm(A)
 
-    certify._raise_sup, linalg.operator_norms = counted_sums, counted_norms
+    linalg.operator_norm = counted
     try:
         call()
     finally:
-        certify._raise_sup, linalg.operator_norms = raise_sup, operator_norms
-    return steps, norms
+        linalg.operator_norm = operator_norm
+    return norms
 
 
 def main(argv=None):
@@ -253,11 +246,10 @@ def main(argv=None):
                 ("abel", lambda: certify.abel_partial_sup_estimate(
                     T, alphas, SWEEP_N_MAX), len(alphas) * (SWEEP_N_MAX + 1))):
             low, mid = time_call(call, args.repeats)
-            row_steps, exact_norms = count_sweep_work(call)
             sweeps[f"{name}_{label}"] = {
                 "n": len(T), "min_us": round(low, 1),
-                "median_us": round(mid, 1), "sums": sums, "row_steps": row_steps,
-                "exact_norms": exact_norms}
+                "median_us": round(mid, 1), "sums": sums,
+                "exact_norms": count_norms(call)}
     print(json.dumps({
         "what": "in-process time per call: maps of "
                 "linalg.exponentials_of (timings_us), the small kernels "
@@ -266,8 +258,8 @@ def main(argv=None):
                 "its truncated Simpson (simpson_us), its Gauss-Laguerre "
                 "average (gauss_laguerre_us), condition (i) "
                 "(condition_i_us), condition (ii)'s direct-sum step "
-                "(riesz_us) and the cesaro sweeps, with the sums "
-                "they form and the exact norms they take (sweeps_us)",
+                "(riesz_us) and the cesaro sup estimates, with the sums "
+                "they sample from and the norms they take (sweeps_us)",
         "repeats": args.repeats,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "numpy": np.__version__,

@@ -100,8 +100,7 @@ def corpus():
         # geometric sum: Omega_alpha takes in the left half-plane
         add(f"cesaro-1000-{i:02d}", ["cesaro", path, "--n", "1000"],
             3 if i == 1 else 0)
-    # a real T keeps its sums' imaginary parts at 0, so its sweeps settle
-    # by the real parts alone
+    # a real T, whose sums keep their imaginary parts at 0
     real = certify.generate_instances(8, count=1, dims=(8, 8),
                                       kinds=("gentle",))[0].matrix.real
     add("cesaro-1000-real",

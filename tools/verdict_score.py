@@ -29,10 +29,14 @@ where it fails.  Each is exact in binary64 (the Volterra section's entries are
     [[1, 1e-6], [0, 1]]                       fails
 
 Every cell runs through certify.verify_equivalence at its defaults, and so
-do three relatives that keep both conditions exactly: Q T Q* (Q one Haar
-unitary per cell, drawn in cell order from numpy's default_rng(11), the
-direct_sum cells after the other four families'), the transpose and the
-complex conjugate.  Per family the score counts
+do three relatives: Q T Q* (Q one Haar unitary per cell, drawn in cell
+order from numpy's default_rng(11), the direct_sum cells after the other
+four families'), the transpose and the complex conjugate.  The transpose
+and the conjugate keep both conditions exactly.  Q T Q* keeps them only
+in exact arithmetic: the rounded product is another float matrix, and on
+13 of the 45 cells with n <= 16 (9 line, 4 near1) it has an eigenvalue
+with Re z - 1 between 8.8e-17 and 1.5e-15, so it fails (ii) exactly.
+Per family the score counts
 
     cells       cells scored
     wrong_i     cells where "(i) says converged_all" is not the truth
@@ -104,9 +108,12 @@ def haar_unitary(rng, n):
 
 
 def relatives(T, Q):
-    """Q T Q*, T^T and conj(T): they keep the spectrum up to conjugation,
-    which fixes 1 and the half-plane Re z <= 1, and the Jordan structure
-    at 1, so they keep both conditions exactly."""
+    """Q T Q*, T^T and conj(T).  T^T and conj(T) keep the spectrum up to
+    conjugation, which fixes 1 and the half-plane Re z <= 1, and the
+    Jordan structure at 1, so they keep both conditions exactly.  Q T Q*
+    keeps them in exact arithmetic only: its rounding can move an
+    eigenvalue on the line Re z = 1 just past it (see the module
+    docstring)."""
     return Q @ T @ Q.conj().T, T.T, T.conj()
 
 
